@@ -10,7 +10,11 @@ witness for diagnosis.
 
 :func:`sweep` runs selected verifiers over their full instance
 populations -- every sequence of a length, or every balanced run tuple
-of an odd length -- and aggregates per-length records.  Balanced run
+of an odd length -- and aggregates per-length records.  Sequences are
+swept as packed masks (see :mod:`runvec.seqcore`): C comes from the
+packed kernel, the run vector from the runs read off the mask, and
+sequences are decoded only for the delta oracle, which is computed on
+the elements, and for failure witnesses.  Balanced run
 tuples are generated by mirroring the free half of a skew-symmetric
 sequence; negation preserves the tuple, so each odd length ``n``
 yields exactly ``2**((n+1)//2 - 1)`` distinct instances.
@@ -35,19 +39,20 @@ from .seqcore import (
     RunLengthEncoding,
     RunStructure,
     RunVector,
-    all_sequences,
     aperiodic_autocorrelations,
     boundary_rank_interval,
     decode_rle,
-    encode_rle,
     f_eval,
     is_balanced,
     is_barker,
-    is_skew_symmetric,
+    packed_autocorrelations,
+    packed_rle,
+    packed_skew_symmetric,
     run_structure,
     run_vector,
     run_vector_of,
     u_k,
+    unpack,
 )
 
 LEMMA_IDS = ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L7n")
@@ -188,36 +193,47 @@ def _sign_pow(e: int) -> int:
     return -1 if e & 1 else 1
 
 
+def _second_difference_residual(c, r) -> tuple[int, ...]:
+    """``C_{k+1} - 2*C_k + C_{k-1} + 2*R_k`` for k = 1..n-1, slot k-1."""
+    return tuple(
+        [before - 2 * at + after + 2 * rk for before, at, after, rk in zip(c, c[1:], c[2:], r)]
+    )
+
+
 def theorem1_residual(seq: BinarySequence) -> tuple[int, ...]:
     """Second-difference residuals of the autocorrelations against the
     run vector; slot ``k-1`` holds ``C_{k+1} - 2*C_k + C_{k-1} + 2*R_k``.
     An all-zero vector certifies the identity on this sequence.
     """
+    return _second_difference_residual(aperiodic_autocorrelations(seq), run_vector(seq).r)
+
+
+def delta_autocorrelations(seq: BinarySequence) -> tuple[int, ...]:
+    """Autocorrelations of the difference sequence; slot ``k-1`` holds shift k.
+
+    The difference sequence takes consecutive differences with zero
+    padding on both ends, so it vanishes except at the sign changes and
+    at the two ends; the sums run over pairs of its nonzero terms.
+    Independent oracle for the run vector: half of the value at shift k
+    equals the reflected run-vector entry at ``k``, and the value equals
+    the negated second difference of the plain autocorrelations.
+    """
     n = seq.n
-    if n < 2:
-        return ()
-    c = aperiodic_autocorrelations(seq)
-    r = run_vector(seq).r
-    return tuple(
-        c[k + 1] - 2 * c[k] + c[k - 1] + 2 * r[k - 1] for k in range(1, n)
-    )
+    a = (0,) + seq.elems + (0,)  # a[i] = element i, with a_0 = a_{n+1} = 0
+    support = [(i, a[i] - a[i - 1]) for i in range(1, n + 2) if a[i] != a[i - 1]]
+    out = [0] * (n + 1)
+    for p, (i, di) in enumerate(support):
+        for j, dj in support[p + 1 :]:
+            out[j - i] += di * dj
+    return tuple(out[1:n])
 
 
 def delta_autocorrelation(seq: BinarySequence, k: int) -> int:
-    """Autocorrelation of the difference sequence at shift ``k``.
-
-    The difference sequence takes consecutive differences with zero
-    padding on both ends.  Independent oracle for the run vector: half
-    of this value equals the reflected run-vector entry at ``k``, and
-    the value equals the negated second difference of the plain
-    autocorrelations.
-    """
+    """Entry ``k`` of :func:`delta_autocorrelations`, 1 <= k <= n-1."""
     n = seq.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    a = (0,) + seq.elems + (0,)  # a[i] = element i, with a_0 = a_{n+1} = 0
-    delta = [a[i] - a[i - 1] for i in range(1, n + 2)]
-    return sum(delta[i] * delta[i + k] for i in range(n + 1 - k))
+    return delta_autocorrelations(seq)[k - 1]
 
 
 def balanced_profile(rle: RunLengthEncoding) -> BalancedProfile:
@@ -473,24 +489,23 @@ def check_p_odd(rle: RunLengthEncoding) -> Verdict:
 def balanced_run_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     """All balanced run tuples summing to odd ``n``, sorted.
 
-    Enumerates the ``2**m`` skew-symmetric sequences (m free elements
-    from the centre rightwards), encodes each, and deduplicates: the
-    two sign choices of a sequence share one run tuple, so exactly
-    ``2**(m-1)`` tuples remain.
+    Enumerates the ``2**m`` skew-symmetric sequences as masks (m free
+    elements from the centre rightwards), encodes each, and
+    deduplicates: the two sign choices of a sequence share one run
+    tuple, so exactly ``2**(m-1)`` tuples remain.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 1, got {n}")
     if n > BALANCED_ENUM_LIMIT:
         raise ValueError(f"balanced enumeration limited to n <= {BALANCED_ENUM_LIMIT}")
     m = (n + 1) // 2
+    flip_odd = int("10" * m, 2) & ((1 << m) - 1)
     seen = set()
     for bits in range(1 << m):
-        a = [0] * (n + 1)  # 1-based scratch
-        for j in range(m):
-            a[m + j] = 1 if (bits >> j) & 1 == 0 else -1
-        for j in range(1, m):
-            a[m - j] = a[m + j] if j % 2 == 0 else -a[m + j]
-        seen.add(encode_rle(BinarySequence(tuple(a[1:]))).runs)
+        # bit j of ``bits`` is element m+j; element m-j mirrors it, negated
+        # for odd j, and the centre element m is bit m-1 of the mask
+        right = int(format(bits, f"0{m}b")[::-1], 2)
+        seen.add(packed_rle(((bits ^ flip_odd) << (m - 1)) | right, n).runs)
     if len(seen) != 1 << (m - 1):
         raise RuntimeError(f"balanced enumeration produced {len(seen)} tuples for n={n}")
     return tuple(sorted(seen))
@@ -506,46 +521,47 @@ def _clip(failures: list) -> tuple:
 
 
 def _sweep_theorem1(n: int) -> SweepRecord:
-    population = 0
     failures = []
-    for seq in all_sequences(n):
-        population += 1
-        residual = theorem1_residual(seq)
-        for k, value in enumerate(residual, start=1):
-            if value != 0:
-                failures.append({"instance": seq.to_text(), "k": k, "residual": value})
-                break
+    for x in range(1 << n):
+        c = (n, *packed_autocorrelations(x, n), 0)
+        r = run_vector_of(run_structure(packed_rle(x, n))).r
+        residual = _second_difference_residual(c, r)
+        if any(residual):
+            k, value = next((k, v) for k, v in enumerate(residual, start=1) if v)
+            failures.append({"instance": unpack(x, n).to_text(), "k": k, "residual": value})
+    population = 1 << n
     return SweepRecord("theorem1", n, population, population, len(failures), _clip(failures))
 
 
 def _sweep_delta(n: int) -> SweepRecord:
-    population = 0
     failures = []
-    for seq in all_sequences(n):
-        population += 1
-        c = aperiodic_autocorrelations(seq)
-        r = run_vector(seq).r
-        for k in range(1, n):
-            d = delta_autocorrelation(seq, k)
-            if d != -(c[k + 1] - 2 * c[k] + c[k - 1]) or d != 2 * r[k - 1]:
-                failures.append(
-                    {"instance": seq.to_text(), "k": k, "delta": d, "r_k": r[k - 1]}
-                )
-                break
+    for x in range(1 << n):
+        c = (n, *packed_autocorrelations(x, n), 0)
+        r = run_vector_of(run_structure(packed_rle(x, n))).r
+        # the oracle is a literal computation on the elements themselves
+        seq = unpack(x, n)
+        deltas = delta_autocorrelations(seq)
+        from_c = tuple([2 * at - before - after for before, at, after in zip(c, c[1:], c[2:])])
+        from_r = tuple([2 * rk for rk in r])
+        if deltas != from_c or deltas != from_r:
+            i = next(i for i, d in enumerate(deltas) if d != from_c[i] or d != from_r[i])
+            failures.append(
+                {"instance": seq.to_text(), "k": i + 1, "delta": deltas[i], "r_k": r[i]}
+            )
+    population = 1 << n
     return SweepRecord("delta", n, population, population, len(failures), _clip(failures))
 
 
 def _sweep_prop_skew(n: int) -> SweepRecord:
-    population = 0
     failures = []
-    for seq in all_sequences(n):
-        population += 1
-        skew = is_skew_symmetric(seq)
-        balanced = is_balanced(run_structure(encode_rle(seq)))
+    for x in range(1 << n):
+        skew = packed_skew_symmetric(x, n)
+        balanced = is_balanced(run_structure(packed_rle(x, n)))
         if skew != balanced:
             failures.append(
-                {"instance": seq.to_text(), "skew_symmetric": skew, "balanced": balanced}
+                {"instance": unpack(x, n).to_text(), "skew_symmetric": skew, "balanced": balanced}
             )
+    population = 1 << n
     return SweepRecord("prop-skew", n, population, population, len(failures), _clip(failures))
 
 

@@ -15,8 +15,8 @@ Both modes fix the first free element to +1 and close the result set
 under negation at the end; mirrors and pruning are never trusted for
 correctness -- every emitted sequence is re-verified from scratch.
 
-The unpruned reference filter packs sequences into machine integers and
-counts disagreements per shift with XOR and popcount; it exists so the
+The unpruned reference filter runs the packed autocorrelation kernel of
+:mod:`runvec.seqcore` over every mask of a length; it exists so the
 pruned searches can be checked against it exhaustively.
 """
 
@@ -30,11 +30,12 @@ from .lemmalab import balanced_profile, balanced_run_tuples
 from .seqcore import (
     BinarySequence,
     RunLengthEncoding,
-    aperiodic_autocorrelations,
     encode_rle,
     is_balanced,
-    is_barker,
+    pack,
+    packed_autocorrelations,
     run_structure,
+    unpack,
 )
 
 FULL_SEARCH_LIMIT = 25
@@ -196,10 +197,7 @@ def _search_task(args):
 
 
 def _within_threshold(seq, threshold):
-    if threshold == 1:
-        return is_barker(seq)
-    c = aperiodic_autocorrelations(seq)
-    return all(abs(v) <= threshold for v in c[1:-1])
+    return all(-threshold <= c <= threshold for c in packed_autocorrelations(pack(seq), seq.n))
 
 
 def find_barker_sequences(
@@ -278,29 +276,17 @@ def canonical_representatives(seqs) -> list[BinarySequence]:
 def brute_force_barker(n: int) -> list[BinarySequence]:
     """Unpruned filter over all 2**n sequences, word-parallel.
 
-    A sequence is one machine integer with bit ``n-1-i`` set where
-    element i+1 is -1; the products at shift k disagree exactly where
-    ``x ^ (x >> k)`` has a set bit, so each off-peak sum is one XOR,
-    one mask and one popcount.  Reference oracle for prune soundness.
+    Each mask goes through the packed kernel, one XOR, one mask and one
+    popcount per shift, stopping at the first shift whose sum exceeds 1
+    in magnitude.  Reference oracle for prune soundness.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = []
-    top = n - 1
-    for x in range(1 << n):
-        good = True
-        for k in range(1, n):
-            width = n - k
-            mismatches = ((x ^ (x >> k)) & ((1 << width) - 1)).bit_count()
-            c = width - 2 * mismatches
-            if c > 1 or c < -1:
-                good = False
-                break
-        if good:
-            out.append(
-                BinarySequence(tuple(-1 if (x >> (top - i)) & 1 else 1 for i in range(n)))
-            )
-    return out
+    return [
+        unpack(x, n)
+        for x in range(1 << n)
+        if all(-1 <= c <= 1 for c in packed_autocorrelations(x, n))
+    ]
 
 
 def enumerate_balanced_rles(n: int) -> list[RunLengthEncoding]:

@@ -21,6 +21,15 @@ Index conventions, stated once here for the whole package:
 * The boundary values ``a_0 = 0`` and ``a_{n+1} = 0`` are conventions
   applied inside operations; they are never stored.
 
+Packed form: a length-n sequence is also one integer ``x`` with bit
+``n-1-i`` set exactly where slot ``i`` holds -1 (see :func:`pack`), so
+the first element is the most significant bit and numeric order of the
+masks is lexicographic order with '+' before '-'.  Slots ``i`` and
+``i+k`` differ exactly where ``x ^ (x >> k)`` has a set bit below
+``n-k``, so ``C_k = (n-k) - 2*popcount((x ^ (x >> k)) & mask)``; the
+autocorrelations, the run lengths and the predicates are all computed
+on this form.
+
 Every operation is a pure function of its inputs; all values are
 immutable after construction and safe to share across threads.
 """
@@ -53,7 +62,8 @@ class BinarySequence:
         if not self.elems:
             raise ValueError("sequence length must be >= 1")
         for x in self.elems:
-            if x != 1 and x != -1:
+            # bool is an int subclass, so True == 1 needs its own test
+            if (x != 1 and x != -1) or x is True or x is False:
                 raise ValueError(f"sequence elements must be +1 or -1, got {x!r}")
 
     @property
@@ -101,12 +111,15 @@ class RunLengthEncoding:
     def __post_init__(self) -> None:
         if not isinstance(self.runs, tuple):
             object.__setattr__(self, "runs", tuple(self.runs))
-        if self.start_sign != 1 and self.start_sign != -1:
-            raise ValueError(f"start_sign must be +1 or -1, got {self.start_sign!r}")
-        if not self.runs:
+        sign = self.start_sign
+        if (sign != 1 and sign != -1) or sign is True:
+            raise ValueError(f"start_sign must be +1 or -1, got {sign!r}")
+        runs = self.runs
+        if not runs:
             raise ValueError("an encoding needs at least one run")
-        for r in self.runs:
-            if not isinstance(r, int) or r < 1:
+        for r in runs:
+            # an exact type test, so bool (an int subclass) is rejected too
+            if type(r) is not int or r < 1:
                 raise ValueError(f"run lengths must be positive integers, got {r!r}")
 
     @property
@@ -130,7 +143,8 @@ class RunLengthEncoding:
         runs = []
         pos = 2
         for token in text[2:].split(","):
-            if not token.isdigit() or int(token) < 1:
+            # isdigit() alone admits '²' or '①', which int() rejects
+            if not (token.isascii() and token.isdigit()) or int(token) < 1:
                 raise ParseError(f"expected a positive run length, got {token!r}", pos)
             runs.append(int(token))
             pos += len(token) + 1
@@ -217,21 +231,62 @@ class AutocorrelationProfile:
         return {"C": list(self.c), "C_periodic": list(self.c_periodic)}
 
 
+def pack(seq: BinarySequence) -> int:
+    """The packed form of a sequence, in the layout the module docstring states."""
+    return int("".join(["1" if v < 0 else "0" for v in seq.elems]), 2)
+
+
+def unpack(x: int, n: int) -> BinarySequence:
+    """The length-n sequence whose packed form is ``x``, ``0 <= x < 2**n``."""
+    if not 0 <= x < 1 << n:
+        raise ValueError(f"mask {x} does not fit in {n} bits")
+    return BinarySequence(tuple([-1 if b == "1" else 1 for b in format(x, f"0{n}b")]))
+
+
+def packed_rle(x: int, n: int) -> RunLengthEncoding:
+    """Run-length encoding of the packed length-n sequence ``x``.
+
+    Bit ``j`` of ``x ^ (x >> 1)`` (below ``n-1``) is set exactly where
+    slots ``n-2-j`` and ``n-1-j`` differ.  With bit ``n-1`` forced on,
+    the binary digits after the leading 1 list those boundaries from
+    the first slot onwards, so each run is one more than the number of
+    0 digits between consecutive 1s.
+    """
+    flips = bin((x ^ (x >> 1)) | (1 << (n - 1)))[3:]
+    runs = tuple([len(gap) + 1 for gap in flips.split("1")])
+    return RunLengthEncoding(-1 if x >> (n - 1) else 1, runs)
+
+
+def packed_autocorrelations(x: int, n: int) -> Iterator[int]:
+    """``C_1, ..., C_{n-1}`` of the packed length-n sequence ``x``, lazily;
+    requires ``0 <= x < 2**n``.
+
+    The only aperiodic-autocorrelation loop of the package; callers that
+    test a bound stop consuming at the first shift that breaks it.
+    """
+    mask = (1 << n) - 1
+    for k in range(1, n):
+        mask >>= 1
+        yield n - k - 2 * ((x ^ (x >> k)) & mask).bit_count()
+
+
+def packed_skew_symmetric(x: int, n: int) -> bool:
+    """Skew-symmetry of the packed length-n sequence ``x``.
+
+    Slots ``i`` and ``n-1-i`` must agree exactly when ``i`` has the
+    parity of the centre slot ``c``, so the bit-reversed mask equals
+    ``x`` flipped on the slots of the other parity.
+    """
+    if n % 2 == 0:
+        return False
+    c = n // 2
+    flipped = int(("01" * n)[c & 1 : (c & 1) + n], 2)
+    return int(format(x, f"0{n}b")[::-1], 2) == x ^ flipped
+
+
 def encode_rle(seq: BinarySequence) -> RunLengthEncoding:
     """Run-length encode: maximal constant blocks, first element's sign kept."""
-    elems = seq.elems
-    runs = []
-    current = elems[0]
-    count = 1
-    for x in elems[1:]:
-        if x == current:
-            count += 1
-        else:
-            runs.append(count)
-            current = x
-            count = 1
-    runs.append(count)
-    return RunLengthEncoding(elems[0], tuple(runs))
+    return packed_rle(pack(seq), seq.n)
 
 
 def decode_rle(rle: RunLengthEncoding) -> BinarySequence:
@@ -246,29 +301,22 @@ def decode_rle(rle: RunLengthEncoding) -> BinarySequence:
 
 def aperiodic_autocorrelations(seq: BinarySequence) -> tuple[int, ...]:
     """All shifted inner products ``C_0..C_n``; the last slot is 0 by convention."""
-    a = seq.elems
-    n = len(a)
-    out = [n]
-    for k in range(1, n):
-        c = 0
-        for i in range(n - k):
-            c += a[i] * a[i + k]
-        out.append(c)
-    out.append(0)
-    return tuple(out)
+    n = seq.n
+    return (n, *packed_autocorrelations(pack(seq), n), 0)
 
 
 def periodic_autocorrelations(seq: BinarySequence) -> tuple[int, ...]:
-    """Cyclic autocorrelations for shifts ``0..n-1`` (indices wrap modulo n)."""
-    a = seq.elems
-    n = len(a)
-    out = []
-    for k in range(n):
-        c = 0
-        for i in range(n):
-            c += a[i] * a[(i + k) % n]
-        out.append(c)
-    return tuple(out)
+    """Cyclic autocorrelations for shifts ``0..n-1`` (indices wrap modulo n).
+
+    The packed kernel with the shift replaced by a rotation: slots ``i``
+    and ``(i+k) mod n`` differ where ``x`` and ``x`` rotated by k do.
+    """
+    n = seq.n
+    x = pack(seq)
+    mask = (1 << n) - 1
+    return tuple(
+        n - 2 * (x ^ (((x >> k) | (x << (n - k))) & mask)).bit_count() for k in range(n)
+    )
 
 
 def autocorrelation_profile(seq: BinarySequence) -> AutocorrelationProfile:
@@ -279,9 +327,10 @@ def autocorrelation_profile(seq: BinarySequence) -> AutocorrelationProfile:
 
 def run_structure(rle: RunLengthEncoding) -> RunStructure:
     """Boundary prefix sums, interior boundary sets, and their sign tables."""
-    s = tuple(accumulate(rle.runs))
-    t = tuple(accumulate(reversed(rle.runs)))
-    gamma = rle.gamma
+    runs = rle.runs
+    s = tuple(accumulate(runs))
+    t = tuple(accumulate(reversed(runs)))
+    gamma = len(runs)
     f_s: dict[int, int] = {}
     f_t: dict[int, int] = {}
     sign = -1
@@ -295,7 +344,7 @@ def run_structure(rle: RunLengthEncoding) -> RunStructure:
         s_set=frozenset(s[: gamma - 1]),
         t_set=frozenset(t[: gamma - 1]),
         gamma=gamma,
-        n=rle.n,
+        n=s[-1],
         f_s=f_s,
         f_t=f_t,
     )
@@ -332,36 +381,42 @@ def u_k(rs: RunStructure, k: int) -> int:
 def run_vector_of(rs: RunStructure) -> RunVector:
     """Run vector of the sequence behind a run structure.
 
-    Entry k of the untransformed vector is the sign-table sum at k plus
-    twice the alternating boundary sum; the reflected vector re-reads it
-    backwards with the parity sign of the number of runs.  This is the
-    same computation as ``f_eval(rs, k)[2] + 2 * u_k(rs, k)``, unrolled
-    over flat lookup tables because it sits on the hot path of the
-    exhaustive sweeps.
+    Entry k of the untransformed vector is ``f_eval(rs, k)[2] +
+    2 * u_k(rs, k)``, accumulated over the interior boundaries instead
+    of evaluated per k: each forward boundary ``s_j = k`` and each
+    reverse boundary ``t_i = k`` adds its sign ``-(-1)**j`` or
+    ``-(-1)**i``, and each pair with ``s_j + t_i = k < n`` adds
+    ``2 * (-1)**(i+j)`` (0-based ranks), which is about gamma**2 / 2
+    terms.  The reflected vector re-reads it backwards with the parity
+    sign of the number of runs.
     """
     n, gamma = rs.n, rs.gamma
     if n < 2:
         return RunVector((), ())
-    fs = [0] * n
-    ft = [0] * n
-    for pos, sign in rs.f_s.items():
-        fs[pos] = sign
-    for pos, sign in rs.f_t.items():
-        ft[pos] = sign
-    s = rs.s
-    r_tilde = []
-    for k in range(1, n):
-        u = 0
-        for j in range(1, gamma):
-            d = k - s[j - 1]
-            if d <= 0:
-                break
-            v = ft[d]
-            u += -v if j & 1 else v
-        r_tilde.append(fs[k] + ft[k] + 2 * u)
-    sign_gamma = -1 if gamma & 1 else 1
-    r = tuple(sign_gamma * r_tilde[n - 1 - k] for k in range(1, n))
-    return RunVector(tuple(r_tilde), r)
+    s = rs.s[: gamma - 1]
+    t = rs.t[: gamma - 1]
+    acc = [0] * n
+    sign = -1
+    for j in range(gamma - 1):
+        acc[s[j]] += sign
+        acc[t[j]] += sign
+        sign = -sign
+    # s_j + t_i = n at i = gamma-2-j and t increases, so the pairs below
+    # n are those with i < gamma-2-j; even and odd i alternate in sign
+    sign = 2
+    for j in range(gamma - 2):
+        sj = s[j]
+        for ti in t[0 : gamma - 2 - j : 2]:
+            acc[sj + ti] += sign
+        for ti in t[1 : gamma - 2 - j : 2]:
+            acc[sj + ti] -= sign
+        sign = -sign
+    r_tilde = tuple(acc[1:])
+    if gamma & 1:
+        r = tuple([-v for v in reversed(r_tilde)])
+    else:
+        r = r_tilde[::-1]
+    return RunVector(r_tilde, r)
 
 
 def run_vector(seq: BinarySequence) -> RunVector:
@@ -372,16 +427,7 @@ def run_vector(seq: BinarySequence) -> RunVector:
 def is_skew_symmetric(seq: BinarySequence) -> bool:
     """True iff the length is odd and every pair equidistant from the centre
     agrees up to the alternating sign; length 1 is vacuously true."""
-    n = seq.n
-    if n % 2 == 0:
-        return False
-    m = (n + 1) // 2
-    a = seq.elems
-    for j in range(1, m):
-        mirror = a[m + j - 1] if j % 2 == 0 else -a[m + j - 1]
-        if a[m - j - 1] != mirror:
-            return False
-    return True
+    return packed_skew_symmetric(pack(seq), seq.n)
 
 
 def is_balanced(rs: RunStructure) -> bool:
@@ -393,15 +439,7 @@ def is_balanced(rs: RunStructure) -> bool:
 def is_barker(seq: BinarySequence) -> bool:
     """True iff every off-peak aperiodic autocorrelation is at most 1 in
     magnitude; length 1 is vacuously true."""
-    a = seq.elems
-    n = seq.n
-    for k in range(1, n):
-        c = 0
-        for i in range(n - k):
-            c += a[i] * a[i + k]
-        if c > 1 or c < -1:
-            return False
-    return True
+    return all(-1 <= c <= 1 for c in packed_autocorrelations(pack(seq), seq.n))
 
 
 def boundary_rank_interval(rs: RunStructure, k: int) -> int:
@@ -415,8 +453,5 @@ def all_sequences(n: int) -> Iterator[BinarySequence]:
     """Every length-n sequence, lexicographically with '+' before '-'."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    top = n - 1
-    for bits in range(1 << n):
-        yield BinarySequence(
-            tuple(-1 if (bits >> (top - i)) & 1 else 1 for i in range(n))
-        )
+    for x in range(1 << n):
+        yield unpack(x, n)

@@ -57,21 +57,24 @@ def brute_delta_autocorrelation(elems, k):
     return sum(delta[i] * delta[i + k] for i in range(n + 1 - k))
 
 
+def composition(n, mask):
+    """The ordered tuple of positive integers summing to n whose parts end
+    after element i+1 exactly where bit i of ``mask`` is set."""
+    runs = []
+    length = 1
+    for i in range(n - 1):
+        if (mask >> i) & 1:
+            runs.append(length)
+            length = 1
+        else:
+            length += 1
+    runs.append(length)
+    return tuple(runs)
+
+
 def compositions(n):
     """All ordered tuples of positive integers summing to n (2**(n-1))."""
-    out = []
-    for mask in range(1 << (n - 1)):
-        runs = []
-        length = 1
-        for i in range(n - 1):
-            if (mask >> i) & 1:
-                runs.append(length)
-                length = 1
-            else:
-                length += 1
-        runs.append(length)
-        out.append(tuple(runs))
-    return out
+    return [composition(n, mask) for mask in range(1 << (n - 1))]
 
 
 def brute_prefix_structure(runs):

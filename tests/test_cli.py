@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -73,6 +74,14 @@ class TestRleCommand:
     def test_bad_run_length(self, capsys):
         code, _, err = run_cli(capsys, "rle", "+,3,0,1")
         assert code == 1 and "position 4" in err
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u00b3", "\u2460", "\u2466"])
+    def test_non_ascii_digit_run_is_a_parse_error(self, capsys, digit):
+        # '²', '³', '①', '⑦' satisfy str.isdigit(); they must exit 1, not 2
+        code, out, err = run_cli(capsys, "rle", f"+,{digit},1")
+        assert code == 1 and out == "" and "position 2" in err
+        code, out, err = run_cli(capsys, "analyze", f"--rle=+,3,{digit}", "--json")
+        assert code == 1 and out == "" and "position 4" in err
 
 
 class TestVerify:
@@ -157,6 +166,10 @@ class TestClassify:
         assert code == 2 and "limited to" in err
 
 
+#: A fixed 200-element sequence: '-' at the quadratic non-residues mod 211.
+SEQ_200 = "".join("-" if pow(i, 105, 211) == 210 else "+" for i in range(1, 201))
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -172,3 +185,23 @@ class TestDeterminism:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
         assert first  # non-empty
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ("verify", "--targets", "theorem1,delta,prop-skew", "--max-n", "10", "--json"),
+                "f914e8b2165359284e22a8b47f8ff0a33bf2c6a1f7c2f851d8af7198662a9f37",
+            ),
+            (
+                ("analyze", SEQ_200, "--json"),
+                "777d3360ff9a16cae520006a2559f65c04f4975cc3d8d7547168dd5ed2c81e36",
+            ),
+        ],
+    )
+    def test_pinned_stdout_sha256(self, capsys, argv, digest):
+        # digests of the reports as first released: whatever kernels
+        # compute them, these reports must stay byte-identical
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from runvec import lemmalab
 from runvec.lemmalab import (
     LEMMA_IDS,
     SWEEP_LIMITS,
@@ -13,6 +14,7 @@ from runvec.lemmalab import (
     check_lemma,
     check_p_odd,
     delta_autocorrelation,
+    delta_autocorrelations,
     sweep,
     theorem1_residual,
     verify_prop_skew_balanced,
@@ -20,13 +22,19 @@ from runvec.lemmalab import (
 from runvec.seqcore import (
     BinarySequence,
     RunLengthEncoding,
+    RunVector,
     aperiodic_autocorrelations,
     decode_rle,
     run_vector,
 )
 
 
-from oracles import all_sign_tuples, brute_delta_autocorrelation
+from oracles import (
+    all_sign_tuples,
+    brute_aperiodic,
+    brute_delta_autocorrelation,
+    brute_runs,
+)
 
 FIVE_BARKER_RLES = [
     (2, 1),
@@ -70,6 +78,14 @@ class TestDeltaAutocorrelation:
         for bad in (0, 3, -1):
             with pytest.raises(ValueError):
                 delta_autocorrelation(s, bad)
+
+    def test_vector_matches_brute_to_10(self):
+        for n in range(1, 11):
+            for elems in all_sign_tuples(n):
+                deltas = delta_autocorrelations(BinarySequence(elems))
+                assert deltas == tuple(
+                    brute_delta_autocorrelation(elems, k) for k in range(1, n)
+                )
 
     def test_both_identities_to_10(self):
         # half the delta value is the reflected run-vector entry, and the
@@ -282,6 +298,47 @@ class TestSweeps:
         with pytest.raises(ValueError, match="unknown sweep target"):
             sweep(5, ("theorem2",))
 
+    def test_failure_witnesses_decode_the_failing_masks(self, monkeypatch):
+        # No sweep fails on correct code, so corrupt the last reflected
+        # run-vector entry of every three-run instance and compare the
+        # sweep's witnesses with a loop over plain tuples.
+        real = lemmalab.run_vector_of
+
+        def corrupted(rs):
+            rv = real(rs)
+            if rs.gamma != 3:
+                return rv
+            return RunVector(rv.r_tilde, rv.r[:-1] + (rv.r[-1] + 1,))
+
+        monkeypatch.setattr(lemmalab, "run_vector_of", corrupted)
+        report = sweep(6, ("theorem1", "delta"))
+        assert not report.ok
+        by_key = {(rec.target, rec.n): rec for rec in report.records}
+        for n in range(1, 7):
+            expected = {"theorem1": [], "delta": []}
+            for elems in all_sign_tuples(n):  # '+'-first lexicographic order
+                if len(brute_runs(elems)) != 3:
+                    continue
+                text = "".join("+" if x == 1 else "-" for x in elems)
+                c = brute_aperiodic(elems)
+                k = n - 1
+                r_true = -(c[k + 1] - 2 * c[k] + c[k - 1]) // 2
+                expected["theorem1"].append({"instance": text, "k": k, "residual": 2})
+                expected["delta"].append(
+                    {
+                        "instance": text,
+                        "k": k,
+                        "delta": brute_delta_autocorrelation(elems, k),
+                        "r_k": r_true + 1,
+                    }
+                )
+            for target, failures in expected.items():
+                rec = by_key[(target, n)]
+                assert rec.population == 1 << n
+                assert rec.failure_count == len(failures)
+                assert list(rec.failures) == failures[:10]
+        assert by_key[("theorem1", 6)].failure_count == 20  # 2 * C(5, 2) > 10
+
     def test_limit_clamps_and_flags_incomplete(self, monkeypatch):
         monkeypatch.setitem(SWEEP_LIMITS, "theorem1", 6)
         report = sweep(8, ("theorem1",))
@@ -317,8 +374,9 @@ class TestIdentitySoak:
             assert all(v == 0 for v in theorem1_residual(seq))
             c = aperiodic_autocorrelations(seq)
             r = run_vector(seq).r
+            deltas = delta_autocorrelations(seq)
             for k in range(1, n):
-                d = delta_autocorrelation(seq, k)
+                d = deltas[k - 1]
                 assert d == 2 * r[k - 1]
                 assert d == -(c[k + 1] - 2 * c[k] + c[k - 1])
 

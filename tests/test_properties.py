@@ -7,6 +7,7 @@ from runvec.lemmalab import (
     balanced_run_tuples,
     check_lemma,
     delta_autocorrelation,
+    delta_autocorrelations,
     theorem1_residual,
 )
 from runvec.seqcore import (
@@ -17,12 +18,21 @@ from runvec.seqcore import (
     encode_rle,
     f_eval,
     is_balanced,
+    is_barker,
     is_skew_symmetric,
     periodic_autocorrelations,
     run_structure,
     run_vector,
     run_vector_of,
     u_k,
+)
+
+from oracles import (
+    brute_aperiodic,
+    brute_delta_autocorrelation,
+    brute_is_barker,
+    brute_periodic,
+    composition,
 )
 
 settings.register_profile("soak", deadline=None, max_examples=200)
@@ -36,6 +46,24 @@ encodings = st.tuples(
     st.sampled_from((1, -1)),
     st.lists(st.integers(1, 5), min_size=1, max_size=16),
 ).map(lambda pair: RunLengthEncoding(pair[0], tuple(pair[1])))
+
+# lengths up to 300 make the packed masks span several machine words;
+# the elements come from the drawn bits by an explicit loop, not the library
+long_sequences = st.integers(1, 300).flatmap(
+    lambda n: st.integers(0, (1 << n) - 1).map(
+        lambda bits: BinarySequence(
+            tuple(-1 if (bits >> i) & 1 else 1 for i in range(n))
+        )
+    )
+)
+
+# random compositions of every length up to 200
+long_encodings = st.tuples(
+    st.sampled_from((1, -1)),
+    st.integers(1, 200).flatmap(
+        lambda n: st.integers(0, (1 << (n - 1)) - 1).map(lambda mask: composition(n, mask))
+    ),
+).map(lambda pair: RunLengthEncoding(*pair))
 
 odd_sequences = st.lists(
     st.sampled_from((1, -1)), min_size=1, max_size=63
@@ -88,7 +116,7 @@ def test_sign_reflection(rle, k):
     assert fs == sign_gamma * f_eval(rs, rs.n - k)[1]
 
 
-@given(encodings)
+@given(st.one_of(encodings, long_encodings))
 def test_run_vector_shape_and_symmetry(rle):
     rs = run_structure(rle)
     rv = run_vector_of(rs)
@@ -147,3 +175,26 @@ def test_balanced_population_size(n):
         rs = run_structure(RunLengthEncoding(1, runs))
         assert is_balanced(rs)
         assert len(runs) == (n + 1) // 2
+
+
+@given(long_sequences)
+def test_packed_aperiodic_matches_brute(seq):
+    assert aperiodic_autocorrelations(seq) == brute_aperiodic(seq.elems)
+
+
+@given(long_sequences)
+def test_packed_periodic_matches_brute(seq):
+    assert periodic_autocorrelations(seq) == brute_periodic(seq.elems)
+
+
+@given(st.one_of(long_sequences, sequences))
+def test_packed_is_barker_matches_brute(seq):
+    assert is_barker(seq) == brute_is_barker(seq.elems)
+
+
+@given(long_sequences)
+def test_delta_vector_matches_brute(seq):
+    deltas = delta_autocorrelations(seq)
+    assert len(deltas) == seq.n - 1
+    for k in range(1, seq.n):
+        assert deltas[k - 1] == brute_delta_autocorrelation(seq.elems, k)

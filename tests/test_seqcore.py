@@ -15,11 +15,14 @@ from runvec.seqcore import (
     is_balanced,
     is_barker,
     is_skew_symmetric,
+    pack,
+    packed_autocorrelations,
     periodic_autocorrelations,
     run_structure,
     run_vector,
     run_vector_of,
     u_k,
+    unpack,
 )
 
 from oracles import (
@@ -76,6 +79,17 @@ class TestTextFormats:
         with pytest.raises(ParseError):
             RunLengthEncoding.from_text("+,3,-2")
 
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u00b3", "\u2460", "\u2466"])
+    def test_rle_non_ascii_digits_are_parse_errors(self, digit):
+        # '²', '³', '①' and '⑦' pass str.isdigit() but int() rejects them
+        assert digit.isdigit()
+        with pytest.raises(ParseError) as err:
+            RunLengthEncoding.from_text(f"+,{digit},1")
+        assert err.value.position == 2
+        with pytest.raises(ParseError) as err:
+            RunLengthEncoding.from_text(f"-,3,1{digit}")
+        assert err.value.position == 4
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             BinarySequence((1, 0, -1))
@@ -87,6 +101,23 @@ class TestTextFormats:
             RunLengthEncoding(2, (3,))
         with pytest.raises(ValueError):
             RunLengthEncoding(1, ())
+
+    def test_bool_element_rejected(self):
+        # bool is an int subclass and True == 1, but it is not a sign
+        with pytest.raises(ValueError):
+            BinarySequence((True, -1))
+        with pytest.raises(ValueError):
+            BinarySequence((1, False))
+
+    def test_bool_start_sign_rejected(self):
+        with pytest.raises(ValueError):
+            RunLengthEncoding(True, (2,))
+
+    def test_bool_run_length_rejected(self):
+        with pytest.raises(ValueError):
+            RunLengthEncoding(1, (True,))
+        with pytest.raises(ValueError):
+            RunLengthEncoding(1, (2, True, 1))
 
 
 class TestEncodeDecode:
@@ -290,7 +321,7 @@ class TestRunVector:
         assert run_vector(seq("+")).r_tilde == ()
 
     def test_matches_componentwise_definition(self):
-        # the unrolled fast path must agree with f + 2u entry by entry
+        # the pair-accumulated fast path must agree with f + 2u entry by entry
         for n in range(2, 13):
             for runs in compositions(n):
                 rs = run_structure(rle(1, runs))
@@ -351,6 +382,37 @@ class TestPredicates:
         for n in range(1, 12):
             for elems in all_sign_tuples(n):
                 assert is_barker(BinarySequence(elems)) == brute_is_barker(elems)
+
+
+class TestPackedForm:
+    def test_bit_layout(self):
+        # bit n-1-i is set where slot i holds -1
+        assert pack(seq("+")) == 0 and pack(seq("-")) == 1
+        assert pack(seq("++-")) == 0b001
+        assert pack(seq("-++")) == 0b100
+        assert unpack(0b0110, 4).to_text() == "+--+"
+        for bad in (-1, 16):
+            with pytest.raises(ValueError):
+                unpack(bad, 4)
+
+    def test_round_trip_exhaustive_to_10(self):
+        for n in range(1, 11):
+            for x, elems in enumerate(all_sign_tuples(n)):
+                s = BinarySequence(elems)
+                assert pack(s) == x  # numeric order is '+'-first lexicographic
+                assert unpack(x, n) == s
+
+    def test_multi_word_masks(self):
+        s = seq("-" + "+" * 198 + "-")
+        assert pack(s) == (1 << 199) | 1
+        assert unpack(pack(s), 200) == s
+        assert aperiodic_autocorrelations(s) == brute_aperiodic(s.elems)
+
+    def test_packed_autocorrelations_are_lazy(self):
+        # '++++' fails the Barker bound at the first shift
+        shifts = packed_autocorrelations(pack(seq("++++")), 4)
+        assert next(shifts) == 3
+        assert list(shifts) == [2, 1]
 
 
 class TestEnumerationAndJson:
