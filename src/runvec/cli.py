@@ -4,14 +4,16 @@ Human-readable output by default, ``--json`` for machine output with
 stable key order and no timestamps, so identical invocations produce
 byte-identical reports.  Reports go to stdout, diagnostics to stderr.
 
-Exit codes: 0 on success with zero verifier failures, 1 on parse errors
-or verifier failures, 2 when a requested range exceeds a resource limit.
+Exit codes: 0 on success with zero verifier failures, 1 on parse errors,
+verifier failures or output that cannot be written, 2 when a requested
+range exceeds a resource limit or ``--workers`` is below 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -195,7 +197,11 @@ def _cmd_classify(args) -> int:
         return 2
     report = classify_odd_barker(args.max_n, workers=args.workers)
     if args.csv:
-        Path(args.csv).write_text(counts_csv(report))
+        try:
+            Path(args.csv).write_text(counts_csv(report))
+        except OSError as err:
+            print(f"error: cannot write {args.csv}: {err.strerror or err}", file=sys.stderr)
+            return 1
     if args.json:
         print(_dumps(report.to_json()))
         return 0
@@ -280,8 +286,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit; let that go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output closed before the report was written", file=sys.stderr)
+        return 1
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -30,6 +30,7 @@ the worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -633,6 +634,12 @@ def _sweep_unit(args: tuple[str, int]) -> SweepRecord:
     return _sweep_lemma(target, n)
 
 
+def pool_size(workers: int, tasks: int) -> int:
+    """Processes a sweep may start: the request, capped by the task count
+    and the core count, so no argument can launch an unbounded pool."""
+    return max(1, min(workers, tasks, os.cpu_count() or 1))
+
+
 def sweep(n_max: int, targets, workers: int = 1) -> SweepReport:
     """Run the selected verifiers over their full populations up to n_max.
 
@@ -662,10 +669,11 @@ def sweep(n_max: int, targets, workers: int = 1) -> SweepReport:
             lengths = range(1, top + 1, 2)
         units.extend((target, n) for n in lengths)
 
-    if workers <= 1 or len(units) <= 1:
+    size = pool_size(workers, len(units))
+    if size == 1:
         records = [_sweep_unit(u) for u in units]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             records = list(pool.map(_sweep_unit, units))
     return SweepReport(n_max, ordered, tuple(records), complete)
 

@@ -1,30 +1,36 @@
 """Pruned exhaustive enumeration of Barker sequences and balanced encodings.
 
-Two search modes share one bounding rule.  Full mode extends prefixes
-left to right; skew mode grows a window outward from the centre element,
-mirroring each placement, so only skew-symmetric sequences are ever
-visited (their odd-shift sums vanish identically, halving the work
-again).  After placing an element, every shift k with at least one
-fixed product is tested: the final sum must land on a value of
-magnitude at most the threshold with the parity forced by the sequence
-length, and each still-unfixed product moves the sum by exactly 1, so a
-partial sum farther from the nearest admissible value than the number
-of unfixed products kills the whole subtree.
+One depth-first search serves both modes.  Step i places the pair
+(a_i, a_{n+1-i}), from the ends inwards, with a_1 = +1.  In full mode
+both elements of a pair are free.  In skew mode the right element is
+the skew mirror a_{n+1-i} = (-1)^(m-i) a_i, m = (n+1)/2, so only
+skew-symmetric sequences are visited; for odd lengths that loses
+nothing, because every odd-length Barker sequence is skew-symmetric.
+A placed set that is symmetric about the centre cancels the products
+of every odd shift in pairs, so skew mode tests even shifts only.
 
-Both modes fix the first free element to +1 and close the result set
-under negation at the end; mirrors and pruning are never trusted for
-correctness -- every emitted sequence is re-verified from scratch.
+The bound: per shift k the search keeps the partial sum of the fixed
+products and the count of products still unfixed.  The final C_k must
+land on a value of magnitude at most the threshold with the parity of
+n - k, and each unfixed product moves the sum by exactly 1, so a
+partial sum whose magnitude exceeds the unfixed count plus that
+largest admissible magnitude kills the whole subtree; it never cuts a
+sequence that passes.  Outside-in placement makes the top shifts exact
+first -- after j pairs, C_{n-1}, ..., C_{n-j} are final -- so the bound
+bites near the root.
+
+The result set is closed under negation at the end, and pruning is
+never trusted for correctness: every emitted sequence is re-verified
+from scratch.  The search runs in the calling process.
 
 The unpruned reference filter runs the packed autocorrelation kernel of
 :mod:`runvec.seqcore` over every mask of a length; it exists so the
-pruned searches can be checked against it exhaustively.
+pruned search can be checked against it exhaustively.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 
 from .lemmalab import balanced_profile, balanced_run_tuples
 from .seqcore import (
@@ -40,8 +46,6 @@ from .seqcore import (
 
 FULL_SEARCH_LIMIT = 25
 SKEW_SEARCH_LIMIT = 45
-
-_PARTITION_DEPTH = 3  # prefix depth split across workers
 
 
 @dataclass(frozen=True)
@@ -101,99 +105,68 @@ def _lex_key(elems):
     return tuple(0 if x == 1 else 1 for x in elems)
 
 
-def _full_dfs(n, threshold, forced):
-    """Prefix search for sequences with all off-peak sums within threshold.
+def _dfs(n, threshold, skew):
+    """Outside-in search for sequences with all off-peak sums within threshold.
 
-    ``forced`` pins the leading elements (replayed through the same
-    pruning as free choices).  Returns raw element tuples.
-    """
-    # slack[k]: largest admissible |C_k| of the parity forced on shift k
-    slack = [0] * (n + 1)
-    for k in range(1, n):
-        slack[k] = threshold if (threshold + n - k) % 2 == 0 else threshold - 1
-    a = [0] * (n + 1)
-    cum = [0] * (n + 1)
-    out = []
-    nf = len(forced)
-
-    def extend(length):
-        if length == n:
-            out.append(tuple(a[1:]))
-            return
-        unfixed = n - length - 1
-        for val in (forced[length],) if length < nf else (1, -1):
-            a[length + 1] = val
-            alive = True
-            k = 0
-            for i in range(length, 0, -1):
-                k += 1
-                p = cum[k] + a[i] * val
-                cum[k] = p
-                if p > unfixed + slack[k] or -p > unfixed + slack[k]:
-                    alive = False
-                    break
-            if alive:
-                extend(length + 1)
-            kk = 0
-            for i in range(length, length - k, -1):
-                kk += 1
-                cum[kk] -= a[i] * val
-
-    extend(0)
-    return out
-
-
-def _skew_dfs(n, threshold, forced):
-    """Centre-out search over skew-symmetric sequences of odd length.
-
-    Free slot j carries the element at centre+j; the mirror element is
-    forced.  Each window is itself skew-symmetric, so odd-shift partial
-    sums are identically zero and only even shifts are tracked.
+    Step i places the pair (a_i, a_{n+1-i}); a_1 = +1, and in skew mode
+    a_{n+1-i} is the skew mirror of a_i.  Returns raw element tuples.
     """
     m = (n + 1) // 2
-    # even shift k has n - k odd, so admissible values are odd
-    slack = threshold if threshold % 2 == 1 else threshold - 1
-    if slack < 0:
-        return []
-    a = [0] * (n + 2)
-    cum = [0] * (n + 1)
+    # slack[k]: largest admissible |C_k| of the parity forced on shift k
+    slack = [threshold if (threshold + n - k) % 2 == 0 else threshold - 1 for k in range(n)]
+    unfixed = [n - k for k in range(n)]
+    steps = []
+    for left in range(1, m + 1):
+        right = n + 1 - left
+        # the products each shift gains: the new left element times the
+        # placed a[l1], a[l2], the new right one times a[r1], a[r2];
+        # slot 0 holds 0 and stands for "no product"
+        checks = []
+        for k in range(n - 1, 0, -1):
+            l1 = left - k if left > k else 0
+            l2 = left + k if right <= left + k <= n else 0
+            r1 = right + k if left < right and right + k <= n else 0
+            r2 = right - k if left < right and 0 < right - k < left else 0
+            fixed = (l1 > 0) + (l2 > 0) + (r1 > 0) + (r2 > 0)
+            if not fixed:
+                continue
+            unfixed[k] -= fixed
+            # a skew-symmetric placement cancels every odd-shift product
+            # against its mirror, so those sums stay 0
+            if not (skew and k % 2):
+                checks.append((k, unfixed[k] + slack[k], l1, l2, r1, r2))
+        signs = (1,) if left == 1 else (1, -1)
+        if left == right:
+            pairs = [(x, x) for x in signs]
+        elif skew:
+            mirror = -1 if (m - left) % 2 else 1
+            pairs = [(x, mirror * x) for x in signs]
+        else:
+            pairs = [(x, y) for x in signs for y in (1, -1)]
+        steps.append((left, right, pairs, checks))
+
+    a = [0] * (n + 1)
     out = []
-    nf = len(forced)
 
-    def extend(j):
-        if j == m:
-            out.append(tuple(a[1 : n + 1]))
+    def place(step, cum):
+        if step == m:
+            out.append(tuple(a[1:]))
             return
-        hi = m + j
-        lo = m - j
-        for val in (forced[j],) if j < nf else (1, -1):
-            a[hi] = val
-            a[lo] = val if j % 2 == 0 else -val
-            unfixed = n - 2 * j - 1
-            alive = True
-            last = 0
-            for k in range(2, 2 * j + 1, 2):
-                d = a[lo] * a[lo + k] + a[hi - k] * a[hi] if k < 2 * j else a[lo] * a[hi]
-                p = cum[k] + d
-                cum[k] = p
-                last = k
-                if p > unfixed + slack or -p > unfixed + slack:
-                    alive = False
+        left, right, pairs, checks = steps[step]
+        for x, y in pairs:
+            a[left] = x
+            a[right] = y
+            c = cum[:]
+            for k, bound, l1, l2, r1, r2 in checks:
+                p = c[k] + x * (a[l1] + a[l2]) + y * (a[r1] + a[r2])
+                if p > bound or -p > bound:
                     break
-            if alive:
-                extend(j + 1)
-            for k in range(2, last + 1, 2):
-                d = a[lo] * a[lo + k] + a[hi - k] * a[hi] if k < 2 * j else a[lo] * a[hi]
-                cum[k] -= d
+                c[k] = p
+            else:
+                place(step + 1, c)
 
-    extend(0)
+    place(0, [0] * n)
     return out
-
-
-def _search_task(args):
-    n, threshold, forced, mode = args
-    dfs = _full_dfs if mode == "full" else _skew_dfs
-    return dfs(n, threshold, forced)
 
 
 def _within_threshold(seq, threshold):
@@ -208,7 +181,8 @@ def find_barker_sequences(
     The full-mode engine accepts any n >= 1 (the unpruned-filter
     soundness check runs it on even lengths too); skew mode requires
     odd n.  The odd-lengths-only policy of the range search lives in
-    :func:`enumerate_barker`.
+    :func:`enumerate_barker`.  ``workers`` is accepted for compatibility
+    and ignored: the search runs in the calling process.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -216,17 +190,7 @@ def find_barker_sequences(
         raise ValueError(f"mode must be 'full' or 'skew', got {mode!r}")
     if mode == "skew" and n % 2 == 0:
         raise ValueError("skew mode requires odd n")
-    free = n if mode == "full" else (n + 1) // 2
-    depth = min(_PARTITION_DEPTH, free - 1)
-    if workers <= 1 or depth <= 0:
-        raw = _search_task((n, threshold, (1,), mode))
-    else:
-        tasks = [
-            (n, threshold, (1,) + pattern, mode)
-            for pattern in product((1, -1), repeat=depth)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = [s for part in pool.map(_search_task, tasks) for s in part]
+    raw = _dfs(n, threshold, mode == "skew")
     closed = raw + [tuple(-x for x in s) for s in raw]
     closed.sort(key=_lex_key)
     seqs = [BinarySequence(t) for t in closed]

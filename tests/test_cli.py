@@ -1,7 +1,9 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
 import hashlib
+import io
 import json
+import sys
 
 import pytest
 
@@ -166,6 +168,51 @@ class TestClassify:
         assert code == 2 and "limited to" in err
 
 
+class TestWorkersFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--targets", "L1", "--max-n", "5"),
+            ("search", "--max-n", "5"),
+            ("classify", "--max-n", "5"),
+        ],
+    )
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_below_one_exit_2(self, capsys, argv, workers):
+        code, out, err = run_cli(capsys, *argv, "--workers", workers)
+        assert code == 2 and out == ""
+        assert err == f"error: --workers must be >= 1, got {workers}\n"
+
+
+class TestOutputErrors:
+    def test_csv_under_missing_directory_exit_1(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "counts.csv"
+        code, out, err = run_cli(capsys, "classify", "--max-n", "5", "--csv", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_broken_pipe_exit_1(self, capsys, monkeypatch, tmp_path):
+        # a reader that went away: every write fails, and the descriptor
+        # behind the stream is a scratch file the handler may redirect
+        with open(tmp_path / "stdout", "w") as backing:
+
+            class ClosedPipe(io.TextIOBase):
+                def write(self, text):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def fileno(self):
+                    return backing.fileno()
+
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            code = main(["search", "--min-n", "3", "--max-n", "7", "--json"])
+            monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 #: A fixed 200-element sequence: '-' at the quadratic non-residues mod 211.
 SEQ_200 = "".join("-" if pow(i, 105, 211) == 210 else "+" for i in range(1, 201))
 
@@ -197,6 +244,18 @@ class TestDeterminism:
                 ("analyze", SEQ_200, "--json"),
                 "777d3360ff9a16cae520006a2559f65c04f4975cc3d8d7547168dd5ed2c81e36",
             ),
+            (
+                ("search", "--mode", "skew", "--min-n", "1", "--max-n", "37", "--json"),
+                "4bcfbf6a8fc5911c1d7e8d1f63a6cea73191827031e3cb5efb6ead54c08ceef6",
+            ),
+            (
+                ("search", "--mode", "full", "--min-n", "1", "--max-n", "19", "--json"),
+                "4bcfbf6a8fc5911c1d7e8d1f63a6cea73191827031e3cb5efb6ead54c08ceef6",
+            ),
+            (
+                ("classify", "--max-n", "21", "--json"),
+                "74c9ee5aee1f3903b161a392ce0c2b0038d7baa6f44ab3b364013d5586240047",
+            ),
         ],
     )
     def test_pinned_stdout_sha256(self, capsys, argv, digest):
@@ -205,3 +264,7 @@ class TestDeterminism:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if argv[0] in ("search", "classify"):
+            code, out, _ = run_cli(capsys, *argv, "--workers", "2")
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest

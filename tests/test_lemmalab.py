@@ -352,6 +352,41 @@ class TestSweeps:
         parallel = sweep(9, ("theorem1", "L1", "L5"), workers=3)
         assert serial == parallel
 
+    def test_pool_size_is_clamped(self, monkeypatch):
+        monkeypatch.setattr(lemmalab.os, "cpu_count", lambda: 4)
+        assert lemmalab.pool_size(10**9, 50) == 4
+        assert lemmalab.pool_size(10**9, 3) == 3
+        assert lemmalab.pool_size(2, 50) == 2
+        assert lemmalab.pool_size(1, 50) == 1
+        assert lemmalab.pool_size(0, 50) == 1
+        assert lemmalab.pool_size(8, 0) == 1
+        monkeypatch.setattr(lemmalab.os, "cpu_count", lambda: None)
+        assert lemmalab.pool_size(10**9, 50) == 1
+
+    def test_sweep_starts_a_clamped_pool(self, monkeypatch):
+        # a stand-in executor records the size it is asked for and maps
+        # in this process, so no worker process is ever started
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(lemmalab.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(lemmalab, "ProcessPoolExecutor", InlinePool)
+        report = sweep(5, ("L1",), workers=10**9)
+        assert sizes == [2]
+        assert report == sweep(5, ("L1",), workers=1)
+
     def test_records_serialize(self):
         report = sweep(5, ("L1",))
         payload = report.to_json()

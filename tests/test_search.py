@@ -27,7 +27,12 @@ from runvec.seqcore import (
     run_structure,
 )
 
-from oracles import brute_is_barker
+from oracles import (
+    all_sign_tuples,
+    brute_aperiodic,
+    brute_is_barker,
+    brute_is_skew_symmetric,
+)
 
 FIVE = {(2, 1), (3, 1, 1), (3, 2, 1, 1), (3, 3, 1, 2, 1, 1), (5, 2, 2, 1, 1, 1, 1)}
 
@@ -132,6 +137,25 @@ class TestSoundness:
             value = is_barker(seq)
             assert is_barker(seq.negated()) == value
             assert is_barker(seq.reversed()) == value
+
+    def test_every_threshold_matches_literal_filter_to_14(self):
+        # full mode is the literal filter at each threshold; skew mode is
+        # its skew-symmetric part (n = 1 has no off-peak shift at all)
+        for n in range(1, 15):
+            peaks = [
+                (elems, max((abs(c) for c in brute_aperiodic(elems)[1:n]), default=0))
+                for elems in all_sign_tuples(n)
+            ]
+            for threshold in range(4):
+                expect = [elems for elems, peak in peaks if peak <= threshold]
+                full = [s.elems for s in find_barker_sequences(n, "full", threshold)]
+                assert full == expect, (n, threshold)
+                if n % 2:
+                    skew = [s.elems for s in find_barker_sequences(n, "skew", threshold)]
+                    assert skew == [e for e in expect if brute_is_skew_symmetric(e)], (
+                        n,
+                        threshold,
+                    )
 
     def test_threshold_generalizes(self):
         # threshold 3 must swallow every sequence whose off-peak sums fit
