@@ -6,7 +6,8 @@ byte-identical reports.  Reports go to stdout, diagnostics to stderr.
 
 Exit codes: 0 on success with zero verifier failures, 1 on parse errors,
 verifier failures or output that cannot be written, 2 when a requested
-range exceeds a resource limit or ``--workers`` is below 1.
+range or input length exceeds a resource limit or ``--workers`` is
+below 1.
 """
 
 from __future__ import annotations
@@ -42,6 +43,34 @@ from .seqcore import (
 )
 
 
+#: Longest sequence ``analyze`` and ``rle`` accept.  The run vector of
+#: the ``analyze`` report costs O(n**2): a random sequence of this length
+#: takes about 1.2 s (2-core VM, Python 3.11.7), twice the length 4.6 s.
+MAX_LENGTH = 10_000
+
+
+def _check_length(n: int) -> None:
+    if n > MAX_LENGTH:
+        raise ValueError(f"sequence length limited to n <= {MAX_LENGTH}, got {n}")
+
+
+def _parse_sequence(text: str) -> BinarySequence:
+    _check_length(len(text))
+    return BinarySequence.from_text(text)
+
+
+def _parse_rle(text: str) -> RunLengthEncoding:
+    """Parse an encoding, refused over the cap before it is decoded."""
+    # '+,1,1,...,1', the longest encoding of n elements, has 2n+1 characters
+    if len(text) > 2 * MAX_LENGTH + 1:
+        raise ValueError(
+            f"encoding text limited to {2 * MAX_LENGTH + 1} characters, got {len(text)}"
+        )
+    rle = RunLengthEncoding.from_text(text)
+    _check_length(rle.n)
+    return rle
+
+
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
@@ -55,10 +84,10 @@ def _cmd_analyze(args) -> int:
         print("error: provide either a sequence or --rle", file=sys.stderr)
         return 1
     if args.rle is not None:
-        rle = RunLengthEncoding.from_text(args.rle)
+        rle = _parse_rle(args.rle)
         seq = decode_rle(rle)
     else:
-        seq = BinarySequence.from_text(args.sequence)
+        seq = _parse_sequence(args.sequence)
         rle = encode_rle(seq)
     rs = run_structure(rle)
     rv = run_vector_of(rs)
@@ -98,11 +127,11 @@ def _cmd_analyze(args) -> int:
 def _cmd_rle(args) -> int:
     # an encoding always contains a comma; a bare sequence never does
     if "," in args.input:
-        rle = RunLengthEncoding.from_text(args.input)
+        rle = _parse_rle(args.input)
         seq = decode_rle(rle)
         converted = seq.to_text()
     else:
-        seq = BinarySequence.from_text(args.input)
+        seq = _parse_sequence(args.input)
         rle = encode_rle(seq)
         converted = rle.to_text()
     if args.json:

@@ -10,22 +10,28 @@ witness for diagnosis.
 
 :func:`sweep` runs selected verifiers over their full instance
 populations -- every sequence of a length, or every balanced run tuple
-of an odd length -- and aggregates per-length records.  Sequences are
-swept as packed masks (see :mod:`runvec.seqcore`): C comes from the
-packed kernel, the run vector from the runs read off the mask, and
-sequences are decoded only for the delta oracle, which is computed on
-the elements, and for failure witnesses.  Balanced run
-tuples are generated by mirroring the free half of a skew-symmetric
-sequence; negation preserves the tuple, so each odd length ``n``
-yields exactly ``2**((n+1)//2 - 1)`` distinct instances.
+of an odd length -- and aggregates per-length records.  Its unit of
+work is one length of one population with every requested target of
+that population: each instance's shared state is built once and every
+target is evaluated on it.  Sequences are swept as packed masks (see
+:mod:`runvec.seqcore`): C comes from the packed kernel, the run vector
+from the runs read off the mask (never from C), and sequences are
+decoded only for the delta oracle, which is computed on the elements,
+and for failure witnesses.  Balanced run tuples are generated by
+mirroring the free half of a skew-symmetric sequence; negation
+preserves the tuple, so each odd length ``n`` yields exactly
+``2**((n+1)//2 - 1)`` distinct instances.  Each tuple's run structure
+is built once, its run vector on first use, and the targets reach their
+evaluators through one table that :func:`check_lemma` also uses.
 
 Sweep reports serialize as one JSON record per (target, length):
 ``{target, n, population, hypotheses_met_count, failures}`` where
 ``population`` counts instances, ``hypotheses_met_count`` counts
 individual verdict evaluations whose hypotheses held, and ``failures``
 holds up to ten witnesses (``failure_count`` gives the full tally).
-The report is a deterministic function of (targets, n_max), whatever
-the worker count.
+Records come in the order of ``SWEEP_TARGETS``, then by length, and
+the report is a deterministic function of (targets, n_max), whatever
+the worker count; a pool receives the units longest first.
 """
 
 from __future__ import annotations
@@ -33,12 +39,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .seqcore import (
     BinarySequence,
     RunLengthEncoding,
-    RunStructure,
     RunVector,
     aperiodic_autocorrelations,
     boundary_rank_interval,
@@ -58,7 +63,11 @@ from .seqcore import (
 
 LEMMA_IDS = ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L7n")
 
-SWEEP_TARGETS = ("theorem1", "delta", "prop-skew") + LEMMA_IDS + ("p-odd",)
+#: Targets swept over every sequence of a length; the rest are swept over
+#: the balanced run tuples of odd lengths.
+SEQUENCE_TARGETS = ("theorem1", "delta", "prop-skew")
+
+SWEEP_TARGETS = SEQUENCE_TARGETS + LEMMA_IDS + ("p-odd",)
 
 #: Largest n accepted per sweep target; requests beyond these clamp the
 #: sweep and flag the report incomplete.
@@ -294,21 +303,37 @@ def barker_predictions(n: int) -> BarkerPredictions:
 
 
 # ---------------------------------------------------------------------------
-# Lemma evaluators.  Each returns (hypotheses_met, conclusion, witness) and
-# is shared between check_lemma and the sweep harness.
+# Balanced-encoding evaluators.  Each takes the shared state of one
+# encoding and one parameter value (None for the parameterless ones) and
+# returns (hypotheses_met, conclusion, witness); check_lemma, check_p_odd
+# and the sweep harness all reach them through _BALANCED_CHECKS.
 # ---------------------------------------------------------------------------
 
 
-def _eval_l1(rs: RunStructure, rv: RunVector):
-    balanced = is_balanced(rs)
-    all_odd = all(v & 1 for v in rv.r_tilde)
-    if balanced == all_odd:
+class _Instance:
+    """One encoding with the state its verifiers share, each part built
+    once: the run structure up front, the run vector on first use."""
+
+    def __init__(self, rle: RunLengthEncoding):
+        self.rle = rle
+        self.rs = run_structure(rle)
+
+    @cached_property
+    def rv(self) -> RunVector:
+        return run_vector_of(self.rs)
+
+
+def _eval_l1(inst: _Instance, _):
+    balanced = is_balanced(inst.rs)
+    r_tilde = inst.rv.r_tilde
+    if balanced == all(v & 1 for v in r_tilde):
         return True, True, None
-    bad = next((k for k, v in enumerate(rv.r_tilde, start=1) if not v & 1), None)
+    bad = next((k for k, v in enumerate(r_tilde, start=1) if not v & 1), None)
     return True, False, {"balanced": balanced, "first_even_entry_k": bad}
 
 
-def _eval_l2(rs: RunStructure, k: int):
+def _eval_l2(inst: _Instance, k: int):
+    rs = inst.rs
     if not (is_balanced(rs) and k not in rs.s_set):
         return False, None, None
     mu = boundary_rank_interval(rs, k)
@@ -319,7 +344,8 @@ def _eval_l2(rs: RunStructure, k: int):
     return True, False, {"k": k, "mu": mu, "f": f, "f_t": ft, "expected": want}
 
 
-def _eval_l3(rs: RunStructure, k: int):
+def _eval_l3(inst: _Instance, k: int):
+    rs = inst.rs
     if not (is_balanced(rs) and k in rs.s_set and k % 2 == 1):
         return False, None, None
     f_at = f_eval(rs, k)[2]
@@ -330,7 +356,8 @@ def _eval_l3(rs: RunStructure, k: int):
     return True, True, None
 
 
-def _eval_l4(rs: RunStructure, k: int):
+def _eval_l4(inst: _Instance, k: int):
+    rs = inst.rs
     if not is_balanced(rs):
         return False, None, None
     mu = boundary_rank_interval(rs, k)
@@ -341,17 +368,19 @@ def _eval_l4(rs: RunStructure, k: int):
     return True, False, {"k": k, "mu": mu, "u": u_k(rs, k), "doubled_boundary": doubled}
 
 
-def _eval_l5(rs: RunStructure, rv: RunVector, k: int):
+def _eval_l5(inst: _Instance, k: int):
+    rs = inst.rs
     if not (is_balanced(rs) and k in rs.s_set):
         return False, None, None
     doubled = k % 2 == 0 and (k // 2) in rs.s_set
-    residue_one = rv.tilde(k) % 4 == 1
-    if doubled == residue_one:
+    r_tilde_k = inst.rv.tilde(k)
+    if doubled == (r_tilde_k % 4 == 1):
         return True, True, None
-    return True, False, {"k": k, "r_tilde_k": rv.tilde(k), "doubled_boundary": doubled}
+    return True, False, {"k": k, "r_tilde_k": r_tilde_k, "doubled_boundary": doubled}
 
 
-def _eval_l6(rle: RunLengthEncoding, rs: RunStructure, mu: int):
+def _eval_l6(inst: _Instance, mu: int):
+    rle, rs = inst.rle, inst.rs
     gamma = rle.gamma
     if not (is_balanced(rs) and 1 <= mu < gamma):
         return False, None, None
@@ -366,8 +395,9 @@ def _eval_l6(rle: RunLengthEncoding, rs: RunStructure, mu: int):
     return True, True, None
 
 
-def _l7_hypotheses(rle: RunLengthEncoding, rs: RunStructure):
+def _l7_hypotheses(inst: _Instance):
     """Profile of an instance meeting the pair-bound hypotheses, else None."""
+    rle, rs = inst.rle, inst.rs
     if not is_balanced(rs) or rle.runs[0] < 3:
         return None
     profile = balanced_profile(rle)
@@ -380,30 +410,68 @@ def _l7_hypotheses(rle: RunLengthEncoding, rs: RunStructure):
     return profile
 
 
-def _eval_l7(rle: RunLengthEncoding, rs: RunStructure, rv: RunVector):
-    profile = _l7_hypotheses(rle, rs)
+def _eval_l7(inst: _Instance, _):
+    profile = _l7_hypotheses(inst)
     if profile is None:
         return False, None, None
     k0 = profile.k0
-    pair = rv.tilde(k0) + rv.tilde(k0 - 1)
+    pair = inst.rv.tilde(k0) + inst.rv.tilde(k0 - 1)
     if abs(pair) >= 2:
         return True, True, None
     return True, False, {"k0": k0, "pair_sum": pair}
 
 
-def _eval_l7n(rle: RunLengthEncoding, rs: RunStructure, rv: RunVector):
-    profile = _l7_hypotheses(rle, rs)
+def _eval_l7n(inst: _Instance, _):
+    profile = _l7_hypotheses(inst)
     if profile is None:
         return False, None, None
     k0 = profile.k0
-    if abs(rv.tilde(k0) + rv.tilde(k0 - 1)) < 2:
+    if abs(inst.rv.tilde(k0) + inst.rv.tilde(k0 - 1)) < 2:
         return False, None, None
-    n = rs.n
-    c = aperiodic_autocorrelations(decode_rle(rle))
+    n = inst.rs.n
+    c = aperiodic_autocorrelations(decode_rle(inst.rle))
     window = [j for j in (n - k0 - 1, n - k0, n - k0 + 1, n - k0 + 2) if 0 <= j <= n]
     if any(abs(c[j]) >= 3 for j in window):
         return True, True, None
     return True, False, {"k0": k0, "window": window, "values": [c[j] for j in window]}
+
+
+def _eval_p_odd(inst: _Instance, _):
+    rle = inst.rle
+    n = rle.n
+    if not (n % 2 == 1 and rle.runs[0] > 1 and is_barker(decode_rle(rle))):
+        return False, None, None
+    if n <= 3:
+        return True, True, None
+    profile = balanced_profile(rle)
+    if profile.p % 2 == 0:
+        return True, False, {"part": "i", "p": profile.p}
+    if n > 5:
+        if profile.s_nu_plus_1 % 2 == 0:
+            return True, False, {"part": "ii", "s_nu_plus_1": profile.s_nu_plus_1}
+        if profile.alpha == 1 and (profile.s_nu_plus_1 + 1) not in inst.rs.t_set:
+            return True, False, {"part": "iii", "s_nu_plus_1": profile.s_nu_plus_1}
+        bound = profile.p + profile.s_nu_plus_1 + profile.alpha + 1
+        if n > bound:
+            return True, False, {"part": "iv", "n": n, "bound": bound}
+    return True, True, None
+
+
+#: Balanced-encoding target -> (evaluator, parameter name, the parameter
+#: values a sweep visits on a run structure).  A sweep visits only values
+#: that can meet the hypotheses: k in 1..n-1, k outside S, k in S or odd k
+#: in S, and mu in 1..gamma-1; the parameterless targets run once.
+_BALANCED_CHECKS = {
+    "L1": (_eval_l1, None, None),
+    "L2": (_eval_l2, "k", lambda rs: [k for k in range(1, rs.n) if k not in rs.s_set]),
+    "L3": (_eval_l3, "k", lambda rs: [k for k in rs.s[: rs.gamma - 1] if k & 1]),
+    "L4": (_eval_l4, "k", lambda rs: range(1, rs.n)),
+    "L5": (_eval_l5, "k", lambda rs: rs.s[: rs.gamma - 1]),
+    "L6": (_eval_l6, "mu", lambda rs: range(1, rs.gamma)),
+    "L7": (_eval_l7, None, None),
+    "L7n": (_eval_l7n, None, None),
+    "p-odd": (_eval_p_odd, None, None),
+}
 
 
 def check_lemma(
@@ -421,69 +489,23 @@ def check_lemma(
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma_id {lemma_id!r}; expected one of {LEMMA_IDS}")
-    rs = run_structure(rle)
-    if lemma_id in ("L2", "L3", "L4", "L5"):
-        if k is None:
-            raise ValueError(f"{lemma_id} requires parameter k")
-        if not 1 <= k <= rs.n - 1:
-            raise ValueError(f"parameter out of range: k must be in [1, {rs.n - 1}]")
-    if lemma_id == "L6":
-        if mu is None:
-            raise ValueError("L6 requires parameter mu")
-        if not 1 <= mu <= rs.gamma:
-            raise ValueError(f"parameter out of range: mu must be in [1, {rs.gamma}]")
-
-    if lemma_id == "L1":
-        met, holds, witness = _eval_l1(rs, run_vector_of(rs))
-    elif lemma_id == "L2":
-        met, holds, witness = _eval_l2(rs, k)
-    elif lemma_id == "L3":
-        met, holds, witness = _eval_l3(rs, k)
-    elif lemma_id == "L4":
-        met, holds, witness = _eval_l4(rs, k)
-    elif lemma_id == "L5":
-        met, holds, witness = _eval_l5(rs, run_vector_of(rs), k)
-    elif lemma_id == "L6":
-        met, holds, witness = _eval_l6(rle, rs, mu)
-    elif lemma_id == "L7":
-        met, holds, witness = _eval_l7(rle, rs, run_vector_of(rs))
-    else:
-        met, holds, witness = _eval_l7n(rle, rs, run_vector_of(rs))
-    return Verdict(lemma_id, rle.to_text(), met, holds, witness)
+    evaluate, name, _ = _BALANCED_CHECKS[lemma_id]
+    inst = _Instance(rle)
+    param = None
+    if name is not None:
+        param, top = (k, inst.rs.n - 1) if name == "k" else (mu, inst.rs.gamma)
+        if param is None:
+            raise ValueError(f"{lemma_id} requires parameter {name}")
+        if not 1 <= param <= top:
+            raise ValueError(f"parameter out of range: {name} must be in [1, {top}]")
+    return Verdict(lemma_id, rle.to_text(), *evaluate(inst, param))
 
 
 def check_p_odd(rle: RunLengthEncoding) -> Verdict:
     """Verify the four structural facts about odd-length Barker encodings
     whose first run exceeds 1; each part applies only above its length
     threshold (parts ii-iv need n > 5, part i needs n > 3)."""
-    n = rle.n
-    hypotheses = n % 2 == 1 and rle.runs[0] > 1 and is_barker(decode_rle(rle))
-    if not hypotheses:
-        return Verdict("p_odd", rle.to_text(), False, None)
-    if n <= 3:
-        return Verdict("p_odd", rle.to_text(), True, True)
-    profile = balanced_profile(rle)
-    rs = run_structure(rle)
-    if profile.p % 2 == 0:
-        return Verdict("p_odd", rle.to_text(), True, False, {"part": "i", "p": profile.p})
-    if n > 5:
-        if profile.s_nu_plus_1 % 2 == 0:
-            return Verdict(
-                "p_odd", rle.to_text(), True, False,
-                {"part": "ii", "s_nu_plus_1": profile.s_nu_plus_1},
-            )
-        if profile.alpha == 1 and (profile.s_nu_plus_1 + 1) not in rs.t_set:
-            return Verdict(
-                "p_odd", rle.to_text(), True, False,
-                {"part": "iii", "s_nu_plus_1": profile.s_nu_plus_1},
-            )
-        bound = profile.p + profile.s_nu_plus_1 + profile.alpha + 1
-        if n > bound:
-            return Verdict(
-                "p_odd", rle.to_text(), True, False,
-                {"part": "iv", "n": n, "bound": bound},
-            )
-    return Verdict("p_odd", rle.to_text(), True, True)
+    return Verdict("p_odd", rle.to_text(), *_eval_p_odd(_Instance(rle), None))
 
 
 @lru_cache(maxsize=None)
@@ -521,117 +543,83 @@ def _clip(failures: list) -> tuple:
     return tuple(failures[:_MAX_WITNESSES])
 
 
-def _sweep_theorem1(n: int) -> SweepRecord:
-    failures = []
+def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
+    """The sequence targets at length n over every mask; each mask's C,
+    run structure and run vector are built once for all of them."""
+    theorem1, delta, skew = (t in targets for t in SEQUENCE_TARGETS)
+    failures = {target: [] for target in targets}
     for x in range(1 << n):
-        c = (n, *packed_autocorrelations(x, n), 0)
-        r = run_vector_of(run_structure(packed_rle(x, n))).r
-        residual = _second_difference_residual(c, r)
-        if any(residual):
-            k, value = next((k, v) for k, v in enumerate(residual, start=1) if v)
-            failures.append({"instance": unpack(x, n).to_text(), "k": k, "residual": value})
+        rs = run_structure(packed_rle(x, n))
+        if theorem1 or delta:
+            c = (n, *packed_autocorrelations(x, n), 0)
+            r = run_vector_of(rs).r
+        if theorem1:
+            residual = _second_difference_residual(c, r)
+            if any(residual):
+                k, value = next((k, v) for k, v in enumerate(residual, start=1) if v)
+                failures["theorem1"].append(
+                    {"instance": unpack(x, n).to_text(), "k": k, "residual": value}
+                )
+        if delta:
+            # the oracle is a literal computation on the elements themselves
+            seq = unpack(x, n)
+            deltas = delta_autocorrelations(seq)
+            from_c = tuple([2 * at - before - after for before, at, after in zip(c, c[1:], c[2:])])
+            from_r = tuple([2 * rk for rk in r])
+            if deltas != from_c or deltas != from_r:
+                i = next(i for i, d in enumerate(deltas) if d != from_c[i] or d != from_r[i])
+                failures["delta"].append(
+                    {"instance": seq.to_text(), "k": i + 1, "delta": deltas[i], "r_k": r[i]}
+                )
+        if skew:
+            skew_symmetric = packed_skew_symmetric(x, n)
+            balanced = is_balanced(rs)
+            if skew_symmetric != balanced:
+                failures["prop-skew"].append(
+                    {
+                        "instance": unpack(x, n).to_text(),
+                        "skew_symmetric": skew_symmetric,
+                        "balanced": balanced,
+                    }
+                )
     population = 1 << n
-    return SweepRecord("theorem1", n, population, population, len(failures), _clip(failures))
+    return [
+        SweepRecord(target, n, population, population, len(found), _clip(found))
+        for target, found in failures.items()
+    ]
 
 
-def _sweep_delta(n: int) -> SweepRecord:
-    failures = []
-    for x in range(1 << n):
-        c = (n, *packed_autocorrelations(x, n), 0)
-        r = run_vector_of(run_structure(packed_rle(x, n))).r
-        # the oracle is a literal computation on the elements themselves
-        seq = unpack(x, n)
-        deltas = delta_autocorrelations(seq)
-        from_c = tuple([2 * at - before - after for before, at, after in zip(c, c[1:], c[2:])])
-        from_r = tuple([2 * rk for rk in r])
-        if deltas != from_c or deltas != from_r:
-            i = next(i for i, d in enumerate(deltas) if d != from_c[i] or d != from_r[i])
-            failures.append(
-                {"instance": seq.to_text(), "k": i + 1, "delta": deltas[i], "r_k": r[i]}
-            )
-    population = 1 << n
-    return SweepRecord("delta", n, population, population, len(failures), _clip(failures))
+def _sweep_balanced(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
+    """The balanced-encoding targets at odd length n over every balanced
+    run tuple; each tuple's state is built once for all of them."""
+    checks = [(target, *_BALANCED_CHECKS[target]) for target in targets]
+    met = dict.fromkeys(targets, 0)
+    failures = {target: [] for target in targets}
+    population = balanced_run_tuples(n)
+    for runs in population:
+        inst = _Instance(RunLengthEncoding(1, runs))
+        for target, evaluate, _, domain in checks:
+            for param in (None,) if domain is None else domain(inst.rs):
+                hypotheses_met, holds, witness = evaluate(inst, param)
+                if not hypotheses_met:
+                    continue
+                met[target] += 1
+                if not holds:
+                    entry = {"instance": inst.rle.to_text()}
+                    if param is not None:
+                        entry["param"] = param
+                    if witness:
+                        entry.update(witness)
+                    failures[target].append(entry)
+    return [
+        SweepRecord(target, n, len(population), met[target], len(found), _clip(found))
+        for target, found in failures.items()
+    ]
 
 
-def _sweep_prop_skew(n: int) -> SweepRecord:
-    failures = []
-    for x in range(1 << n):
-        skew = packed_skew_symmetric(x, n)
-        balanced = is_balanced(run_structure(packed_rle(x, n)))
-        if skew != balanced:
-            failures.append(
-                {"instance": unpack(x, n).to_text(), "skew_symmetric": skew, "balanced": balanced}
-            )
-    population = 1 << n
-    return SweepRecord("prop-skew", n, population, population, len(failures), _clip(failures))
-
-
-def _sweep_lemma(target: str, n: int) -> SweepRecord:
-    population = 0
-    met_count = 0
-    failures = []
-
-    def tally(met, holds, witness, runs, param=None):
-        nonlocal met_count
-        if not met:
-            return
-        met_count += 1
-        if not holds:
-            entry = {"instance": "+," + ",".join(map(str, runs))}
-            if param is not None:
-                entry["param"] = param
-            if witness:
-                entry.update(witness)
-            failures.append(entry)
-
-    for runs in balanced_run_tuples(n):
-        population += 1
-        rle = RunLengthEncoding(1, runs)
-        rs = run_structure(rle)
-        if target == "L1":
-            tally(*_eval_l1(rs, run_vector_of(rs)), runs)
-        elif target == "L2":
-            for k in range(1, n):
-                if k not in rs.s_set:
-                    tally(*_eval_l2(rs, k), runs, k)
-        elif target == "L3":
-            for k in sorted(rs.s_set):
-                if k % 2 == 1:
-                    tally(*_eval_l3(rs, k), runs, k)
-        elif target == "L4":
-            for k in range(1, n):
-                tally(*_eval_l4(rs, k), runs, k)
-        elif target == "L5":
-            rv = run_vector_of(rs)
-            for k in sorted(rs.s_set):
-                tally(*_eval_l5(rs, rv, k), runs, k)
-        elif target == "L6":
-            for mu in range(1, rle.gamma):
-                tally(*_eval_l6(rle, rs, mu), runs, mu)
-        elif target == "L7":
-            tally(*_eval_l7(rle, rs, run_vector_of(rs)), runs)
-        elif target == "L7n":
-            tally(*_eval_l7n(rle, rs, run_vector_of(rs)), runs)
-        else:  # p-odd
-            verdict = check_p_odd(rle)
-            tally(
-                verdict.hypotheses_met,
-                verdict.conclusion_holds,
-                verdict.witness,
-                runs,
-            )
-    return SweepRecord(target, n, population, met_count, len(failures), _clip(failures))
-
-
-def _sweep_unit(args: tuple[str, int]) -> SweepRecord:
-    target, n = args
-    if target == "theorem1":
-        return _sweep_theorem1(n)
-    if target == "delta":
-        return _sweep_delta(n)
-    if target == "prop-skew":
-        return _sweep_prop_skew(n)
-    return _sweep_lemma(target, n)
+def _sweep_unit(unit) -> list[SweepRecord]:
+    sweep_length, n, targets = unit
+    return sweep_length(n, targets)
 
 
 def pool_size(workers: int, tasks: int) -> int:
@@ -657,24 +645,32 @@ def sweep(n_max: int, targets, workers: int = 1) -> SweepReport:
                 f"unknown sweep target {target!r}; expected one of {SWEEP_TARGETS}"
             )
     ordered = tuple(t for t in SWEEP_TARGETS if t in wanted)
-    units = []
+    by_length = {}
     complete = True
     for target in ordered:
         top = min(n_max, SWEEP_LIMITS[target])
         if top < n_max:
             complete = False
-        if target in ("theorem1", "delta"):
-            lengths = range(1, top + 1)
-        else:
-            lengths = range(1, top + 1, 2)
-        units.extend((target, n) for n in lengths)
+        sweep_length = _sweep_sequences if target in SEQUENCE_TARGETS else _sweep_balanced
+        step = 1 if target in ("theorem1", "delta") else 2
+        for n in range(1, top + 1, step):
+            by_length.setdefault((sweep_length, n), []).append(target)
+    # longest first, so a pool does not end on one long unit
+    units = sorted(
+        ((fn, n, tuple(names)) for (fn, n), names in by_length.items()),
+        key=lambda unit: -unit[1],
+    )
 
     size = pool_size(workers, len(units))
     if size == 1:
-        records = [_sweep_unit(u) for u in units]
+        batches = [_sweep_unit(u) for u in units]
     else:
         with ProcessPoolExecutor(max_workers=size) as pool:
-            records = list(pool.map(_sweep_unit, units))
+            batches = list(pool.map(_sweep_unit, units))
+    rank = {target: i for i, target in enumerate(ordered)}
+    records = sorted(
+        (rec for batch in batches for rec in batch), key=lambda rec: (rank[rec.target], rec.n)
+    )
     return SweepReport(n_max, ordered, tuple(records), complete)
 
 

@@ -91,3 +91,10 @@ def brute_prefix_structure(runs):
         total += r
         t.append(total)
     return tuple(s), tuple(t), set(s[: gamma - 1]), set(t[: gamma - 1])
+
+
+def brute_is_balanced(runs):
+    """Whether the interior boundaries read from both ends partition
+    {1, ..., n-1}: literal union and intersection of the two sets."""
+    _, _, s_set, t_set = brute_prefix_structure(runs)
+    return not (s_set & t_set) and (s_set | t_set) == set(range(1, sum(runs)))

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from runvec.cli import main
+from runvec.cli import MAX_LENGTH, main
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +84,34 @@ class TestRleCommand:
         assert code == 1 and out == "" and "position 2" in err
         code, out, err = run_cli(capsys, "analyze", f"--rle=+,3,{digit}", "--json")
         assert code == 1 and out == "" and "position 4" in err
+
+
+class TestLengthCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rle", "+,1000000000"),
+            ("analyze", "--rle=+,1000000000", "--json"),
+            ("analyze", f"--rle=+,{MAX_LENGTH // 2},{MAX_LENGTH // 2 + 1}"),
+            ("rle", "+" * (MAX_LENGTH + 1)),
+            ("analyze", "+" * (MAX_LENGTH + 1), "--json"),
+            ("rle", "+" + ",1" * (MAX_LENGTH + 1)),  # refused before parsing
+            ("analyze", "--rle=+," + "9" * 5000),  # a run too long to convert
+        ],
+    )
+    def test_over_cap_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_at_cap_accepted(self, capsys):
+        half = MAX_LENGTH // 2
+        code, out, _ = run_cli(capsys, "rle", f"+,{half},{MAX_LENGTH - half}")
+        assert code == 0 and out == "+" * half + "-" * (MAX_LENGTH - half) + "\n"
+        code, out, _ = run_cli(capsys, "rle", "+" + ",1" * MAX_LENGTH)
+        assert code == 0 and out == "+-" * (MAX_LENGTH // 2) + "\n"
+        code, out, _ = run_cli(capsys, "rle", "+" * MAX_LENGTH)
+        assert code == 0 and out == f"+,{MAX_LENGTH}\n"
 
 
 class TestVerify:
@@ -256,6 +284,17 @@ class TestDeterminism:
                 ("classify", "--max-n", "21", "--json"),
                 "74c9ee5aee1f3903b161a392ce0c2b0038d7baa6f44ab3b364013d5586240047",
             ),
+            (
+                (
+                    "verify", "--targets", "L1,L2,L3,L4,L5,L6,L7,L7n,p-odd",
+                    "--max-n", "15", "--json",
+                ),
+                "5366e46e519045bfd4ad2b4ba345e7766e616dbffcc1a533e608ccdc12210027",
+            ),
+            (
+                ("verify", "--targets", "p-odd,L1,delta,theorem1", "--max-n", "11", "--json"),
+                "0b359944e275ac1ae9cf9f7c13fdc4dcf912a42d42a74abf6e8f2047d83fb7df",
+            ),
         ],
     )
     def test_pinned_stdout_sha256(self, capsys, argv, digest):
@@ -264,7 +303,7 @@ class TestDeterminism:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-        if argv[0] in ("search", "classify"):
+        if argv[0] in ("search", "classify", "verify"):
             code, out, _ = run_cli(capsys, *argv, "--workers", "2")
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest

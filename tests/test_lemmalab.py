@@ -8,6 +8,7 @@ from runvec import lemmalab
 from runvec.lemmalab import (
     LEMMA_IDS,
     SWEEP_LIMITS,
+    SWEEP_TARGETS,
     balanced_profile,
     balanced_run_tuples,
     barker_predictions,
@@ -338,6 +339,23 @@ class TestSweeps:
                 assert rec.failure_count == len(failures)
                 assert list(rec.failures) == failures[:10]
         assert by_key[("theorem1", 6)].failure_count == 20  # 2 * C(5, 2) > 10
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_joint_sweep_equals_single_target_sweeps(self, monkeypatch, workers):
+        # a pass over one length evaluates every requested target on shared
+        # state; each target's records must be those of sweeping it alone.
+        # Two cores and workers=2 start a real two-process pool.
+        monkeypatch.setattr(lemmalab.os, "cpu_count", lambda: 2)
+        cases = [
+            (15, LEMMA_IDS + ("p-odd",)),
+            (10, ("theorem1", "delta", "prop-skew")),
+            (11, ("p-odd", "L1", "delta", "theorem1")),
+        ]
+        for n_max, targets in cases:
+            joint = sweep(n_max, targets, workers=workers)
+            alone = [sweep(n_max, (target,)) for target in sorted(targets, key=SWEEP_TARGETS.index)]
+            assert joint.records == tuple(rec for report in alone for rec in report.records)
+            assert joint.complete and all(report.complete for report in alone)
 
     def test_limit_clamps_and_flags_incomplete(self, monkeypatch):
         monkeypatch.setitem(SWEEP_LIMITS, "theorem1", 6)

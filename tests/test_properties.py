@@ -30,8 +30,10 @@ from runvec.seqcore import (
 from oracles import (
     brute_aperiodic,
     brute_delta_autocorrelation,
+    brute_is_balanced,
     brute_is_barker,
     brute_periodic,
+    brute_runs,
     composition,
 )
 
@@ -64,6 +66,37 @@ long_encodings = st.tuples(
         lambda n: st.integers(0, (1 << (n - 1)) - 1).map(lambda mask: composition(n, mask))
     ),
 ).map(lambda pair: RunLengthEncoding(*pair))
+
+
+def _skew_symmetric_runs(m, bits):
+    """Runs of the skew-symmetric sequence of length 2m-1 whose centre and
+    right half are the m low bits of ``bits``, mirrored element by element."""
+    right = [-1 if (bits >> j) & 1 else 1 for j in range(m)]
+    left = [right[j] if j % 2 == 0 else -right[j] for j in range(m - 1, 0, -1)]
+    return brute_runs(left + right)
+
+
+def _moved_unit(runs):
+    """``runs`` with one unit moved from a run longer than 1 to another run:
+    n and gamma stay, so only the disjointness of S and T decides."""
+    donors = [i for i, r in enumerate(runs) if r > 1]
+    if not donors or len(runs) < 2:
+        return st.just(runs)
+
+    def move(pair):
+        i, j = pair
+        out = list(runs)
+        out[i] -= 1
+        out[(i + j) % len(out)] += 1
+        return tuple(out)
+
+    return st.tuples(st.sampled_from(donors), st.integers(1, len(runs) - 1)).map(move)
+
+
+# balanced encodings of every odd length up to 399
+long_balanced_runs = st.integers(1, 200).flatmap(
+    lambda m: st.integers(0, (1 << m) - 1).map(lambda bits: _skew_symmetric_runs(m, bits))
+)
 
 odd_sequences = st.lists(
     st.sampled_from((1, -1)), min_size=1, max_size=63
@@ -175,6 +208,17 @@ def test_balanced_population_size(n):
         rs = run_structure(RunLengthEncoding(1, runs))
         assert is_balanced(rs)
         assert len(runs) == (n + 1) // 2
+
+
+@given(long_balanced_runs)
+def test_long_skew_symmetric_encodings_are_balanced(runs):
+    assert brute_is_balanced(runs)
+    assert is_balanced(run_structure(RunLengthEncoding(1, runs)))
+
+
+@given(st.one_of(long_encodings.map(lambda rle: rle.runs), long_balanced_runs.flatmap(_moved_unit)))
+def test_is_balanced_matches_partition_oracle(runs):
+    assert is_balanced(run_structure(RunLengthEncoding(1, runs))) == brute_is_balanced(runs)
 
 
 @given(long_sequences)

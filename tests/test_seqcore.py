@@ -28,6 +28,7 @@ from runvec.seqcore import (
 from oracles import (
     all_sign_tuples,
     brute_aperiodic,
+    brute_is_balanced,
     brute_is_barker,
     brute_is_skew_symmetric,
     brute_periodic,
@@ -364,6 +365,11 @@ class TestPredicates:
         assert is_balanced(run_structure(rle(1, (2, 1))))
         assert not is_balanced(run_structure(rle(1, (2, 2))))
         assert is_balanced(run_structure(rle(1, (1,))))
+
+    def test_balanced_matches_partition_oracle_to_14(self):
+        for n in range(1, 15):
+            for runs in compositions(n):
+                assert is_balanced(run_structure(rle(1, runs))) == brute_is_balanced(runs), runs
 
     def test_balanced_forces_odd_length_and_run_count(self):
         for n in range(1, 14):
