@@ -19,14 +19,7 @@ import sys
 from pathlib import Path
 
 from .lemmalab import SWEEP_LIMITS, SWEEP_TARGETS, sweep
-from .search import (
-    FULL_SEARCH_LIMIT,
-    SKEW_SEARCH_LIMIT,
-    SearchSpec,
-    classify_odd_barker,
-    counts_csv,
-    enumerate_barker,
-)
+from .search import SearchSpec, classify_odd_barker, counts_csv, enumerate_barker
 from .seqcore import (
     BinarySequence,
     ParseError,
@@ -66,6 +59,15 @@ def _parse_rle(text: str) -> RunLengthEncoding:
         raise ValueError(
             f"encoding text limited to {2 * MAX_LENGTH + 1} characters, got {len(text)}"
         )
+    # a run with more digits than the cap is over it on its own; refuse it
+    # before int() meets it, which converts at most 4300 digits
+    for token in text.split(",")[1:]:
+        digits = token.lstrip("0")
+        if digits.isascii() and digits.isdigit() and len(digits) > len(str(MAX_LENGTH)):
+            raise ValueError(
+                f"sequence length limited to n <= {MAX_LENGTH}, "
+                f"got a run of {len(digits)} digits"
+            )
     rle = RunLengthEncoding.from_text(text)
     _check_length(rle.n)
     return rle
@@ -197,15 +199,7 @@ def _cmd_search(args) -> int:
     spec = SearchSpec(
         n_min=args.min_n, n_max=args.max_n, mode=args.mode, normalize=args.normalize
     )
-    limit = args.limit_full if args.mode == "full" else args.limit_skew
-    if args.max_n > limit:
-        print(
-            f"error: {args.mode}-mode search limited to n <= {limit}, "
-            f"requested {args.max_n}",
-            file=sys.stderr,
-        )
-        return 2
-    found = enumerate_barker(spec, workers=args.workers, limit=limit)
+    found = enumerate_barker(spec, workers=args.workers)
     if args.json:
         for seq in found:
             print(_dumps(_search_record(seq)))
@@ -217,13 +211,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if args.max_n > SKEW_SEARCH_LIMIT:
-        print(
-            f"error: classification limited to n <= {SKEW_SEARCH_LIMIT}, "
-            f"requested {args.max_n}",
-            file=sys.stderr,
-        )
-        return 2
     report = classify_odd_barker(args.max_n, workers=args.workers)
     if args.csv:
         try:
@@ -289,18 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="one representative per negation/reversal orbit",
     )
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--limit-full",
-        type=int,
-        default=FULL_SEARCH_LIMIT,
-        help=f"full-mode length cap (default {FULL_SEARCH_LIMIT})",
-    )
-    p.add_argument(
-        "--limit-skew",
-        type=int,
-        default=SKEW_SEARCH_LIMIT,
-        help=f"skew-mode length cap (default {SKEW_SEARCH_LIMIT})",
-    )
     p.add_argument("--json", action="store_true", help="JSON lines output")
     p.set_defaults(func=_cmd_search)
 

@@ -21,8 +21,9 @@ and for failure witnesses.  Balanced run tuples are generated by
 mirroring the free half of a skew-symmetric sequence; negation
 preserves the tuple, so each odd length ``n`` yields exactly
 ``2**((n+1)//2 - 1)`` distinct instances.  Each tuple's run structure
-is built once, its run vector on first use, and the targets reach their
-evaluators through one table that :func:`check_lemma` also uses.
+is built once, its run vector and balanced profile on first use, and
+the targets reach their evaluators through one table that
+:func:`check_lemma` also uses.
 
 Sweep reports serialize as one JSON record per (target, length):
 ``{target, n, population, hypotheses_met_count, failures}`` where
@@ -69,17 +70,16 @@ SEQUENCE_TARGETS = ("theorem1", "delta", "prop-skew")
 
 SWEEP_TARGETS = SEQUENCE_TARGETS + LEMMA_IDS + ("p-odd",)
 
+BALANCED_ENUM_LIMIT = 29
+
 #: Largest n accepted per sweep target; requests beyond these clamp the
 #: sweep and flag the report incomplete.
 SWEEP_LIMITS = {
     "theorem1": 18,
     "delta": 18,
     "prop-skew": 19,
-    **{lemma: 29 for lemma in LEMMA_IDS},
-    "p-odd": 29,
+    **dict.fromkeys(LEMMA_IDS + ("p-odd",), BALANCED_ENUM_LIMIT),
 }
-
-BALANCED_ENUM_LIMIT = 29
 
 _MAX_WITNESSES = 10
 
@@ -256,33 +256,7 @@ def balanced_profile(rle: RunLengthEncoding) -> BalancedProfile:
     first run >= 3); any violation raises RuntimeError since it would
     mean the calculus itself is broken.
     """
-    rs = run_structure(rle)
-    if not is_balanced(rs):
-        raise ValueError("requires balanced RLE")
-    p = rle.runs[0]
-    if p == 1:
-        raise ValueError("requires p > 1")
-    if rle.runs[-1] != 1:
-        raise RuntimeError(f"balanced encoding with p > 1 must end in a run of 1: {rle}")
-    nu = next((j for j in range(1, rle.gamma) if rle.runs[j] % p != 0), None)
-    if nu is None:
-        raise RuntimeError(f"no qualifying run index exists for {rle}")
-    q = rle.runs[nu]
-    alpha = 1 if q % p == 1 else 0
-    s_nu_plus_1 = rs.s[nu]
-    profile = BalancedProfile(p, nu, q, alpha, s_nu_plus_1, p + s_nu_plus_1 + alpha)
-
-    for j in range(nu):
-        if rs.s[j] % p != 0:
-            raise RuntimeError(f"early boundary not divisible by first run: {rle}")
-    if s_nu_plus_1 % p == 0 or q % p == 0:
-        raise RuntimeError(f"pivot boundary unexpectedly divisible: {rle}")
-    _, _, f_p = f_eval(rs, p)
-    if f_p + 2 * u_k(rs, p) != -1:
-        raise RuntimeError(f"run vector at first boundary is not -1: {rle}")
-    if p >= 3 and s_nu_plus_1 > rs.gamma + 1:
-        raise RuntimeError(f"pivot boundary exceeds gamma + 1: {rle}")
-    return profile
+    return _Instance(rle).profile
 
 
 def barker_predictions(n: int) -> BarkerPredictions:
@@ -312,7 +286,8 @@ def barker_predictions(n: int) -> BarkerPredictions:
 
 class _Instance:
     """One encoding with the state its verifiers share, each part built
-    once: the run structure up front, the run vector on first use."""
+    once: the run structure up front, the run vector and the balanced
+    profile on first use."""
 
     def __init__(self, rle: RunLengthEncoding):
         self.rle = rle
@@ -321,6 +296,37 @@ class _Instance:
     @cached_property
     def rv(self) -> RunVector:
         return run_vector_of(self.rs)
+
+    @cached_property
+    def profile(self) -> BalancedProfile:
+        """:func:`balanced_profile` of the encoding, read off this state."""
+        rle, rs = self.rle, self.rs
+        if not is_balanced(rs):
+            raise ValueError("requires balanced RLE")
+        p = rle.runs[0]
+        if p == 1:
+            raise ValueError("requires p > 1")
+        if rle.runs[-1] != 1:
+            raise RuntimeError(f"balanced encoding with p > 1 must end in a run of 1: {rle}")
+        nu = next((j for j in range(1, rle.gamma) if rle.runs[j] % p != 0), None)
+        if nu is None:
+            raise RuntimeError(f"no qualifying run index exists for {rle}")
+        q = rle.runs[nu]
+        alpha = 1 if q % p == 1 else 0
+        s_nu_plus_1 = rs.s[nu]
+        profile = BalancedProfile(p, nu, q, alpha, s_nu_plus_1, p + s_nu_plus_1 + alpha)
+
+        for j in range(nu):
+            if rs.s[j] % p != 0:
+                raise RuntimeError(f"early boundary not divisible by first run: {rle}")
+        if s_nu_plus_1 % p == 0 or q % p == 0:
+            raise RuntimeError(f"pivot boundary unexpectedly divisible: {rle}")
+        _, _, f_p = f_eval(rs, p)
+        if f_p + 2 * u_k(rs, p) != -1:
+            raise RuntimeError(f"run vector at first boundary is not -1: {rle}")
+        if p >= 3 and s_nu_plus_1 > rs.gamma + 1:
+            raise RuntimeError(f"pivot boundary exceeds gamma + 1: {rle}")
+        return profile
 
 
 def _eval_l1(inst: _Instance, _):
@@ -400,7 +406,7 @@ def _l7_hypotheses(inst: _Instance):
     rle, rs = inst.rle, inst.rs
     if not is_balanced(rs) or rle.runs[0] < 3:
         return None
-    profile = balanced_profile(rle)
+    profile = inst.profile
     if profile.p % 2 == 0 or profile.s_nu_plus_1 % 2 == 0:
         return None
     if profile.alpha == 1 and (profile.s_nu_plus_1 + 1) not in rs.t_set:
@@ -443,7 +449,7 @@ def _eval_p_odd(inst: _Instance, _):
         return False, None, None
     if n <= 3:
         return True, True, None
-    profile = balanced_profile(rle)
+    profile = inst.profile
     if profile.p % 2 == 0:
         return True, False, {"part": "i", "p": profile.p}
     if n > 5:
@@ -672,9 +678,3 @@ def sweep(n_max: int, targets, workers: int = 1) -> SweepReport:
         (rec for batch in batches for rec in batch), key=lambda rec: (rank[rec.target], rec.n)
     )
     return SweepReport(n_max, ordered, tuple(records), complete)
-
-
-def verify_prop_skew_balanced(n_max: int, workers: int = 1) -> SweepReport:
-    """Exhaustively compare skew-symmetry of every odd-length sequence
-    with balancedness of its encoding; counts per length."""
-    return sweep(n_max, ("prop-skew",), workers=workers)

@@ -1,4 +1,4 @@
-"""Pruned exhaustive enumeration of Barker sequences and balanced encodings.
+"""Pruned exhaustive enumeration and classification of odd-length Barker sequences.
 
 One depth-first search serves both modes.  Step i places the pair
 (a_i, a_{n+1-i}), from the ends inwards, with a_1 = +1.  In full mode
@@ -32,15 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lemmalab import balanced_profile, balanced_run_tuples
+from .lemmalab import balanced_profile
 from .seqcore import (
     BinarySequence,
     RunLengthEncoding,
     encode_rle,
-    is_balanced,
     pack,
     packed_autocorrelations,
-    run_structure,
     unpack,
 )
 
@@ -54,23 +52,19 @@ class SearchSpec:
 
     Lengths are odd in both modes (even-length search is out of scope);
     even bounds are rounded inward.  ``normalize`` collapses the result
-    to one representative per negation/reversal orbit.  The prune
-    threshold stays at 1 for Barker search.
+    to one representative per negation/reversal orbit.
     """
 
     n_min: int
     n_max: int
     mode: str = "full"
     normalize: bool = False
-    prune_threshold: int = 1
 
     def __post_init__(self) -> None:
         if self.n_min < 1 or self.n_max < self.n_min:
             raise ValueError(f"bad length range [{self.n_min}, {self.n_max}]")
         if self.mode not in ("full", "skew"):
             raise ValueError(f"mode must be 'full' or 'skew', got {self.mode!r}")
-        if self.prune_threshold < 0:
-            raise ValueError("prune_threshold must be >= 0")
 
     def lengths(self) -> range:
         start = self.n_min if self.n_min % 2 == 1 else self.n_min + 1
@@ -200,9 +194,7 @@ def find_barker_sequences(
     return seqs
 
 
-def enumerate_barker(
-    spec: SearchSpec, workers: int = 1, limit: int | None = None
-) -> list[BinarySequence]:
+def enumerate_barker(spec: SearchSpec, workers: int = 1) -> list[BinarySequence]:
     """All Barker sequences of odd length within the range, ordered by
     length and then lexicographically with '+' before '-'.
 
@@ -210,16 +202,14 @@ def enumerate_barker(
     for odd lengths because every odd-length Barker sequence is
     skew-symmetric; each survivor is still verified before emission.
     """
-    cap = limit
-    if cap is None:
-        cap = FULL_SEARCH_LIMIT if spec.mode == "full" else SKEW_SEARCH_LIMIT
+    cap = FULL_SEARCH_LIMIT if spec.mode == "full" else SKEW_SEARCH_LIMIT
     if spec.n_max > cap:
         raise ValueError(
             f"{spec.mode}-mode search limited to n <= {cap}, requested {spec.n_max}"
         )
     out = []
     for n in spec.lengths():
-        out.extend(find_barker_sequences(n, spec.mode, spec.prune_threshold, workers))
+        out.extend(find_barker_sequences(n, spec.mode, 1, workers))
     if spec.normalize:
         out = canonical_representatives(out)
     return out
@@ -251,18 +241,6 @@ def brute_force_barker(n: int) -> list[BinarySequence]:
         for x in range(1 << n)
         if all(-1 <= c <= 1 for c in packed_autocorrelations(x, n))
     ]
-
-
-def enumerate_balanced_rles(n: int) -> list[RunLengthEncoding]:
-    """Every balanced encoding with length-sum ``n`` (odd), start sign '+',
-    sorted by run tuple; each one is re-verified before being returned."""
-    rles = []
-    for runs in balanced_run_tuples(n):
-        rle = RunLengthEncoding(1, runs)
-        if not is_balanced(run_structure(rle)):
-            raise RuntimeError(f"generator produced a non-balanced tuple: {runs}")
-        rles.append(rle)
-    return rles
 
 
 def _normalize_leading_run(seq: BinarySequence) -> BinarySequence:

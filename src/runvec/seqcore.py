@@ -143,10 +143,12 @@ class RunLengthEncoding:
         runs = []
         pos = 2
         for token in text[2:].split(","):
-            # isdigit() alone admits '²' or '①', which int() rejects
-            if not (token.isascii() and token.isdigit()) or int(token) < 1:
+            # isdigit() alone admits '²' or '①', which int() rejects; leading
+            # zeros are dropped so they count against no digit limit
+            digits = token.lstrip("0")
+            if not (digits.isascii() and digits.isdigit()):
                 raise ParseError(f"expected a positive run length, got {token!r}", pos)
-            runs.append(int(token))
+            runs.append(int(digits))
             pos += len(token) + 1
         return cls(sign, tuple(runs))
 

@@ -103,6 +103,19 @@ class TestLengthCap:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert " limited to " in err
+        if argv[-1].endswith("9" * 5000):
+            # the length cap, not int()'s 4300-digit conversion limit
+            assert err == (
+                f"error: sequence length limited to n <= {MAX_LENGTH}, "
+                "got a run of 5000 digits\n"
+            )
+
+    def test_leading_zeros_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "rle", "+,0003")
+        assert code == 0 and out == "+++\n"
+        code, out, _ = run_cli(capsys, "analyze", "--rle=-," + "0" * 5000 + "2,1", "--json")
+        assert code == 0 and json.loads(out)["sequence"] == "--+"
 
     def test_at_cap_accepted(self, capsys):
         half = MAX_LENGTH // 2
@@ -137,7 +150,11 @@ class TestVerify:
         code, out, err = run_cli(
             capsys, "verify", "--targets", "theorem1", "--max-n", "99"
         )
-        assert code == 2 and out == "" and "limited to" in err
+        assert code == 2 and out == ""
+        assert err == "error: target theorem1 limited to n <= 18, requested 99\n"
+        code, out, err = run_cli(capsys, "verify", "--targets", "L1", "--max-n", "31")
+        assert code == 2 and out == ""
+        assert err == "error: target L1 limited to n <= 29, requested 31\n"
 
 
 class TestSearch:
@@ -162,7 +179,19 @@ class TestSearch:
         code, out, err = run_cli(
             capsys, "search", "--min-n", "3", "--max-n", "27", "--mode", "full"
         )
-        assert code == 2 and out == "" and "limited to" in err
+        assert code == 2 and out == ""
+        assert err == "error: full-mode search limited to n <= 25, requested 27\n"
+        code, out, err = run_cli(capsys, "search", "--max-n", "47", "--mode", "skew", "--json")
+        assert code == 2 and out == ""
+        assert err == "error: skew-mode search limited to n <= 45, requested 47\n"
+
+    @pytest.mark.parametrize("flag", ["--limit-full", "--limit-skew"])
+    def test_no_option_raises_a_cap(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--max-n", "27", flag, "27"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"unrecognized arguments: {flag} 27" in captured.err
 
     def test_bad_range_exit_2(self, capsys):
         code, _, err = run_cli(
@@ -192,8 +221,9 @@ class TestClassify:
         assert target.read_text() == "n,barker_count\n1,2\n3,4\n5,4\n"
 
     def test_over_limit_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "classify", "--max-n", "47")
-        assert code == 2 and "limited to" in err
+        code, out, err = run_cli(capsys, "classify", "--max-n", "47")
+        assert code == 2 and out == ""
+        assert err == "error: classification limited to n <= 45, requested 47\n"
 
 
 class TestWorkersFlag:
@@ -294,6 +324,26 @@ class TestDeterminism:
             (
                 ("verify", "--targets", "p-odd,L1,delta,theorem1", "--max-n", "11", "--json"),
                 "0b359944e275ac1ae9cf9f7c13fdc4dcf912a42d42a74abf6e8f2047d83fb7df",
+            ),
+            (
+                ("search", "--mode", "full", "--min-n", "1", "--max-n", "25", "--json"),
+                "4bcfbf6a8fc5911c1d7e8d1f63a6cea73191827031e3cb5efb6ead54c08ceef6",
+            ),
+            (
+                ("search", "--mode", "skew", "--min-n", "1", "--max-n", "45", "--json"),
+                "4bcfbf6a8fc5911c1d7e8d1f63a6cea73191827031e3cb5efb6ead54c08ceef6",
+            ),
+            (
+                ("search", "--mode", "full", "--max-n", "13", "--normalize"),
+                "5db91295b7a912e1ac318d2e178fd97e3a1b6ef0ad26118c6edb5c6834b4c41d",
+            ),
+            (
+                ("classify", "--max-n", "45", "--json"),
+                "41f01af087bca2e9a18dde57e702a9865ebb9e74631832299c7a79ecddccba54",
+            ),
+            (
+                ("classify", "--max-n", "21"),
+                "d7ac63c9a5a8c6ddadd2a6f1da2419ff2f9a63780288fc3990907546c421ecec",
             ),
         ],
     )

@@ -18,7 +18,6 @@ from runvec.lemmalab import (
     delta_autocorrelations,
     sweep,
     theorem1_residual,
-    verify_prop_skew_balanced,
 )
 from runvec.seqcore import (
     BinarySequence,
@@ -34,6 +33,7 @@ from oracles import (
     all_sign_tuples,
     brute_aperiodic,
     brute_delta_autocorrelation,
+    brute_is_balanced,
     brute_runs,
 )
 
@@ -267,7 +267,7 @@ class TestCheckPOdd:
 
 class TestSweeps:
     def test_prop_skew_examples(self):
-        report = verify_prop_skew_balanced(3)
+        report = sweep(3, ("prop-skew",))
         by_n = {rec.n: rec for rec in report.records}
         assert by_n[1].population == 2 and by_n[1].failure_count == 0
         assert by_n[3].population == 8 and by_n[3].failure_count == 0
@@ -476,6 +476,14 @@ class TestBalancedRunTuples:
         for n in range(1, 18, 2):
             assert len(balanced_run_tuples(n)) == 1 << ((n + 1) // 2 - 1)
 
+    def test_every_tuple_is_balanced_to_11(self):
+        for n in range(1, 12, 2):
+            for runs in balanced_run_tuples(n):
+                assert sum(runs) == n
+                assert brute_is_balanced(runs)
+
     def test_even_rejected(self):
         with pytest.raises(ValueError):
             balanced_run_tuples(4)
+        with pytest.raises(ValueError):
+            balanced_run_tuples(6)

@@ -1,4 +1,4 @@
-"""Search: pruned enumeration, balanced encodings, classification."""
+"""Search: pruned enumeration, soundness, classification."""
 
 import random
 
@@ -14,18 +14,10 @@ from runvec.search import (
     canonical_representatives,
     classify_odd_barker,
     counts_csv,
-    enumerate_balanced_rles,
     enumerate_barker,
     find_barker_sequences,
 )
-from runvec.seqcore import (
-    BinarySequence,
-    all_sequences,
-    encode_rle,
-    is_balanced,
-    is_barker,
-    run_structure,
-)
+from runvec.seqcore import BinarySequence, all_sequences, encode_rle, is_barker
 
 from oracles import (
     all_sign_tuples,
@@ -45,8 +37,6 @@ class TestSearchSpec:
             SearchSpec(7, 5)
         with pytest.raises(ValueError):
             SearchSpec(3, 5, mode="both")
-        with pytest.raises(ValueError):
-            SearchSpec(3, 5, prune_threshold=-1)
 
     def test_lengths_round_inward_to_odd(self):
         assert list(SearchSpec(3, 9).lengths()) == [3, 5, 7, 9]
@@ -77,8 +67,8 @@ class TestEnumerate:
             enumerate_barker(SearchSpec(3, FULL_SEARCH_LIMIT + 2, "full"))
         with pytest.raises(ValueError, match="limited to"):
             enumerate_barker(SearchSpec(3, SKEW_SEARCH_LIMIT + 2, "skew"))
-        # explicit override raises the cap
-        assert enumerate_barker(SearchSpec(47, 47, "skew"), limit=47) == []
+        # past the cap the one-length engine still runs, and finds nothing
+        assert find_barker_sequences(47, "skew") == []
 
     def test_normalize_collapses_orbits(self):
         found = enumerate_barker(SearchSpec(3, 7, "full", normalize=True))
@@ -169,25 +159,6 @@ class TestSoundness:
             if all(abs(c) <= 3 for c in aperiodic_autocorrelations(s)[1:-1])
         }
         assert loose == expect
-
-
-class TestBalancedEnumeration:
-    def test_examples(self):
-        assert [r.runs for r in enumerate_balanced_rles(3)] == [(1, 2), (2, 1)]
-        assert [r.runs for r in enumerate_balanced_rles(1)] == [(1,)]
-        n7 = enumerate_balanced_rles(7)
-        assert len(n7) == 8
-        assert (3, 2, 1, 1) in {r.runs for r in n7}
-
-    def test_all_verified_balanced(self):
-        for n in (5, 9, 11):
-            for rle in enumerate_balanced_rles(n):
-                assert rle.start_sign == 1
-                assert is_balanced(run_structure(rle))
-
-    def test_even_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_balanced_rles(6)
 
 
 class TestClassification:

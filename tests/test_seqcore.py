@@ -79,6 +79,14 @@ class TestTextFormats:
         assert err.value.position == 4
         with pytest.raises(ParseError):
             RunLengthEncoding.from_text("+,3,-2")
+        with pytest.raises(ParseError) as err:
+            RunLengthEncoding.from_text("+,3,000")
+        assert err.value.position == 4
+
+    def test_rle_leading_zeros(self):
+        assert RunLengthEncoding.from_text("+,0003,01").runs == (3, 1)
+        # zeros count against no integer-conversion digit limit
+        assert RunLengthEncoding.from_text("-," + "0" * 5000 + "2").runs == (2,)
 
     @pytest.mark.parametrize("digit", ["\u00b2", "\u00b3", "\u2460", "\u2466"])
     def test_rle_non_ascii_digits_are_parse_errors(self, digit):
