@@ -485,5 +485,3 @@ class TestBalancedRunTuples:
     def test_even_rejected(self):
         with pytest.raises(ValueError):
             balanced_run_tuples(4)
-        with pytest.raises(ValueError):
-            balanced_run_tuples(6)

@@ -1,9 +1,10 @@
-"""Search: pruned enumeration, soundness, classification."""
+"""Search: pruned enumeration, soundness, balanced encodings, classification."""
 
 import random
 
 import pytest
 
+from runvec.lemmalab import balanced_run_tuples
 from runvec.search import (
     FULL_SEARCH_LIMIT,
     SKEW_SEARCH_LIMIT,
@@ -159,6 +160,19 @@ class TestSoundness:
             if all(abs(c) <= 3 for c in aperiodic_autocorrelations(s)[1:-1])
         }
         assert loose == expect
+
+
+class TestBalancedEnumeration:
+    def test_examples(self):
+        assert balanced_run_tuples(3) == ((1, 2), (2, 1))
+        assert balanced_run_tuples(1) == ((1,),)
+        n7 = balanced_run_tuples(7)
+        assert len(n7) == 8
+        assert (3, 2, 1, 1) in n7
+
+    def test_even_rejected(self):
+        with pytest.raises(ValueError):
+            balanced_run_tuples(6)
 
 
 class TestClassification:
