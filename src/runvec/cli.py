@@ -288,8 +288,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_input_text(token: str) -> bool:
+    """A sequence or encoding text that argparse would read as an option:
+    '-' then only '+'/'-', or an encoding that starts '-,'.  A bare
+    ``--`` is argparse's end-of-options marker, never a sequence."""
+    if token.startswith("-,"):
+        return True
+    return token.startswith("-") and token != "--" and not token.strip("+-")
+
+
+def _escape_input_text(argv: list[str]) -> list[str]:
+    """``analyze``/``rle`` argv with each text that starts with '-' moved
+    where argparse reads it as a value: ``--rle <text>`` becomes
+    ``--rle=<text>``, and every other such text goes after one ``--``
+    marker, ahead of anything already there.  Other argv is returned as
+    it is."""
+    if argv[:1] not in (["analyze"], ["rle"]):
+        return argv
+    rest = argv[1:]
+    end = rest.index("--") if "--" in rest else len(rest)
+    options, texts = [argv[0]], []
+    i = 0
+    while i < end:
+        token = rest[i]
+        if token == "--rle" and i + 1 < end and _is_input_text(rest[i + 1]):
+            options.append(f"--rle={rest[i + 1]}")
+            i += 2
+            continue
+        (texts if _is_input_text(token) else options).append(token)
+        i += 1
+    if not texts and end == len(rest):
+        return options
+    return options + ["--"] + texts + rest[end + 1 :]
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_escape_input_text(argv))
     if getattr(args, "workers", 1) < 1:
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2

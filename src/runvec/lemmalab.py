@@ -17,13 +17,30 @@ target is evaluated on it.  Sequences are swept as packed masks (see
 :mod:`runvec.seqcore`): C comes from the packed kernel, the run vector
 from the runs read off the mask (never from C), and sequences are
 decoded only for the delta oracle, which is computed on the elements,
-and for failure witnesses.  Balanced run tuples are generated by
-mirroring the free half of a skew-symmetric sequence; negation
-preserves the tuple, so each odd length ``n`` yields exactly
-``2**((n+1)//2 - 1)`` distinct instances.  Each tuple's run structure
-is built once, its run vector and balanced profile on first use, and
-the targets reach their evaluators through one table that
-:func:`check_lemma` also uses.
+and for failure witnesses.
+
+Only the masks with the top bit clear, the sequences that start with
+'+', are evaluated: every sequence target reads quantities that
+negation, ``x -> x ^ (2**n - 1)``, leaves unchanged, so each verdict
+also stands for the complement ``~x``.  Read off the code:
+
+* within n bits, ``~x ^ (~x >> 1)`` differs from ``x ^ (x >> 1)`` only
+  in bit n-1, which :func:`~runvec.seqcore.packed_rle` forces on, so
+  the runs, and with them the run structure, the run vector and
+  balancedness, are equal;
+* ``(~x ^ (~x >> k)) & mask`` equals ``(x ^ (x >> k)) & mask`` for
+  every k >= 1, so C is equal;
+* the delta oracle multiplies pairs of differences, and negation flips
+  the sign of each difference, so every product is equal;
+* negation preserves skew-symmetry, since both slots of a mirrored
+  pair change sign.
+
+Balanced run tuples are generated by mirroring the free half of a
+skew-symmetric sequence; negation preserves the tuple, so each odd
+length ``n`` yields exactly ``2**((n+1)//2 - 1)`` distinct instances.
+Each tuple's run structure is built once, its run vector and balanced
+profile on first use, and the targets reach their evaluators through
+one table that :func:`check_lemma` also uses.
 
 Sweep reports serialize as one JSON record per (target, length):
 ``{target, n, population, hypotheses_met_count, failures}`` where
@@ -367,11 +384,13 @@ def _eval_l4(inst: _Instance, k: int):
     if not is_balanced(rs):
         return False, None, None
     mu = boundary_rank_interval(rs, k)
-    parity_match = (u_k(rs, k) - mu) % 2 == 0
+    # r~_k = f(k) + 2*u_k, read off the run vector the instance already holds
+    u = (inst.rv.tilde(k) - f_eval(rs, k)[2]) // 2
+    parity_match = (u - mu) % 2 == 0
     doubled = k % 2 == 0 and (k // 2) in rs.s_set
     if parity_match == doubled:
         return True, True, None
-    return True, False, {"k": k, "mu": mu, "u": u_k(rs, k), "doubled_boundary": doubled}
+    return True, False, {"k": k, "mu": mu, "u": u, "doubled_boundary": doubled}
 
 
 def _eval_l5(inst: _Instance, k: int):
@@ -549,12 +568,27 @@ def _clip(failures: list) -> tuple:
     return tuple(failures[:_MAX_WITNESSES])
 
 
+_NEGATE = str.maketrans("+-", "-+")
+
+
+def _complemented(witness: dict) -> dict:
+    """The witness of the negated sequence: only the instance text changes."""
+    return {**witness, "instance": witness["instance"].translate(_NEGATE)}
+
+
 def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
     """The sequence targets at length n over every mask; each mask's C,
-    run structure and run vector are built once for all of them."""
+    run structure and run vector are built once for all of them.
+
+    Only the masks of '+'-first sequences are evaluated; each stands for
+    itself and its complement, whose verdicts are the same (see the
+    module docstring).  Complement maps mask x to 2**n - 1 - x, so the
+    complements of the failures, in reverse, continue the witness list
+    in ascending mask order.
+    """
     theorem1, delta, skew = (t in targets for t in SEQUENCE_TARGETS)
     failures = {target: [] for target in targets}
-    for x in range(1 << n):
+    for x in range(1 << (n - 1)):
         rs = run_structure(packed_rle(x, n))
         if theorem1 or delta:
             c = (n, *packed_autocorrelations(x, n), 0)
@@ -590,7 +624,14 @@ def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
                 )
     population = 1 << n
     return [
-        SweepRecord(target, n, population, population, len(found), _clip(found))
+        SweepRecord(
+            target,
+            n,
+            population,
+            population,
+            2 * len(found),
+            _clip(found + [_complemented(w) for w in reversed(found)]),
+        )
         for target, found in failures.items()
     ]
 

@@ -9,6 +9,8 @@ import pytest
 
 from runvec.cli import MAX_LENGTH, main
 
+from oracles import all_sign_tuples, brute_runs
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -84,6 +86,72 @@ class TestRleCommand:
         assert code == 1 and out == "" and "position 2" in err
         code, out, err = run_cli(capsys, "analyze", f"--rle=+,3,{digit}", "--json")
         assert code == 1 and out == "" and "position 4" in err
+
+
+class TestLeadingMinus:
+    """Texts that start with '-' reach analyze and rle bare, as they do
+    after the ``--`` marker or in ``--rle=`` form."""
+
+    def test_every_text_to_8_bare_equals_escaped(self, capsys):
+        for n in range(1, 9):
+            for elems in all_sign_tuples(n):
+                text = "".join("+" if x == 1 else "-" for x in elems)
+                enc = ",".join([text[0]] + [str(r) for r in brute_runs(elems)])
+                pairs = [
+                    (("analyze", "--json", "--rle", enc), ("analyze", "--json", f"--rle={enc}")),
+                    (("rle", enc, "--json"), ("rle", "--json", "--", enc)),
+                ]
+                if text != "--":  # a bare "--" is the end-of-options marker
+                    pairs += [
+                        (("analyze", "--json", text), ("analyze", "--json", "--", text)),
+                        (("rle", text, "--json"), ("rle", "--json", "--", text)),
+                    ]
+                for bare, escaped in pairs:
+                    want = run_cli(capsys, *escaped)
+                    assert want[0] == 0 and want[2] == ""
+                    assert run_cli(capsys, *bare) == want, bare
+                    assert json.loads(want[1])["sequence"] == text
+
+    def test_two_minus_sequence_is_written_after_the_marker(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "--json", "--", "--")
+        assert code == 0 and json.loads(out)["rle"] == "-,2"
+        assert run_cli(capsys, "rle", "--", "--") == (0, "-,2\n", "")
+        assert run_cli(capsys, "analyze", "--rle", "-,2") == run_cli(capsys, "analyze", "--", "--")
+        code, out, err = run_cli(capsys, "analyze", "--")
+        assert (code, out) == (1, "") and "provide either" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["rle", "--"])
+        assert exc.value.code == 2
+        assert "required: input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("-,2,x", "error: expected a positive run length, got 'x' at position 4\n"),
+            ("-,0", "error: expected a positive run length, got '0' at position 2\n"),
+            ("-,2,\u00b2", "error: expected a positive run length, got '\u00b2' at position 4\n"),
+            ("-,", "error: expected a positive run length, got '' at position 2\n"),
+        ],
+    )
+    def test_malformed_encoding_gives_the_escaped_parse_error(self, capsys, text, message):
+        escaped = [("rle", "--", text), ("analyze", f"--rle={text}")]
+        bare = [("rle", text), ("analyze", "--rle", text)]
+        for argv in escaped + bare:
+            assert run_cli(capsys, *argv) == (1, "", message), argv
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("analyze", "-+x"), "unrecognized arguments: -+x"),
+            (("rle", "-2,1"), "the following arguments are required: input"),
+            (("rle", "-x"), "the following arguments are required: input"),
+        ],
+    )
+    def test_other_dash_tokens_stay_options(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestLengthCap:

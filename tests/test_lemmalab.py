@@ -424,12 +424,14 @@ class TestIdentitySoak:
         for _ in range(10_000):
             n = rng.randint(1, 256)
             seq = BinarySequence(tuple(rng.choice((1, -1)) for _ in range(n)))
-            assert all(v == 0 for v in theorem1_residual(seq))
+            # C and the run vector once each; theorem1_residual(seq) would
+            # compute both again for the residual checked first below
             c = aperiodic_autocorrelations(seq)
             r = run_vector(seq).r
             deltas = delta_autocorrelations(seq)
             for k in range(1, n):
                 d = deltas[k - 1]
+                assert c[k + 1] - 2 * c[k] + c[k - 1] + 2 * r[k - 1] == 0
                 assert d == 2 * r[k - 1]
                 assert d == -(c[k + 1] - 2 * c[k] + c[k - 1])
 

@@ -20,11 +20,15 @@ from runvec.seqcore import (
     is_balanced,
     is_barker,
     is_skew_symmetric,
+    packed_autocorrelations,
+    packed_rle,
+    packed_skew_symmetric,
     periodic_autocorrelations,
     run_structure,
     run_vector,
     run_vector_of,
     u_k,
+    unpack,
 )
 
 from oracles import (
@@ -242,3 +246,27 @@ def test_delta_vector_matches_brute(seq):
     assert len(deltas) == seq.n - 1
     for k in range(1, seq.n):
         assert deltas[k - 1] == brute_delta_autocorrelation(seq.elems, k)
+
+
+def _complement_invariants(x, n):
+    """What the sequence sweep reads of mask ``x``; it evaluates only the
+    '+'-first masks and takes each verdict to hold for the complement."""
+    return (
+        packed_rle(x, n).runs,
+        tuple(packed_autocorrelations(x, n)),
+        packed_skew_symmetric(x, n),
+        delta_autocorrelations(unpack(x, n)),
+    )
+
+
+def test_sweep_quantities_are_complement_invariant_to_14():
+    for n in range(1, 15):
+        full = (1 << n) - 1
+        for x in range(1 << (n - 1)):  # x or its complement is every mask
+            assert _complement_invariants(x, n) == _complement_invariants(x ^ full, n)
+
+
+@given(st.integers(1, 200).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_sweep_quantities_are_complement_invariant(case):
+    n, x = case
+    assert _complement_invariants(x, n) == _complement_invariants(x ^ ((1 << n) - 1), n)
