@@ -112,12 +112,7 @@ def _cmd_analyze(args) -> int:
     if args.json:
         print(_dumps(report))
         return 0
-    order = (
-        "sequence", "n", "rle", "gamma", "S", "T", "C", "C_periodic",
-        "r_tilde", "r", "balanced", "skew_symmetric", "barker",
-    )
-    for key in order:
-        value = report[key]
+    for key, value in report.items():
         if isinstance(value, list):
             value = _fmt_vec(value)
         elif isinstance(value, bool):
@@ -199,7 +194,7 @@ def _cmd_search(args) -> int:
     spec = SearchSpec(
         n_min=args.min_n, n_max=args.max_n, mode=args.mode, normalize=args.normalize
     )
-    found = enumerate_barker(spec, workers=args.workers)
+    found = enumerate_barker(spec)
     if args.json:
         for seq in found:
             print(_dumps(_search_record(seq)))
@@ -211,7 +206,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    report = classify_odd_barker(args.max_n, workers=args.workers)
+    report = classify_odd_barker(args.max_n)
     if args.csv:
         try:
             Path(args.csv).write_text(counts_csv(report))

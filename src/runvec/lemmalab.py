@@ -476,7 +476,7 @@ def _eval_p_odd(inst: _Instance, _):
             return True, False, {"part": "ii", "s_nu_plus_1": profile.s_nu_plus_1}
         if profile.alpha == 1 and (profile.s_nu_plus_1 + 1) not in inst.rs.t_set:
             return True, False, {"part": "iii", "s_nu_plus_1": profile.s_nu_plus_1}
-        bound = profile.p + profile.s_nu_plus_1 + profile.alpha + 1
+        bound = profile.k0 + 1
         if n > bound:
             return True, False, {"part": "iv", "n": n, "bound": bound}
     return True, True, None

@@ -148,7 +148,10 @@ class RunLengthEncoding:
             digits = token.lstrip("0")
             if not (digits.isascii() and digits.isdigit()):
                 raise ParseError(f"expected a positive run length, got {token!r}", pos)
-            runs.append(int(digits))
+            try:
+                runs.append(int(digits))
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"run length of {len(digits)} digits", pos) from None
             pos += len(token) + 1
         return cls(sign, tuple(runs))
 

@@ -5,9 +5,12 @@ complete.  Every tolerance is exact integer equality; the stated wall
 -clock budgets are asserted as part of their criteria.
 """
 
+import contextlib
+import io
 import random
 import time
 
+from runvec.cli import main
 from runvec.lemmalab import (
     balanced_run_tuples,
     barker_predictions,
@@ -244,6 +247,13 @@ def test_criterion_09_congruence_invariants():
     )
 
 
+def _cli_stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
 def test_criterion_10_search_soundness():
     prune_mismatch = 0
     for n in range(1, 17):
@@ -258,10 +268,14 @@ def test_criterion_10_search_soundness():
         mode_mismatch += full != skew
 
     worker_mismatch = 0
-    for mode, n in (("full", 13), ("skew", 15)):
-        base = find_barker_sequences(n, mode, workers=1)
-        for workers in (2, 3):
-            worker_mismatch += find_barker_sequences(n, mode, workers=workers) != base
+    for argv in (
+        ("search", "--mode", "full", "--max-n", "13"),
+        ("search", "--mode", "skew", "--max-n", "15"),
+        ("classify", "--max-n", "15"),
+    ):
+        base = _cli_stdout(*argv, "--workers", "1")
+        for workers in ("2", "3"):
+            worker_mismatch += _cli_stdout(*argv, "--workers", workers) != base
     sweep_base = sweep(9, ("theorem1", "L1"), workers=1)
     worker_mismatch += sweep(9, ("theorem1", "L1"), workers=2) != sweep_base
 

@@ -245,10 +245,10 @@ class TestSearch:
 
     def test_over_limit_exit_2(self, capsys):
         code, out, err = run_cli(
-            capsys, "search", "--min-n", "3", "--max-n", "27", "--mode", "full"
+            capsys, "search", "--min-n", "3", "--max-n", "47", "--mode", "full"
         )
         assert code == 2 and out == ""
-        assert err == "error: full-mode search limited to n <= 25, requested 27\n"
+        assert err == "error: full-mode search limited to n <= 45, requested 47\n"
         code, out, err = run_cli(capsys, "search", "--max-n", "47", "--mode", "skew", "--json")
         assert code == 2 and out == ""
         assert err == "error: skew-mode search limited to n <= 45, requested 47\n"
@@ -412,6 +412,10 @@ class TestDeterminism:
             (
                 ("classify", "--max-n", "21"),
                 "d7ac63c9a5a8c6ddadd2a6f1da2419ff2f9a63780288fc3990907546c421ecec",
+            ),
+            (
+                ("search", "--mode", "full", "--min-n", "1", "--max-n", "45", "--json"),
+                "4bcfbf6a8fc5911c1d7e8d1f63a6cea73191827031e3cb5efb6ead54c08ceef6",
             ),
         ],
     )

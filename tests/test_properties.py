@@ -1,8 +1,12 @@
 """Property tests over random sequences and encodings."""
 
+import contextlib
+import io
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from runvec.cli import main
 from runvec.lemmalab import (
     balanced_run_tuples,
     check_lemma,
@@ -12,6 +16,7 @@ from runvec.lemmalab import (
 )
 from runvec.seqcore import (
     BinarySequence,
+    ParseError,
     RunLengthEncoding,
     aperiodic_autocorrelations,
     decode_rle,
@@ -270,3 +275,50 @@ def test_sweep_quantities_are_complement_invariant_to_14():
 def test_sweep_quantities_are_complement_invariant(case):
     n, x = case
     assert _complement_invariants(x, n) == _complement_invariants(x ^ ((1 << n) - 1), n)
+
+
+# free text over the parsers' alphabet plus characters they must refuse
+# (a letter, a space, a non-ASCII and a superscript digit), and texts
+# shaped like an encoding, so that many drawn encodings are valid; some
+# runs have more digits than int() converts
+run_tokens = st.one_of(
+    st.text("0123456789", max_size=2), st.integers(4300, 4400).map(lambda k: "7" * k)
+)
+input_texts = st.one_of(
+    st.text("+-,0123456789x \u0663\u00b2", max_size=30),
+    st.tuples(st.sampled_from("+-x"), st.lists(run_tokens, max_size=6)).map(
+        lambda pair: ",".join((pair[0], *pair[1]))
+    ),
+)
+
+
+@given(input_texts)
+def test_text_parsers_return_a_value_or_raise_parse_error(text):
+    for parse in (BinarySequence.from_text, RunLengthEncoding.from_text):
+        try:
+            parse(text)
+        except ParseError:
+            pass
+
+
+# each main call builds the argparse parser (about 1.6 ms), so keep this small
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        input_texts.map(lambda text: ("analyze", text)),
+        input_texts.map(lambda text: ("analyze", "--rle", text)),
+        input_texts.map(lambda text: ("rle", text)),
+    ),
+    st.booleans(),
+)
+def test_fuzzed_analyze_and_rle_argv_exit_cleanly(argv, as_json):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([*argv, "--json"] if as_json else list(argv))
+        except SystemExit as exc:  # argparse refused the argv
+            code = exc.code
+    assert code in (0, 1, 2)
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert len(errors) == (code != 0)
+    assert "Traceback" not in err.getvalue()

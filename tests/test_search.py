@@ -6,8 +6,7 @@ import pytest
 
 from runvec.lemmalab import balanced_run_tuples
 from runvec.search import (
-    FULL_SEARCH_LIMIT,
-    SKEW_SEARCH_LIMIT,
+    SEARCH_LIMIT,
     ClassificationReport,
     SearchSpec,
     brute_force_barker,
@@ -64,12 +63,12 @@ class TestEnumerate:
         assert enumerate_barker(SearchSpec(15, 17, "skew")) == []
 
     def test_limits_enforced(self):
-        with pytest.raises(ValueError, match="limited to"):
-            enumerate_barker(SearchSpec(3, FULL_SEARCH_LIMIT + 2, "full"))
-        with pytest.raises(ValueError, match="limited to"):
-            enumerate_barker(SearchSpec(3, SKEW_SEARCH_LIMIT + 2, "skew"))
-        # past the cap the one-length engine still runs, and finds nothing
-        assert find_barker_sequences(47, "skew") == []
+        for mode in ("full", "skew"):
+            message = f"^{mode}-mode search limited to n <= 45, requested 47$"
+            with pytest.raises(ValueError, match=message):
+                enumerate_barker(SearchSpec(3, SEARCH_LIMIT + 2, mode))
+            # past the cap the one-length engine still runs, and finds nothing
+            assert find_barker_sequences(47, mode) == []
 
     def test_normalize_collapses_orbits(self):
         found = enumerate_barker(SearchSpec(3, 7, "full", normalize=True))
@@ -97,8 +96,8 @@ class TestSoundness:
             literal = {s.elems for s in all_sequences(n) if brute_is_barker(s.elems)}
             assert brute == literal
 
-    def test_mode_agreement_to_13(self):
-        for n in range(1, 14, 2):
+    def test_mode_agreement_to_limit(self):
+        for n in range(1, SEARCH_LIMIT + 1, 2):
             full = [s.elems for s in find_barker_sequences(n, "full")]
             skew = [s.elems for s in find_barker_sequences(n, "skew")]
             assert full == skew
@@ -107,13 +106,6 @@ class TestSoundness:
         for n in range(1, 14, 2):
             for seq in find_barker_sequences(n, "skew"):
                 assert is_barker(seq)
-
-    def test_worker_independence(self):
-        for mode, n in (("full", 11), ("skew", 13)):
-            one = find_barker_sequences(n, mode, workers=1)
-            two = find_barker_sequences(n, mode, workers=2)
-            three = find_barker_sequences(n, mode, workers=3)
-            assert one == two == three
 
     def test_negation_and_reversal_preserve_barker(self):
         for n in range(1, 13):
@@ -216,7 +208,7 @@ class TestClassification:
 
     def test_limit(self):
         with pytest.raises(ValueError, match="limited to"):
-            classify_odd_barker(SKEW_SEARCH_LIMIT + 2)
+            classify_odd_barker(SEARCH_LIMIT + 2)
 
 
 class TestCanonicalization:
