@@ -7,13 +7,18 @@ import sys
 
 import pytest
 
+from runvec import cli
 from runvec.cli import MAX_LENGTH, main
 
 from oracles import all_sign_tuples, brute_runs
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of one ``main`` call, usage errors too."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -337,6 +342,45 @@ class TestOutputErrors:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process and reuses it."""
+
+    #: Calls that must not see each other through the shared parser: the
+    #: value of the first ``--rle`` must not reach the bare ``analyze``.
+    ARGVS = [
+        ("analyze", "--rle", "+,3,2,1,1"),
+        ("analyze", "+++--+-"),
+        ("search",),  # usage error: --max-n is required
+        ("search", "--max-n", "5", "--workers", "0"),
+        ("analyze", "++", "--rle", "+,2"),
+        ("rle", "-++"),  # reaches argparse through _escape_input_text
+        ("verify", "--targets", "theorem1", "--max-n", "4", "--json"),
+        ("analyze", "--json", "--rle", "-,1,2"),
+        ("rle", "+,2,1", "--json"),
+    ]
+
+    def test_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        for argv in self.ARGVS:
+            run_cli(capsys, *argv)
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_no_state_leaks_between_calls(self, capsys):
+        forward = [run_cli(capsys, *argv) for argv in self.ARGVS]
+        backward = [run_cli(capsys, *argv) for argv in reversed(self.ARGVS)][::-1]
+        fresh = []
+        for argv in self.ARGVS:
+            cli._build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert forward == backward == fresh
+        codes = [code for code, _, _ in forward]
+        assert codes == [0, 0, 2, 2, 1, 0, 0, 0, 0]
+        # one sequence as encoding, then bare: the --rle default was reset
+        assert forward[0] == forward[1] and "barker          yes" in forward[1][1]
+        assert "required: --max-n" in forward[2][2]
+        assert forward[5] == (0, "-,1,2\n", "")
 
 
 #: A fixed 200-element sequence: '-' at the quadratic non-residues mod 211.
