@@ -30,8 +30,8 @@ masks is lexicographic order with '+' before '-'.  Slots ``i`` and
 autocorrelations, the run lengths and the predicates are all computed
 on this form.
 
-Every operation is a pure function of its inputs; all values are
-immutable after construction and safe to share across threads.
+Every operation is a pure function of its inputs; no operation mutates
+a value after construction, so values are safe to share across threads.
 """
 
 from __future__ import annotations

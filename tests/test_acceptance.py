@@ -12,7 +12,6 @@ import time
 
 from runvec.cli import main
 from runvec.lemmalab import (
-    balanced_run_tuples,
     barker_predictions,
     check_p_odd,
     sweep,

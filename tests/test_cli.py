@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import json
 import sys
 
@@ -157,6 +158,21 @@ class TestLeadingMinus:
             main(list(argv))
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_dash_text_parses_like_its_negation(self, capsys):
+        texts = ["-++", "-,2,1", "-", "---", "-,x"]
+        tokens = texts + ["--json", "--rle", "--rl", "--"]
+        negate = str.maketrans("+-", "-+")
+        for command in ("analyze", "rle"):
+            for size in (1, 2, 3):
+                for rest in itertools.product(tokens, repeat=size):
+                    negated = [t.translate(negate) if t in texts else t for t in rest]
+                    codes = []
+                    for argv in (rest, negated):
+                        code, _, err = run_cli(capsys, command, *argv)
+                        assert code == 0 or "error:" in err, argv
+                        codes.append(code)
+                    assert codes[0] == codes[1], rest
 
 
 class TestLengthCap:
@@ -355,7 +371,7 @@ class TestSharedParser:
         ("search",),  # usage error: --max-n is required
         ("search", "--max-n", "5", "--workers", "0"),
         ("analyze", "++", "--rle", "+,2"),
-        ("rle", "-++"),  # reaches argparse through _escape_input_text
+        ("rle", "-++"),  # a dash text, read as a value by the parser itself
         ("verify", "--targets", "theorem1", "--max-n", "4", "--json"),
         ("analyze", "--json", "--rle", "-,1,2"),
         ("rle", "+,2,1", "--json"),

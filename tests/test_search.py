@@ -7,7 +7,6 @@ import pytest
 from runvec.lemmalab import balanced_run_tuples
 from runvec.search import (
     SEARCH_LIMIT,
-    ClassificationReport,
     SearchSpec,
     brute_force_barker,
     canonical_form,
