@@ -17,14 +17,27 @@ The argument parser is built on the first :func:`main` call and reused
 by every later one, because a build costs about twenty parses.
 ``set_defaults`` binds the ``_cmd_*`` handlers at build time, so a test
 that patches one must call ``_build_parser.cache_clear()``.
+
+Start-up costs are paid at import, none by the first command.  argparse
+imports ``locale`` and, on 3.10, 3.12 and 3.13, ``shutil`` with
+``bz2``/``lzma``/``zlib`` on its first parser build.  Nothing else here
+loads them, since :mod:`runvec.lemmalab` imports its process pool only
+when a sweep starts one, so this module imports both up front.  The
+first build ends with ``gc.freeze()``: the modules and the parser live
+as long as the process, so later collections stop rescanning them in
+whichever command crosses a threshold, and pool workers forked after it
+leave those pages shared.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
+import locale  # for argparse, see the module docstring
 import os
+import shutil  # for argparse, see the module docstring
 import sys
 from pathlib import Path
 
@@ -247,7 +260,9 @@ def _build_parser() -> argparse.ArgumentParser:
     later :func:`main` call: building takes 1.2-1.5 ms, a parse with it
     0.05-0.07 ms (timeit, 2-core VM, Python 3.11.7).  ``set_defaults``
     binds the ``_cmd_*`` handlers here, so a test that patches one must
-    call ``_build_parser.cache_clear()``."""
+    call ``_build_parser.cache_clear()``.  The build ends with
+    ``gc.freeze()``, which moves every object alive then out of the
+    collector's generations."""
     parser = _Parser(
         prog="runvec",
         description="Run-vector analysis, verification sweeps, and Barker search "
@@ -296,6 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_classify)
+    # the imported modules and this parser live as long as the process
+    gc.freeze()
     return parser
 
 

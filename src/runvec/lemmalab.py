@@ -49,13 +49,15 @@ individual verdict evaluations whose hypotheses held, and ``failures``
 holds up to ten witnesses (``failure_count`` gives the full tally).
 Records come in the order of ``SWEEP_TARGETS``, then by length, and
 the report is a deterministic function of (targets, n_max), whatever
-the worker count; a pool receives the units longest first.
+the worker count; a pool receives the units longest first.  The pool
+module, ``concurrent.futures.process`` with ``multiprocessing``, is
+imported only when a sweep starts a pool, so no other command pays for
+loading it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -712,6 +714,9 @@ def sweep(n_max: int, targets, workers: int = 1) -> SweepReport:
     if size == 1:
         batches = [_sweep_unit(u) for u in units]
     else:
+        # imported here: it loads multiprocessing, which only a pool needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=size) as pool:
             batches = list(pool.map(_sweep_unit, units))
     rank = {target: i for i, target in enumerate(ordered)}

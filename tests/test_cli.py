@@ -4,7 +4,10 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -397,6 +400,44 @@ class TestSharedParser:
         assert forward[0] == forward[1] and "barker          yes" in forward[1][1]
         assert "required: --max-n" in forward[2][2]
         assert forward[5] == (0, "-,1,2\n", "")
+
+
+class TestStartup:
+    """Importing the CLI loads no process-pool module, and the first
+    commands of a process import nothing new: what argparse loads on its
+    first build is imported with :mod:`runvec.cli` itself."""
+
+    SCRIPT = """
+import contextlib, io, json, sys
+from runvec import cli
+pool = sorted(m for m in sys.modules
+              if m == "concurrent.futures.process" or m.startswith("multiprocessing"))
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"pool": pool, "codes": codes, "new": sorted(set(sys.modules) - before)}))
+"""
+    ARGVS = [
+        ["search", "--mode", "full", "--max-n", "13", "--json"],
+        ["analyze", "+++--+-", "--json"],
+        ["rle", "-++"],
+        ["verify", "--targets", "theorem1,L1", "--max-n", "5", "--workers", "1"],
+        ["classify", "--max-n", "13"],
+    ]
+
+    def test_no_pool_import_and_no_lazy_imports(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(self.ARGVS)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        report = json.loads(result.stdout)
+        assert report["pool"] == []
+        assert report["codes"] == [0] * len(self.ARGVS)
+        assert report["new"] == []
 
 
 #: A fixed 200-element sequence: '-' at the quadratic non-residues mod 211.

@@ -400,7 +400,8 @@ class TestSweeps:
                 return map(fn, items)
 
         monkeypatch.setattr(lemmalab.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(lemmalab, "ProcessPoolExecutor", InlinePool)
+        # sweep imports the executor when it starts a pool, so patch its home
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         report = sweep(5, ("L1",), workers=10**9)
         assert sizes == [2]
         assert report == sweep(5, ("L1",), workers=1)
