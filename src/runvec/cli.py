@@ -48,12 +48,12 @@ from .seqcore import (
     ParseError,
     RunLengthEncoding,
     aperiodic_autocorrelations,
-    autocorrelation_profile,
     decode_rle,
     encode_rle,
     is_balanced,
     is_barker,
     is_skew_symmetric,
+    periodic_autocorrelations,
     run_structure,
     run_vector_of,
 )
@@ -116,7 +116,6 @@ def _cmd_analyze(args) -> int:
         rle = encode_rle(seq)
     rs = run_structure(rle)
     rv = run_vector_of(rs)
-    profile = autocorrelation_profile(seq)
     report = {
         "sequence": seq.to_text(),
         "n": seq.n,
@@ -124,8 +123,8 @@ def _cmd_analyze(args) -> int:
         "gamma": rle.gamma,
         "S": sorted(rs.s_set),
         "T": sorted(rs.t_set),
-        "C": list(profile.c),
-        "C_periodic": list(profile.c_periodic),
+        "C": list(aperiodic_autocorrelations(seq)),
+        "C_periodic": list(periodic_autocorrelations(seq)),
         "r_tilde": list(rv.r_tilde),
         "r": list(rv.r),
         "balanced": is_balanced(rs),

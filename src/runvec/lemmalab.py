@@ -38,9 +38,9 @@ also stands for the complement ``~x``.  Read off the code:
 Balanced run tuples are generated by mirroring the free half of a
 skew-symmetric sequence; negation preserves the tuple, so each odd
 length ``n`` yields exactly ``2**((n+1)//2 - 1)`` distinct instances.
-Each tuple's run structure is built once, its run vector and balanced
-profile on first use, and the targets reach their evaluators through
-one table that :func:`check_lemma` also uses.
+Each tuple's run structure is built once, its balancedness, run vector
+and balanced profile on first use, and the targets reach their
+evaluators through one table that :func:`check_lemma` also uses.
 
 Sweep reports serialize as one JSON record per (target, length):
 ``{target, n, population, hypotheses_met_count, failures}`` where
@@ -58,11 +58,11 @@ loading it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .seqcore import (
     BinarySequence,
+    Record,
     RunLengthEncoding,
     RunVector,
     aperiodic_autocorrelations,
@@ -103,8 +103,7 @@ SWEEP_LIMITS = {
 _MAX_WITNESSES = 10
 
 
-@dataclass(frozen=True)
-class BalancedProfile:
+class BalancedProfile(Record):
     """Leading-run analysis of a balanced encoding with first run > 1.
 
     ``p`` is the first run length, ``nu`` the first index whose successor
@@ -114,76 +113,63 @@ class BalancedProfile:
     verifier.
     """
 
-    p: int
-    nu: int
-    q: int
-    alpha: int
-    s_nu_plus_1: int
-    k0: int
+    __slots__ = ("p", "nu", "q", "alpha", "s_nu_plus_1", "k0")
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "nu": self.nu,
-            "q": self.q,
-            "alpha": self.alpha,
-            "s_nu_plus_1": self.s_nu_plus_1,
-            "k0": self.k0,
-        }
+    def __init__(self, p: int, nu: int, q: int, alpha: int, s_nu_plus_1: int, k0: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "s_nu_plus_1", s_nu_plus_1)
+        object.__setattr__(self, "k0", k0)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of one verifier on one instance.
 
     ``conclusion_holds`` is None when the hypotheses were not met.
     """
 
-    lemma_id: str
-    instance: str
-    hypotheses_met: bool
-    conclusion_holds: bool | None
-    witness: dict | None = None
+    __slots__ = ("lemma_id", "instance", "hypotheses_met", "conclusion_holds", "witness")
 
-    def to_json(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "instance": self.instance,
-            "hypotheses_met": self.hypotheses_met,
-            "conclusion_holds": self.conclusion_holds,
-            "witness": self.witness,
-        }
+    def __init__(self, lemma_id: str, instance: str, hypotheses_met: bool,
+                 conclusion_holds: bool | None, witness: dict | None = None):
+        object.__setattr__(self, "lemma_id", lemma_id)
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "hypotheses_met", hypotheses_met)
+        object.__setattr__(self, "conclusion_holds", conclusion_holds)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class BarkerPredictions:
+class BarkerPredictions(Record):
     """Predicted autocorrelation and run-vector profiles for an odd length.
 
     Slot ``i`` of each tuple holds the value for shift ``i + 1``.
     """
 
-    n: int
-    c: tuple[int, ...]
-    r: tuple[int, ...]
-    r_tilde: tuple[int, ...]
+    __slots__ = ("n", "c", "r", "r_tilde")
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "C": list(self.c),
-            "r": list(self.r),
-            "r_tilde": list(self.r_tilde),
-        }
+    def __init__(self, n: int, c: tuple[int, ...], r: tuple[int, ...], r_tilde: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r_tilde", r_tilde)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    target: str
-    n: int
-    population: int
-    hypotheses_met_count: int
-    failure_count: int
-    failures: tuple
+class SweepRecord(Record):
+    """One (target, length) row of a sweep report."""
+
+    __slots__ = ("target", "n", "population", "hypotheses_met_count", "failure_count",
+                 "failures")
+
+    def __init__(self, target: str, n: int, population: int, hypotheses_met_count: int,
+                 failure_count: int, failures: tuple):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "population", population)
+        object.__setattr__(self, "hypotheses_met_count", hypotheses_met_count)
+        object.__setattr__(self, "failure_count", failure_count)
+        object.__setattr__(self, "failures", failures)
 
     def to_json(self) -> dict:
         return {
@@ -196,12 +182,18 @@ class SweepRecord:
         }
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    n_max: int
-    targets: tuple[str, ...]
-    records: tuple[SweepRecord, ...]
-    complete: bool
+class SweepReport(Record):
+    """Every record of one sweep; ``complete`` is False when a target
+    was clamped to its limit."""
+
+    __slots__ = ("n_max", "targets", "records", "complete")
+
+    def __init__(self, n_max: int, targets: tuple[str, ...], records: tuple[SweepRecord, ...],
+                 complete: bool):
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "complete", complete)
 
     @property
     def ok(self) -> bool:
@@ -305,12 +297,16 @@ def barker_predictions(n: int) -> BarkerPredictions:
 
 class _Instance:
     """One encoding with the state its verifiers share, each part built
-    once: the run structure up front, the run vector and the balanced
-    profile on first use."""
+    once: the run structure up front; balancedness, the run vector and
+    the balanced profile on first use."""
 
     def __init__(self, rle: RunLengthEncoding):
         self.rle = rle
         self.rs = run_structure(rle)
+
+    @cached_property
+    def balanced(self) -> bool:
+        return is_balanced(self.rs)
 
     @cached_property
     def rv(self) -> RunVector:
@@ -320,7 +316,7 @@ class _Instance:
     def profile(self) -> BalancedProfile:
         """:func:`balanced_profile` of the encoding, read off this state."""
         rle, rs = self.rle, self.rs
-        if not is_balanced(rs):
+        if not self.balanced:
             raise ValueError("requires balanced RLE")
         p = rle.runs[0]
         if p == 1:
@@ -349,7 +345,7 @@ class _Instance:
 
 
 def _eval_l1(inst: _Instance, _):
-    balanced = is_balanced(inst.rs)
+    balanced = inst.balanced
     r_tilde = inst.rv.r_tilde
     if balanced == all(v & 1 for v in r_tilde):
         return True, True, None
@@ -359,7 +355,7 @@ def _eval_l1(inst: _Instance, _):
 
 def _eval_l2(inst: _Instance, k: int):
     rs = inst.rs
-    if not (is_balanced(rs) and k not in rs.s_set):
+    if not (inst.balanced and k not in rs.s_set):
         return False, None, None
     mu = boundary_rank_interval(rs, k)
     fs, ft, f = f_eval(rs, k)
@@ -371,7 +367,7 @@ def _eval_l2(inst: _Instance, k: int):
 
 def _eval_l3(inst: _Instance, k: int):
     rs = inst.rs
-    if not (is_balanced(rs) and k in rs.s_set and k % 2 == 1):
+    if not (inst.balanced and k in rs.s_set and k % 2 == 1):
         return False, None, None
     f_at = f_eval(rs, k)[2]
     if k > 1 and f_eval(rs, k - 1)[2] != -f_at:
@@ -383,7 +379,7 @@ def _eval_l3(inst: _Instance, k: int):
 
 def _eval_l4(inst: _Instance, k: int):
     rs = inst.rs
-    if not is_balanced(rs):
+    if not inst.balanced:
         return False, None, None
     mu = boundary_rank_interval(rs, k)
     # r~_k = f(k) + 2*u_k, read off the run vector the instance already holds
@@ -397,7 +393,7 @@ def _eval_l4(inst: _Instance, k: int):
 
 def _eval_l5(inst: _Instance, k: int):
     rs = inst.rs
-    if not (is_balanced(rs) and k in rs.s_set):
+    if not (inst.balanced and k in rs.s_set):
         return False, None, None
     doubled = k % 2 == 0 and (k // 2) in rs.s_set
     r_tilde_k = inst.rv.tilde(k)
@@ -409,7 +405,7 @@ def _eval_l5(inst: _Instance, k: int):
 def _eval_l6(inst: _Instance, mu: int):
     rle, rs = inst.rle, inst.rs
     gamma = rle.gamma
-    if not (is_balanced(rs) and 1 <= mu < gamma):
+    if not (inst.balanced and 1 <= mu < gamma):
         return False, None, None
     if any(rle.runs[j] < 2 for j in range(mu - 1)):
         return False, None, None
@@ -425,7 +421,7 @@ def _eval_l6(inst: _Instance, mu: int):
 def _l7_hypotheses(inst: _Instance):
     """Profile of an instance meeting the pair-bound hypotheses, else None."""
     rle, rs = inst.rle, inst.rs
-    if not is_balanced(rs) or rle.runs[0] < 3:
+    if not inst.balanced or rle.runs[0] < 3:
         return None
     profile = inst.profile
     if profile.p % 2 == 0 or profile.s_nu_plus_1 % 2 == 0:

@@ -32,11 +32,10 @@ pruned search can be checked against it exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lemmalab import balanced_profile
 from .seqcore import (
     BinarySequence,
+    Record,
     RunLengthEncoding,
     encode_rle,
     pack,
@@ -49,8 +48,7 @@ from .seqcore import (
 SEARCH_LIMIT = 45
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(Record):
     """An inclusive odd-length range plus search mode.
 
     Lengths are odd in both modes (even-length search is out of scope);
@@ -58,32 +56,36 @@ class SearchSpec:
     to one representative per negation/reversal orbit.
     """
 
-    n_min: int
-    n_max: int
-    mode: str = "full"
-    normalize: bool = False
+    __slots__ = ("n_min", "n_max", "mode", "normalize")
 
-    def __post_init__(self) -> None:
-        if self.n_min < 1 or self.n_max < self.n_min:
-            raise ValueError(f"bad length range [{self.n_min}, {self.n_max}]")
-        if self.mode not in ("full", "skew"):
-            raise ValueError(f"mode must be 'full' or 'skew', got {self.mode!r}")
+    def __init__(self, n_min: int, n_max: int, mode: str = "full", normalize: bool = False):
+        if n_min < 1 or n_max < n_min:
+            raise ValueError(f"bad length range [{n_min}, {n_max}]")
+        if mode not in ("full", "skew"):
+            raise ValueError(f"mode must be 'full' or 'skew', got {mode!r}")
+        object.__setattr__(self, "n_min", n_min)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "normalize", normalize)
 
     def lengths(self) -> range:
         start = self.n_min if self.n_min % 2 == 1 else self.n_min + 1
         return range(start, self.n_max + 1, 2)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     """Per-length Barker counts plus the normalized encodings and the
     structural facts checked on each (lengths above 5 only)."""
 
-    n_max: int
-    counts: dict
-    normalized_rles: dict
-    checks: tuple
-    notes: tuple
+    __slots__ = ("n_max", "counts", "normalized_rles", "checks", "notes")
+
+    def __init__(self, n_max: int, counts: dict, normalized_rles: dict, checks: tuple,
+                 notes: tuple):
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "normalized_rles", normalized_rles)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "notes", notes)
 
     def to_json(self) -> dict:
         return {

@@ -13,8 +13,8 @@ Index conventions, stated once here for the whole package:
   ``k = 0..n``, with ``C_n = 0`` by convention.  Periodic vectors:
   slot ``k`` holds the k-th cyclic autocorrelation, ``k = 0..n-1``.
 * Run-vector tuples are shifted by one: slot ``i`` holds the entry for
-  shift ``i+1``.  Use :meth:`RunVector.tilde` / :meth:`RunVector.at`
-  for 1-based access.
+  shift ``i+1``: ``r[k-1]`` is entry k of the reflected vector, and
+  :meth:`RunVector.tilde` reads the untransformed one 1-based.
 * ``RunStructure.s`` and ``.t`` store the boundary prefix sums with
   slot ``j`` holding the ``(j+1)``-th one, so ``s[0]`` is the first
   run boundary and ``s[-1] == n``.
@@ -37,9 +37,8 @@ a value after construction, so values are safe to share across threads.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator
+from collections.abc import Iterator
 
 
 class ParseError(ValueError):
@@ -50,21 +49,65 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class BinarySequence:
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields in ``__slots__`` in constructor order
+    and sets them with ``object.__setattr__``, past the refusing
+    :meth:`__setattr__`; the types a sweep builds per instance bind it
+    to a local first, which builds them no slower than a dataclass.
+    Records of the exact same type with equal fields are equal; hash
+    and repr read the same fields, except those named in ``_hidden``.
+    Unpickling calls the constructor (:meth:`__reduce__`), since
+    restoring slot state would assign.
+
+    Not a dataclass: importing :mod:`dataclasses`, which imports
+    :mod:`inspect`, and building the frozen classes took about 20 ms of
+    every command's start-up; these classes build in well under 1 ms.
+    """
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+
+    def _items(self) -> tuple:
+        return tuple([(f, getattr(self, f)) for f in self.__slots__ if f not in self._hidden])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._items() == other._items()
+
+    def __hash__(self) -> int:
+        return hash(self._items())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={value!r}" for name, value in self._items()])
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class BinarySequence(Record):
     """A finite sequence over {-1, +1}."""
 
-    elems: tuple[int, ...]
+    __slots__ = ("elems",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.elems, tuple):
-            object.__setattr__(self, "elems", tuple(self.elems))
-        if not self.elems:
+    def __init__(self, elems: tuple[int, ...]):
+        elems = tuple(elems)
+        if not elems:
             raise ValueError("sequence length must be >= 1")
-        for x in self.elems:
+        for x in elems:
             # bool is an int subclass, so True == 1 needs its own test
             if (x != 1 and x != -1) or x is True or x is False:
                 raise ValueError(f"sequence elements must be +1 or -1, got {x!r}")
+        object.__setattr__(self, "elems", elems)
 
     @property
     def n(self) -> int:
@@ -94,33 +137,28 @@ class BinarySequence:
     def reversed(self) -> BinarySequence:
         return BinarySequence(self.elems[::-1])
 
-    def to_json(self) -> dict:
-        return {"elems": list(self.elems), "n": self.n}
-
     def __str__(self) -> str:
         return self.to_text()
 
 
-@dataclass(frozen=True)
-class RunLengthEncoding:
+class RunLengthEncoding(Record):
     """Starting sign plus the lengths of the maximal constant blocks."""
 
-    start_sign: int
-    runs: tuple[int, ...]
+    __slots__ = ("start_sign", "runs")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.runs, tuple):
-            object.__setattr__(self, "runs", tuple(self.runs))
-        sign = self.start_sign
-        if (sign != 1 and sign != -1) or sign is True:
-            raise ValueError(f"start_sign must be +1 or -1, got {sign!r}")
-        runs = self.runs
+    def __init__(self, start_sign: int, runs: tuple[int, ...]):
+        runs = tuple(runs)
+        if (start_sign != 1 and start_sign != -1) or start_sign is True:
+            raise ValueError(f"start_sign must be +1 or -1, got {start_sign!r}")
         if not runs:
             raise ValueError("an encoding needs at least one run")
         for r in runs:
             # an exact type test, so bool (an int subclass) is rejected too
             if type(r) is not int or r < 1:
                 raise ValueError(f"run lengths must be positive integers, got {r!r}")
+        set_ = object.__setattr__
+        set_(self, "start_sign", start_sign)
+        set_(self, "runs", runs)
 
     @property
     def gamma(self) -> int:
@@ -159,81 +197,52 @@ class RunLengthEncoding:
         sign = "+" if self.start_sign == 1 else "-"
         return ",".join([sign] + [str(r) for r in self.runs])
 
-    def to_json(self) -> dict:
-        return {
-            "start_sign": self.start_sign,
-            "runs": list(self.runs),
-            "gamma": self.gamma,
-            "n": self.n,
-        }
-
     def __str__(self) -> str:
         return self.to_text()
 
 
-@dataclass(frozen=True)
-class RunStructure:
+class RunStructure(Record):
     """Boundary prefix sums of an encoding plus the sign tables on them.
 
     ``s`` holds the forward prefix sums of the run lengths, ``t`` the
-    prefix sums taken from the other end; both end at ``n``.  ``s_set``/``t_set`` are the
-    first ``gamma - 1`` of each (the interior boundary positions).
-    ``f_s``/``f_t`` map an interior boundary position to the alternating
-    sign of its rank: position of rank ``j`` maps to ``(-1)**j``.
+    prefix sums taken from the other end; both end at ``n``.
+    ``s_set``/``t_set`` are the first ``gamma - 1`` of each (the interior
+    boundary positions).  ``f_s``/``f_t`` map an interior boundary
+    position to the alternating sign of its rank, ``(-1)**j`` at rank
+    ``j``; they follow from the rest, so equality, hash and repr skip them.
     """
 
-    s: tuple[int, ...]
-    t: tuple[int, ...]
-    s_set: frozenset[int]
-    t_set: frozenset[int]
-    gamma: int
-    n: int
-    f_s: dict = field(repr=False, compare=False)
-    f_t: dict = field(repr=False, compare=False)
+    __slots__ = ("s", "t", "s_set", "t_set", "gamma", "n", "f_s", "f_t")
+    _hidden = ("f_s", "f_t")
 
-    def to_json(self) -> dict:
-        return {
-            "s": list(self.s),
-            "t": list(self.t),
-            "S": sorted(self.s_set),
-            "T": sorted(self.t_set),
-            "gamma": self.gamma,
-            "n": self.n,
-        }
+    def __init__(self, s: tuple[int, ...], t: tuple[int, ...], s_set: frozenset[int],
+                 t_set: frozenset[int], gamma: int, n: int, f_s: dict, f_t: dict):
+        set_ = object.__setattr__
+        set_(self, "s", s)
+        set_(self, "t", t)
+        set_(self, "s_set", s_set)
+        set_(self, "t_set", t_set)
+        set_(self, "gamma", gamma)
+        set_(self, "n", n)
+        set_(self, "f_s", f_s)
+        set_(self, "f_t", f_t)
 
 
-@dataclass(frozen=True)
-class RunVector:
+class RunVector(Record):
     """The run-vector pair; slot ``i`` of each tuple holds entry ``i+1``."""
 
-    r_tilde: tuple[int, ...]
-    r: tuple[int, ...]
+    __slots__ = ("r_tilde", "r")
+
+    def __init__(self, r_tilde: tuple[int, ...], r: tuple[int, ...]):
+        set_ = object.__setattr__
+        set_(self, "r_tilde", r_tilde)
+        set_(self, "r", r)
 
     def tilde(self, k: int) -> int:
         """Entry k of the untransformed vector, 1 <= k <= n-1."""
         if not 1 <= k <= len(self.r_tilde):
             raise ValueError(f"k must be in [1, {len(self.r_tilde)}], got {k}")
         return self.r_tilde[k - 1]
-
-    def at(self, k: int) -> int:
-        """Entry k of the reflected vector, 1 <= k <= n-1."""
-        if not 1 <= k <= len(self.r):
-            raise ValueError(f"k must be in [1, {len(self.r)}], got {k}")
-        return self.r[k - 1]
-
-    def to_json(self) -> dict:
-        return {"r_tilde": list(self.r_tilde), "r": list(self.r)}
-
-
-@dataclass(frozen=True)
-class AutocorrelationProfile:
-    """Aperiodic vector ``C_0..C_n`` and periodic vector of length n."""
-
-    c: tuple[int, ...]
-    c_periodic: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {"C": list(self.c), "C_periodic": list(self.c_periodic)}
 
 
 def pack(seq: BinarySequence) -> int:
@@ -321,12 +330,6 @@ def periodic_autocorrelations(seq: BinarySequence) -> tuple[int, ...]:
     mask = (1 << n) - 1
     return tuple(
         n - 2 * (x ^ (((x >> k) | (x << (n - k))) & mask)).bit_count() for k in range(n)
-    )
-
-
-def autocorrelation_profile(seq: BinarySequence) -> AutocorrelationProfile:
-    return AutocorrelationProfile(
-        aperiodic_autocorrelations(seq), periodic_autocorrelations(seq)
     )
 
 

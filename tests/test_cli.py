@@ -42,6 +42,15 @@ class TestAnalyze:
         assert report["rle"] == "+,3,2,1,1"
         assert report["r_tilde"] == [-1, 1, -1, 1, -1, -3]
 
+    def test_json_key_set(self, capsys):
+        _, out, _ = run_cli(capsys, "analyze", "+++--+-", "--json")
+        assert set(json.loads(out)) == {
+            "sequence", "n", "rle", "gamma", "S", "T", "C", "C_periodic",
+            "r_tilde", "r", "balanced", "skew_symmetric", "barker",
+        }
+        _, out, _ = run_cli(capsys, "rle", "+,3,2,1,1", "--json")
+        assert set(json.loads(out)) == {"rle", "sequence"}
+
     def test_single_element(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "+", "--json")
         assert code == 0
@@ -403,19 +412,24 @@ class TestSharedParser:
 
 
 class TestStartup:
-    """Importing the CLI loads no process-pool module, and the first
-    commands of a process import nothing new: what argparse loads on its
-    first build is imported with :mod:`runvec.cli` itself."""
+    """Importing the CLI loads no process-pool module and neither
+    :mod:`dataclasses` nor :mod:`inspect`, and the first commands of a
+    process import nothing new: what argparse loads on its first build
+    is imported with :mod:`runvec.cli` itself."""
 
     SCRIPT = """
 import contextlib, io, json, sys
 from runvec import cli
-pool = sorted(m for m in sys.modules
-              if m == "concurrent.futures.process" or m.startswith("multiprocessing"))
+def unwanted():
+    return sorted(m for m in sys.modules
+                  if m in ("concurrent.futures.process", "dataclasses", "inspect")
+                  or m.startswith("multiprocessing"))
+at_import = unwanted()
 before = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"pool": pool, "codes": codes, "new": sorted(set(sys.modules) - before)}))
+print(json.dumps({"at_import": at_import, "after": unwanted(), "codes": codes,
+                  "new": sorted(set(sys.modules) - before)}))
 """
     ARGVS = [
         ["search", "--mode", "full", "--max-n", "13", "--json"],
@@ -435,7 +449,8 @@ print(json.dumps({"pool": pool, "codes": codes, "new": sorted(set(sys.modules) -
             check=True,
         )
         report = json.loads(result.stdout)
-        assert report["pool"] == []
+        assert report["at_import"] == []
+        assert report["after"] == []
         assert report["codes"] == [0] * len(self.ARGVS)
         assert report["new"] == []
 

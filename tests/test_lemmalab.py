@@ -187,6 +187,10 @@ class TestCheckLemma:
         # unbalanced instance fails every balanced-only hypothesis
         assert not check_lemma("L2", rle((2, 2)), k=1).hypotheses_met
         assert not check_lemma("L4", rle((2, 2)), k=1).hypotheses_met
+        for lemma_id, params in (("L3", {"k": 3}), ("L5", {"k": 3}), ("L6", {"mu": 1})):
+            assert not check_lemma(lemma_id, rle((3, 3, 1)), **params).hypotheses_met
+        assert not check_lemma("L7", rle((3, 3, 1))).hypotheses_met
+        assert not check_lemma("L7n", rle((3, 3, 1))).hypotheses_met
         # p = 2 is balanced but below the pair-bound's p >= 3
         assert not check_lemma("L7", rle((2, 2, 1)), k=None).hypotheses_met
 
@@ -454,20 +458,18 @@ class TestBarkerBalancedProposition:
 
 class TestJsonShapes:
     def test_profile_verdict_predictions(self):
+        # the values the records' former JSON shapes carried, read as attributes
         profile = balanced_profile(rle((3, 2, 1, 1)))
-        assert profile.to_json() == {
-            "p": 3, "nu": 1, "q": 2, "alpha": 0, "s_nu_plus_1": 5, "k0": 8,
-        }
+        assert (profile.p, profile.nu, profile.q) == (3, 1, 2)
+        assert (profile.alpha, profile.s_nu_plus_1, profile.k0) == (0, 5, 8)
         verdict = check_lemma("L5", rle((3, 2, 1, 1)), k=6)
-        assert verdict.to_json() == {
-            "lemma_id": "L5",
-            "instance": "+,3,2,1,1",
-            "hypotheses_met": True,
-            "conclusion_holds": True,
-            "witness": None,
-        }
+        assert verdict.lemma_id == "L5"
+        assert verdict.instance == "+,3,2,1,1"
+        assert verdict.hypotheses_met is True
+        assert verdict.conclusion_holds is True
+        assert verdict.witness is None
         pred = barker_predictions(3)
-        assert pred.to_json() == {"n": 3, "C": [0, -1], "r": [-1, -1], "r_tilde": [-1, -1]}
+        assert (pred.n, pred.c, pred.r, pred.r_tilde) == (3, (0, -1), (-1, -1), (-1, -1))
 
 
 class TestBalancedRunTuples:

@@ -167,7 +167,7 @@ def test_run_vector_shape_and_symmetry(rle):
     assert len(rv.r_tilde) == max(0, n - 1)
     for k in range(1, n):
         assert rv.tilde(k) == f_eval(rs, k)[2] + 2 * u_k(rs, k)
-        assert rv.at(k) == sign_gamma * rv.tilde(n - k)
+        assert rv.r[k - 1] == sign_gamma * rv.tilde(n - k)
         assert abs(rv.tilde(k)) <= 2 * gamma - 1
     for k in range(1, min(rs.s[0], n - 1) + 1):
         assert u_k(rs, k) == 0

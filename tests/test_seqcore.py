@@ -8,7 +8,6 @@ from runvec.seqcore import (
     RunLengthEncoding,
     all_sequences,
     aperiodic_autocorrelations,
-    autocorrelation_profile,
     decode_rle,
     encode_rle,
     f_eval,
@@ -198,9 +197,9 @@ class TestAutocorrelations:
         assert brute_periodic(s.elems) == expected
 
     def test_profile_bundles_both(self):
-        p = autocorrelation_profile(seq("++-"))
-        assert p.c == (3, 0, -1, 0)
-        assert p.c_periodic == (3, -1, -1)
+        s = seq("++-")
+        assert aperiodic_autocorrelations(s) == (3, 0, -1, 0)
+        assert periodic_autocorrelations(s) == (3, -1, -1)
 
     def test_congruences_exhaustive_to_10(self):
         # parity of C_k, the periodic/aperiodic fold, mod-4 residue,
@@ -323,7 +322,7 @@ class TestRunVector:
 
         rv = run_vector(decode_rle(rle(1, (3, 2, 1, 1))))
         assert rv.r_tilde == (-1, 1, -1, 1, -1, -3)
-        assert rv.at(1) == -3
+        assert rv.r[0] == -3
         assert rv.tilde(6) == -3
 
         assert run_vector(seq("+")) == run_vector_of(run_structure(rle(1, (1,))))
@@ -346,15 +345,13 @@ class TestRunVector:
                 rv = run_vector_of(run_structure(rle(1, runs)))
                 assert len(rv.r_tilde) == n - 1 and len(rv.r) == n - 1
                 for k in range(1, n):
-                    assert rv.at(k) == sign_gamma * rv.tilde(n - k)
+                    assert rv.r[k - 1] == sign_gamma * rv.tilde(n - k)
                     assert abs(rv.tilde(k)) <= 2 * gamma - 1
 
     def test_accessor_range_errors(self):
         rv = run_vector(seq("++-"))
         with pytest.raises(ValueError):
             rv.tilde(0)
-        with pytest.raises(ValueError):
-            rv.at(3)
 
 
 class TestPredicates:
@@ -439,20 +436,16 @@ class TestEnumerationAndJson:
         s = seq("+++--+-")
         r = encode_rle(s)
         rs = run_structure(r)
-        assert s.to_json() == {"elems": [1, 1, 1, -1, -1, 1, -1], "n": 7}
-        assert r.to_json() == {"start_sign": 1, "runs": [3, 2, 1, 1], "gamma": 4, "n": 7}
-        assert rs.to_json() == {
-            "s": [3, 5, 6, 7],
-            "t": [1, 2, 4, 7],
-            "S": [3, 5, 6],
-            "T": [1, 2, 4],
-            "gamma": 4,
-            "n": 7,
-        }
+        # the values the records' former JSON shapes carried, read as attributes
+        assert s.elems == (1, 1, 1, -1, -1, 1, -1) and s.n == 7
+        assert (r.start_sign, r.runs, r.gamma, r.n) == (1, (3, 2, 1, 1), 4, 7)
+        assert rs.s == (3, 5, 6, 7)
+        assert rs.t == (1, 2, 4, 7)
+        assert sorted(rs.s_set) == [3, 5, 6]
+        assert sorted(rs.t_set) == [1, 2, 4]
+        assert (rs.gamma, rs.n) == (4, 7)
         rv = run_vector(s)
-        assert rv.to_json() == {"r_tilde": [-1, 1, -1, 1, -1, -3], "r": [-3, -1, 1, -1, 1, -1]}
-        prof = autocorrelation_profile(s)
-        assert prof.to_json() == {
-            "C": [7, 0, -1, 0, -1, 0, -1, 0],
-            "C_periodic": [7, -1, -1, -1, -1, -1, -1],
-        }
+        assert rv.r_tilde == (-1, 1, -1, 1, -1, -3)
+        assert rv.r == (-3, -1, 1, -1, 1, -1)
+        assert aperiodic_autocorrelations(s) == (7, 0, -1, 0, -1, 0, -1, 0)
+        assert periodic_autocorrelations(s) == (7, -1, -1, -1, -1, -1, -1)
