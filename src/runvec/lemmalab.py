@@ -25,7 +25,7 @@ negation, ``x -> x ^ (2**n - 1)``, leaves unchanged, so each verdict
 also stands for the complement ``~x``.  Read off the code:
 
 * within n bits, ``~x ^ (~x >> 1)`` differs from ``x ^ (x >> 1)`` only
-  in bit n-1, which :func:`~runvec.seqcore.packed_rle` forces on, so
+  in bit n-1, which :func:`~runvec.seqcore.packed_runs` forces on, so
   the runs, and with them the run structure, the run vector and
   balancedness, are equal;
 * ``(~x ^ (~x >> k)) & mask`` equals ``(x ^ (x >> k)) & mask`` for
@@ -38,9 +38,14 @@ also stands for the complement ``~x``.  Read off the code:
 Balanced run tuples are generated by mirroring the free half of a
 skew-symmetric sequence; negation preserves the tuple, so each odd
 length ``n`` yields exactly ``2**((n+1)//2 - 1)`` distinct instances.
-Each tuple's run structure is built once, its balancedness, run vector
-and balanced profile on first use, and the targets reach their
-evaluators through one table that :func:`check_lemma` also uses.
+Each tuple's run structure is built once, its balancedness, run vector,
+boundary-rank table and balanced profile on first use.  The targets
+reach their evaluators through one table that :func:`check_lemma` also
+uses.  An evaluator takes an instance and a domain of parameter values
+and tests the hypotheses and the conclusion at each value itself: the
+sweep calls it once per tuple with every in-range value (k in 1..n-1
+for L2-L5, mu in 1..gamma for L6), and :func:`check_lemma` with the
+one value it was given, so both run the same code.
 
 Sweep reports serialize as one JSON record per (target, length):
 ``{target, n, population, hypotheses_met_count, failures}`` where
@@ -66,13 +71,13 @@ from .seqcore import (
     RunLengthEncoding,
     RunVector,
     aperiodic_autocorrelations,
-    boundary_rank_interval,
     decode_rle,
     f_eval,
     is_balanced,
     is_barker,
     packed_autocorrelations,
     packed_rle,
+    packed_runs,
     packed_skew_symmetric,
     run_structure,
     run_vector,
@@ -289,16 +294,21 @@ def barker_predictions(n: int) -> BarkerPredictions:
 
 # ---------------------------------------------------------------------------
 # Balanced-encoding evaluators.  Each takes the shared state of one
-# encoding and one parameter value (None for the parameterless ones) and
-# returns (hypotheses_met, conclusion, witness); check_lemma, check_p_odd
-# and the sweep harness all reach them through _BALANCED_CHECKS.
+# encoding and an iterable of parameter values -- k for L2-L5, mu for L6,
+# the single value None for the parameterless ones -- tests the lemma's
+# hypotheses and then its conclusion at each value in turn, and returns
+# (number of values whose hypotheses held, [(value, witness), ...] for the
+# values whose conclusion failed, in iteration order).  The parameterised
+# ones read per-instance state inside the loop: the rank table, the sign
+# tables and the run vector.  check_lemma, check_p_odd and the sweep
+# harness all reach them through _BALANCED_CHECKS.
 # ---------------------------------------------------------------------------
 
 
 class _Instance:
     """One encoding with the state its verifiers share, each part built
-    once: the run structure up front; balancedness, the run vector and
-    the balanced profile on first use."""
+    once: the run structure up front; balancedness, the run vector, the
+    rank table and the balanced profile on first use."""
 
     def __init__(self, rle: RunLengthEncoding):
         self.rle = rle
@@ -311,6 +321,18 @@ class _Instance:
     @cached_property
     def rv(self) -> RunVector:
         return run_vector_of(self.rs)
+
+    @cached_property
+    def rank(self) -> tuple[int, ...]:
+        """Slot k holds :func:`~runvec.seqcore.boundary_rank_interval` of
+        k, the mu with ``s_{mu-1} < k <= s_mu``, for ``1 <= k <= n``; one
+        pass over the boundaries instead of a bisection per k."""
+        table = [0]
+        before = 0
+        for mu, boundary in enumerate(self.rs.s, start=1):
+            table += [mu] * (boundary - before)
+            before = boundary
+        return tuple(table)
 
     @cached_property
     def profile(self) -> BalancedProfile:
@@ -348,74 +370,111 @@ def _eval_l1(inst: _Instance, _):
     balanced = inst.balanced
     r_tilde = inst.rv.r_tilde
     if balanced == all(v & 1 for v in r_tilde):
-        return True, True, None
+        return 1, []
     bad = next((k for k, v in enumerate(r_tilde, start=1) if not v & 1), None)
-    return True, False, {"balanced": balanced, "first_even_entry_k": bad}
+    return 1, [(None, {"balanced": balanced, "first_even_entry_k": bad})]
 
 
-def _eval_l2(inst: _Instance, k: int):
-    rs = inst.rs
-    if not (inst.balanced and k not in rs.s_set):
-        return False, None, None
-    mu = boundary_rank_interval(rs, k)
-    fs, ft, f = f_eval(rs, k)
-    want = -_sign_pow(k + mu)
-    if f == ft == want:
-        return True, True, None
-    return True, False, {"k": k, "mu": mu, "f": f, "f_t": ft, "expected": want}
-
-
-def _eval_l3(inst: _Instance, k: int):
-    rs = inst.rs
-    if not (inst.balanced and k in rs.s_set and k % 2 == 1):
-        return False, None, None
-    f_at = f_eval(rs, k)[2]
-    if k > 1 and f_eval(rs, k - 1)[2] != -f_at:
-        return True, False, {"k": k, "part": "before", "f": f_at, "f_before": f_eval(rs, k - 1)[2]}
-    if (k + 1) in rs.t_set and f_eval(rs, k + 1)[2] != f_at:
-        return True, False, {"k": k, "part": "after", "f": f_at, "f_after": f_eval(rs, k + 1)[2]}
-    return True, True, None
-
-
-def _eval_l4(inst: _Instance, k: int):
-    rs = inst.rs
+def _eval_l2(inst: _Instance, ks):
     if not inst.balanced:
-        return False, None, None
-    mu = boundary_rank_interval(rs, k)
-    # r~_k = f(k) + 2*u_k, read off the run vector the instance already holds
-    u = (inst.rv.tilde(k) - f_eval(rs, k)[2]) // 2
-    parity_match = (u - mu) % 2 == 0
-    doubled = k % 2 == 0 and (k // 2) in rs.s_set
-    if parity_match == doubled:
-        return True, True, None
-    return True, False, {"k": k, "mu": mu, "u": u, "doubled_boundary": doubled}
+        return 0, []
+    rs, rank = inst.rs, inst.rank
+    s_set, f_s, f_t = rs.s_set, rs.f_s, rs.f_t
+    met, failed = 0, []
+    for k in ks:
+        if k in s_set:
+            continue
+        met += 1
+        mu = rank[k]
+        ft = f_t.get(k, 0)
+        f = f_s.get(k, 0) + ft
+        want = -_sign_pow(k + mu)
+        if not f == ft == want:
+            failed.append((k, {"k": k, "mu": mu, "f": f, "f_t": ft, "expected": want}))
+    return met, failed
 
 
-def _eval_l5(inst: _Instance, k: int):
+def _eval_l3(inst: _Instance, ks):
+    if not inst.balanced:
+        return 0, []
     rs = inst.rs
-    if not (inst.balanced and k in rs.s_set):
-        return False, None, None
-    doubled = k % 2 == 0 and (k // 2) in rs.s_set
-    r_tilde_k = inst.rv.tilde(k)
-    if doubled == (r_tilde_k % 4 == 1):
-        return True, True, None
-    return True, False, {"k": k, "r_tilde_k": r_tilde_k, "doubled_boundary": doubled}
+    s_set, t_set, f_s, f_t = rs.s_set, rs.t_set, rs.f_s, rs.f_t
+    met, failed = 0, []
+    for k in ks:
+        if not (k in s_set and k & 1):
+            continue
+        met += 1
+        f_at = f_s.get(k, 0) + f_t.get(k, 0)
+        if k > 1:
+            f_before = f_s.get(k - 1, 0) + f_t.get(k - 1, 0)
+            if f_before != -f_at:
+                failed.append((k, {"k": k, "part": "before", "f": f_at, "f_before": f_before}))
+                continue
+        if (k + 1) in t_set:
+            f_after = f_s.get(k + 1, 0) + f_t.get(k + 1, 0)
+            if f_after != f_at:
+                failed.append((k, {"k": k, "part": "after", "f": f_at, "f_after": f_after}))
+    return met, failed
 
 
-def _eval_l6(inst: _Instance, mu: int):
-    rle, rs = inst.rle, inst.rs
-    gamma = rle.gamma
-    if not (inst.balanced and 1 <= mu < gamma):
-        return False, None, None
-    if any(rle.runs[j] < 2 for j in range(mu - 1)):
-        return False, None, None
-    width = rs.s[mu - 1] - mu
-    if width >= gamma:
-        return True, False, {"mu": mu, "s_mu": rs.s[mu - 1], "width": width}
-    for j in range(1, width + 1):
-        if rle.runs[gamma - j] > 2:
-            return True, False, {"mu": mu, "tail_index": gamma + 1 - j, "run": rle.runs[gamma - j]}
-    return True, True, None
+def _eval_l4(inst: _Instance, ks):
+    if not inst.balanced:
+        return 0, []
+    rs, rank, r_tilde = inst.rs, inst.rank, inst.rv.r_tilde
+    s_set, f_s, f_t = rs.s_set, rs.f_s, rs.f_t
+    met, failed = 0, []
+    for k in ks:
+        met += 1
+        mu = rank[k]
+        # r~_k = f(k) + 2*u_k, read off the run vector the instance already holds
+        u = (r_tilde[k - 1] - f_s.get(k, 0) - f_t.get(k, 0)) // 2
+        parity_match = (u - mu) % 2 == 0
+        doubled = k % 2 == 0 and (k // 2) in s_set
+        if parity_match != doubled:
+            failed.append((k, {"k": k, "mu": mu, "u": u, "doubled_boundary": doubled}))
+    return met, failed
+
+
+def _eval_l5(inst: _Instance, ks):
+    if not inst.balanced:
+        return 0, []
+    s_set, r_tilde = inst.rs.s_set, inst.rv.r_tilde
+    met, failed = 0, []
+    for k in ks:
+        if k not in s_set:
+            continue
+        met += 1
+        doubled = k % 2 == 0 and (k // 2) in s_set
+        r_tilde_k = r_tilde[k - 1]
+        if doubled != (r_tilde_k % 4 == 1):
+            failed.append((k, {"k": k, "r_tilde_k": r_tilde_k, "doubled_boundary": doubled}))
+    return met, failed
+
+
+def _eval_l6(inst: _Instance, mus):
+    if not inst.balanced:
+        return 0, []
+    runs, s = inst.rle.runs, inst.rs.s
+    gamma = len(runs)
+    # mu meets the hypotheses when mu < gamma and the mu - 1 runs before it
+    # are all >= 2, that is, when mu - 1 <= short, the count of leading
+    # runs >= 2
+    short = next((j for j, run in enumerate(runs) if run < 2), gamma)
+    top = min(gamma - 1, short + 1)
+    met, failed = 0, []
+    for mu in mus:
+        if not 1 <= mu <= top:
+            continue
+        met += 1
+        width = s[mu - 1] - mu
+        if width >= gamma:
+            failed.append((mu, {"mu": mu, "s_mu": s[mu - 1], "width": width}))
+            continue
+        for j in range(1, width + 1):
+            if runs[gamma - j] > 2:
+                failed.append((mu, {"mu": mu, "tail_index": gamma + 1 - j, "run": runs[gamma - j]}))
+                break
+    return met, failed
 
 
 def _l7_hypotheses(inst: _Instance):
@@ -436,65 +495,79 @@ def _l7_hypotheses(inst: _Instance):
 def _eval_l7(inst: _Instance, _):
     profile = _l7_hypotheses(inst)
     if profile is None:
-        return False, None, None
+        return 0, []
     k0 = profile.k0
     pair = inst.rv.tilde(k0) + inst.rv.tilde(k0 - 1)
     if abs(pair) >= 2:
-        return True, True, None
-    return True, False, {"k0": k0, "pair_sum": pair}
+        return 1, []
+    return 1, [(None, {"k0": k0, "pair_sum": pair})]
 
 
 def _eval_l7n(inst: _Instance, _):
     profile = _l7_hypotheses(inst)
     if profile is None:
-        return False, None, None
+        return 0, []
     k0 = profile.k0
     if abs(inst.rv.tilde(k0) + inst.rv.tilde(k0 - 1)) < 2:
-        return False, None, None
+        return 0, []
     n = inst.rs.n
     c = aperiodic_autocorrelations(decode_rle(inst.rle))
     window = [j for j in (n - k0 - 1, n - k0, n - k0 + 1, n - k0 + 2) if 0 <= j <= n]
     if any(abs(c[j]) >= 3 for j in window):
-        return True, True, None
-    return True, False, {"k0": k0, "window": window, "values": [c[j] for j in window]}
+        return 1, []
+    return 1, [(None, {"k0": k0, "window": window, "values": [c[j] for j in window]})]
 
 
 def _eval_p_odd(inst: _Instance, _):
     rle = inst.rle
     n = rle.n
     if not (n % 2 == 1 and rle.runs[0] > 1 and is_barker(decode_rle(rle))):
-        return False, None, None
+        return 0, []
     if n <= 3:
-        return True, True, None
+        return 1, []
     profile = inst.profile
     if profile.p % 2 == 0:
-        return True, False, {"part": "i", "p": profile.p}
+        return 1, [(None, {"part": "i", "p": profile.p})]
     if n > 5:
         if profile.s_nu_plus_1 % 2 == 0:
-            return True, False, {"part": "ii", "s_nu_plus_1": profile.s_nu_plus_1}
+            return 1, [(None, {"part": "ii", "s_nu_plus_1": profile.s_nu_plus_1})]
         if profile.alpha == 1 and (profile.s_nu_plus_1 + 1) not in inst.rs.t_set:
-            return True, False, {"part": "iii", "s_nu_plus_1": profile.s_nu_plus_1}
+            return 1, [(None, {"part": "iii", "s_nu_plus_1": profile.s_nu_plus_1})]
         bound = profile.k0 + 1
         if n > bound:
-            return True, False, {"part": "iv", "n": n, "bound": bound}
-    return True, True, None
+            return 1, [(None, {"part": "iv", "n": n, "bound": bound})]
+    return 1, []
 
 
-#: Balanced-encoding target -> (evaluator, parameter name, the parameter
-#: values a sweep visits on a run structure).  A sweep visits only values
-#: that can meet the hypotheses: k in 1..n-1, k outside S, k in S or odd k
-#: in S, and mu in 1..gamma-1; the parameterless targets run once.
+#: Balanced-encoding target -> (evaluator, parameter name or None).
 _BALANCED_CHECKS = {
-    "L1": (_eval_l1, None, None),
-    "L2": (_eval_l2, "k", lambda rs: [k for k in range(1, rs.n) if k not in rs.s_set]),
-    "L3": (_eval_l3, "k", lambda rs: [k for k in rs.s[: rs.gamma - 1] if k & 1]),
-    "L4": (_eval_l4, "k", lambda rs: range(1, rs.n)),
-    "L5": (_eval_l5, "k", lambda rs: rs.s[: rs.gamma - 1]),
-    "L6": (_eval_l6, "mu", lambda rs: range(1, rs.gamma)),
-    "L7": (_eval_l7, None, None),
-    "L7n": (_eval_l7n, None, None),
-    "p-odd": (_eval_p_odd, None, None),
+    "L1": (_eval_l1, None),
+    "L2": (_eval_l2, "k"),
+    "L3": (_eval_l3, "k"),
+    "L4": (_eval_l4, "k"),
+    "L5": (_eval_l5, "k"),
+    "L6": (_eval_l6, "mu"),
+    "L7": (_eval_l7, None),
+    "L7n": (_eval_l7n, None),
+    "p-odd": (_eval_p_odd, None),
 }
+
+
+def _domain(name: str | None, rs) -> range | tuple[None]:
+    """Every in-range value of a parameter: k in 1..n-1, mu in 1..gamma."""
+    if name is None:
+        return (None,)
+    return range(1, rs.n) if name == "k" else range(1, rs.gamma + 1)
+
+
+def _verdict(lemma_id: str, rle: RunLengthEncoding, outcome) -> Verdict:
+    """The verdict of an evaluator run on a single parameter value."""
+    met, failed = outcome
+    if not met:
+        return Verdict(lemma_id, rle.to_text(), False, None)
+    if not failed:
+        return Verdict(lemma_id, rle.to_text(), True, True)
+    return Verdict(lemma_id, rle.to_text(), True, False, failed[0][1])
 
 
 def check_lemma(
@@ -512,23 +585,24 @@ def check_lemma(
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma_id {lemma_id!r}; expected one of {LEMMA_IDS}")
-    evaluate, name, _ = _BALANCED_CHECKS[lemma_id]
+    evaluate, name = _BALANCED_CHECKS[lemma_id]
     inst = _Instance(rle)
-    param = None
+    domain = _domain(name, inst.rs)
     if name is not None:
-        param, top = (k, inst.rs.n - 1) if name == "k" else (mu, inst.rs.gamma)
+        param = k if name == "k" else mu
         if param is None:
             raise ValueError(f"{lemma_id} requires parameter {name}")
-        if not 1 <= param <= top:
-            raise ValueError(f"parameter out of range: {name} must be in [1, {top}]")
-    return Verdict(lemma_id, rle.to_text(), *evaluate(inst, param))
+        if not 1 <= param <= len(domain):
+            raise ValueError(f"parameter out of range: {name} must be in [1, {len(domain)}]")
+        domain = (param,)
+    return _verdict(lemma_id, rle, evaluate(inst, domain))
 
 
 def check_p_odd(rle: RunLengthEncoding) -> Verdict:
     """Verify the four structural facts about odd-length Barker encodings
     whose first run exceeds 1; each part applies only above its length
     threshold (parts ii-iv need n > 5, part i needs n > 3)."""
-    return Verdict("p_odd", rle.to_text(), *_eval_p_odd(_Instance(rle), None))
+    return _verdict("p_odd", rle, _eval_p_odd(_Instance(rle), (None,)))
 
 
 @lru_cache(maxsize=None)
@@ -536,9 +610,9 @@ def balanced_run_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     """All balanced run tuples summing to odd ``n``, sorted.
 
     Enumerates the ``2**m`` skew-symmetric sequences as masks (m free
-    elements from the centre rightwards), encodes each, and
-    deduplicates: the two sign choices of a sequence share one run
-    tuple, so exactly ``2**(m-1)`` tuples remain.
+    elements from the centre rightwards), reads the run lengths off
+    each, and deduplicates: the two sign choices of a sequence share one
+    run tuple, so exactly ``2**(m-1)`` tuples remain.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 1, got {n}")
@@ -551,7 +625,7 @@ def balanced_run_tuples(n: int) -> tuple[tuple[int, ...], ...]:
         # bit j of ``bits`` is element m+j; element m-j mirrors it, negated
         # for odd j, and the centre element m is bit m-1 of the mask
         right = int(format(bits, f"0{m}b")[::-1], 2)
-        seen.add(packed_rle(((bits ^ flip_odd) << (m - 1)) | right, n).runs)
+        seen.add(packed_runs(((bits ^ flip_odd) << (m - 1)) | right, n))
     if len(seen) != 1 << (m - 1):
         raise RuntimeError(f"balanced enumeration produced {len(seen)} tuples for n={n}")
     return tuple(sorted(seen))
@@ -643,19 +717,15 @@ def _sweep_balanced(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
     population = balanced_run_tuples(n)
     for runs in population:
         inst = _Instance(RunLengthEncoding(1, runs))
-        for target, evaluate, _, domain in checks:
-            for param in (None,) if domain is None else domain(inst.rs):
-                hypotheses_met, holds, witness = evaluate(inst, param)
-                if not hypotheses_met:
-                    continue
-                met[target] += 1
-                if not holds:
-                    entry = {"instance": inst.rle.to_text()}
-                    if param is not None:
-                        entry["param"] = param
-                    if witness:
-                        entry.update(witness)
-                    failures[target].append(entry)
+        for target, evaluate, name in checks:
+            met_count, failed = evaluate(inst, _domain(name, inst.rs))
+            met[target] += met_count
+            for param, witness in failed:
+                entry = {"instance": inst.rle.to_text()}
+                if param is not None:
+                    entry["param"] = param
+                entry.update(witness)
+                failures[target].append(entry)
     return [
         SweepRecord(target, n, len(population), met[target], len(found), _clip(found))
         for target, found in failures.items()

@@ -257,8 +257,8 @@ def unpack(x: int, n: int) -> BinarySequence:
     return BinarySequence(tuple([-1 if b == "1" else 1 for b in format(x, f"0{n}b")]))
 
 
-def packed_rle(x: int, n: int) -> RunLengthEncoding:
-    """Run-length encoding of the packed length-n sequence ``x``.
+def packed_runs(x: int, n: int) -> tuple[int, ...]:
+    """Run lengths of the packed length-n sequence ``x``.
 
     Bit ``j`` of ``x ^ (x >> 1)`` (below ``n-1``) is set exactly where
     slots ``n-2-j`` and ``n-1-j`` differ.  With bit ``n-1`` forced on,
@@ -267,8 +267,13 @@ def packed_rle(x: int, n: int) -> RunLengthEncoding:
     0 digits between consecutive 1s.
     """
     flips = bin((x ^ (x >> 1)) | (1 << (n - 1)))[3:]
-    runs = tuple([len(gap) + 1 for gap in flips.split("1")])
-    return RunLengthEncoding(-1 if x >> (n - 1) else 1, runs)
+    return tuple([len(gap) + 1 for gap in flips.split("1")])
+
+
+def packed_rle(x: int, n: int) -> RunLengthEncoding:
+    """Run-length encoding of the packed length-n sequence ``x``: the
+    sign of its first slot and :func:`packed_runs`."""
+    return RunLengthEncoding(-1 if x >> (n - 1) else 1, packed_runs(x, n))
 
 
 def packed_autocorrelations(x: int, n: int) -> Iterator[int]:

@@ -98,3 +98,33 @@ def brute_is_balanced(runs):
     {1, ..., n-1}: literal union and intersection of the two sets."""
     _, _, s_set, t_set = brute_prefix_structure(runs)
     return not (s_set & t_set) and (s_set | t_set) == set(range(1, sum(runs)))
+
+
+def brute_balanced_tuples(n):
+    """Every balanced run tuple summing to n, sorted: a filter over all
+    compositions of n."""
+    return sorted(runs for runs in compositions(n) if brute_is_balanced(runs))
+
+
+def brute_signs(runs):
+    """(f_s, f_t): dicts mapping the j-th interior forward (reverse)
+    boundary to (-1)**j, j = 1..gamma-1."""
+    s, t, _, _ = brute_prefix_structure(runs)
+    gamma = len(runs)
+    return (
+        {s[j - 1]: (-1) ** j for j in range(1, gamma)},
+        {t[j - 1]: (-1) ** j for j in range(1, gamma)},
+    )
+
+
+def brute_rank(runs, k):
+    """The index mu with s_{mu-1} < k <= s_mu (s_0 = 0), by linear scan."""
+    s, _, _, _ = brute_prefix_structure(runs)
+    return next(mu for mu, boundary in enumerate(s, start=1) if k <= boundary)
+
+
+def brute_u(runs, k):
+    """u_k = sum over j = 1..gamma-1 of (-1)**j * f_t(k - s_j), literally."""
+    s, _, _, _ = brute_prefix_structure(runs)
+    _, f_t = brute_signs(runs)
+    return sum((-1) ** j * f_t.get(k - s[j - 1], 0) for j in range(1, len(runs)))

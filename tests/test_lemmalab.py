@@ -22,8 +22,10 @@ from runvec.lemmalab import (
 from runvec.seqcore import (
     BinarySequence,
     RunLengthEncoding,
+    RunStructure,
     RunVector,
     aperiodic_autocorrelations,
+    boundary_rank_interval,
     decode_rle,
     run_vector,
 )
@@ -32,9 +34,15 @@ from runvec.seqcore import (
 from oracles import (
     all_sign_tuples,
     brute_aperiodic,
+    brute_balanced_tuples,
     brute_delta_autocorrelation,
     brute_is_balanced,
+    brute_prefix_structure,
+    brute_rank,
     brute_runs,
+    brute_signs,
+    brute_u,
+    compositions,
 )
 
 FIVE_BARKER_RLES = [
@@ -200,6 +208,13 @@ class TestCheckLemma:
         assert check_lemma("L7", rle((5, 2, 2, 1, 1, 1, 1))).hypotheses_met
         verdict = check_lemma("L7", rle((3, 1, 1)))
         assert not verdict.hypotheses_met
+
+    def test_rank_table_matches_boundary_rank_interval(self):
+        for n in range(1, 11):
+            for runs in compositions(n):
+                inst = lemmalab._Instance(rle(runs))
+                for k in range(1, n + 1):
+                    assert inst.rank[k] == boundary_rank_interval(inst.rs, k) == brute_rank(runs, k)
 
     def test_parameter_errors(self):
         instance = rle((3, 2, 1, 1))
@@ -490,3 +505,234 @@ class TestBalancedRunTuples:
     def test_even_rejected(self):
         with pytest.raises(ValueError):
             balanced_run_tuples(4)
+
+
+# ---------------------------------------------------------------------------
+# Negative controls for the parameterised balanced targets.  No sweep fails
+# on correct code, so each corruption below breaks known parameters of the
+# state the evaluators read; the expected witnesses are predicted from the
+# plain tuples of tests/oracles.py, assuming the lemma holds uncorrupted.
+# ---------------------------------------------------------------------------
+
+
+def _negate_odd(table):
+    return {k: -v if k & 1 else v for k, v in table.items()}
+
+
+def _corrupt_f_t(rs):
+    """f_t negated at odd boundaries: L2 fails at every odd k outside S."""
+    return RunStructure(rs.s, rs.t, rs.s_set, rs.t_set, rs.gamma, rs.n, rs.f_s, _negate_odd(rs.f_t))
+
+
+def _corrupt_f_s(rs):
+    """f_s negated at odd boundaries: L3 fails at every odd k in S but 1."""
+    return RunStructure(rs.s, rs.t, rs.s_set, rs.t_set, rs.gamma, rs.n, _negate_odd(rs.f_s), rs.f_t)
+
+
+def _corrupt_s(rs):
+    """Every boundary after the first moved up by one (still increasing):
+    L6 sees each width from mu = 2 on one larger."""
+    s = rs.s[:1] + tuple([v + 1 for v in rs.s[1:]])
+    return RunStructure(s, rs.t, rs.s_set, rs.t_set, rs.gamma, rs.n, rs.f_s, rs.f_t)
+
+
+def _corrupt_r_tilde(rv):
+    """r~_k raised by 2 at every k divisible by 3: L4 and L5 fail there."""
+    r_tilde = tuple([v + 2 if k % 3 == 0 else v for k, v in enumerate(rv.r_tilde, start=1)])
+    return RunVector(r_tilde, rv.r)
+
+
+CORRUPTIONS = {
+    "f_t": ("run_structure", _corrupt_f_t),
+    "f_s": ("run_structure", _corrupt_f_s),
+    "s": ("run_structure", _corrupt_s),
+    "r_tilde": ("run_vector_of", _corrupt_r_tilde),
+}
+
+
+def _corrupt(monkeypatch, name):
+    attr, corrupt = CORRUPTIONS[name]
+    real = getattr(lemmalab, attr)
+    monkeypatch.setattr(lemmalab, attr, lambda arg: corrupt(real(arg)))
+
+
+def _text(runs):
+    return ",".join(["+"] + [str(r) for r in runs])
+
+
+def _expected_l2(runs):
+    # f = f_s + f_t = f_t off S, so the corrupted pair is (-f_t, -f_t)
+    n = sum(runs)
+    _, _, s_set, _ = brute_prefix_structure(runs)
+    _, f_t = brute_signs(runs)
+    met, failed = 0, []
+    for k in range(1, n):
+        if k in s_set:
+            continue
+        met += 1
+        if k % 2:
+            mu = brute_rank(runs, k)
+            failed.append(
+                (k, {"k": k, "mu": mu, "f": -f_t[k], "f_t": -f_t[k], "expected": -((-1) ** (k + mu))})
+            )
+    return met, failed
+
+
+def _expected_l3(runs):
+    _, _, s_set, t_set = brute_prefix_structure(runs)
+    f_s, f_t = brute_signs(runs)
+
+    def f(k):
+        return f_s.get(k, 0) + f_t.get(k, 0)
+
+    met, failed = 0, []
+    for k in sorted(s_set):
+        if not k % 2:
+            continue
+        met += 1
+        if k > 1:
+            failed.append((k, {"k": k, "part": "before", "f": -f_s[k], "f_before": f(k - 1)}))
+        elif 2 in t_set:
+            failed.append((k, {"k": k, "part": "after", "f": -f_s[k], "f_after": f(2)}))
+    return met, failed
+
+
+def _expected_l4(runs):
+    n = sum(runs)
+    _, _, s_set, _ = brute_prefix_structure(runs)
+    failed = [
+        (k, {"k": k, "mu": brute_rank(runs, k), "u": brute_u(runs, k) + 1,
+             "doubled_boundary": k % 2 == 0 and k // 2 in s_set})
+        for k in range(3, n, 3)
+    ]
+    return n - 1, failed
+
+
+def _expected_l5(runs):
+    _, _, s_set, _ = brute_prefix_structure(runs)
+    f_s, _ = brute_signs(runs)
+    failed = [
+        (k, {"k": k, "r_tilde_k": f_s[k] + 2 * brute_u(runs, k) + 2,
+             "doubled_boundary": k % 2 == 0 and k // 2 in s_set})
+        for k in sorted(s_set)
+        if k % 3 == 0
+    ]
+    return len(s_set), failed
+
+
+def _expected_l6(runs):
+    # the true widths pass the tail test, so one more tail run decides
+    gamma = len(runs)
+    s, _, _, _ = brute_prefix_structure(runs)
+    met, failed = 0, []
+    for mu in range(1, gamma):
+        if any(r < 2 for r in runs[: mu - 1]):
+            continue
+        met += 1
+        if mu == 1:
+            continue
+        width = s[mu - 1] + 1 - mu
+        if width >= gamma:
+            failed.append((mu, {"mu": mu, "s_mu": s[mu - 1] + 1, "width": width}))
+        elif runs[gamma - width] > 2:
+            failed.append(
+                (mu, {"mu": mu, "tail_index": gamma + 1 - width, "run": runs[gamma - width]})
+            )
+    return met, failed
+
+
+class TestNegativeControls:
+    @pytest.mark.parametrize(
+        "target,corruption,expected",
+        [
+            ("L2", "f_t", _expected_l2),
+            ("L3", "f_s", _expected_l3),
+            ("L4", "r_tilde", _expected_l4),
+            ("L5", "r_tilde", _expected_l5),
+            ("L6", "s", _expected_l6),
+        ],
+    )
+    def test_sweep_reports_exactly_the_corrupted_params(self, monkeypatch, target, corruption,
+                                                        expected):
+        _corrupt(monkeypatch, corruption)
+        report = sweep(13, (target,))
+        assert not report.ok
+        assert [rec.n for rec in report.records] == list(range(1, 14, 2))
+        total_met = total_failed = most_failed = 0
+        for rec in report.records:
+            population = brute_balanced_tuples(rec.n)
+            met, witnesses = 0, []
+            for runs in population:
+                count, failed = expected(runs)
+                met += count
+                witnesses += [{"instance": _text(runs), "param": p, **w} for p, w in failed]
+            assert rec.population == len(population)
+            assert rec.hypotheses_met_count == met
+            assert rec.failure_count == len(witnesses)
+            assert list(rec.failures) == witnesses[:10]
+            total_met += met
+            total_failed += len(witnesses)
+            most_failed = max(most_failed, len(witnesses))
+        assert most_failed > 10  # the witness list is clipped somewhere
+        assert 0 < total_failed < total_met  # and some met parameters still pass
+
+
+class TestSweepMatchesCheckLemma:
+    @pytest.mark.parametrize("corruption", [None, *CORRUPTIONS])
+    def test_counts_and_failures_equal_a_check_lemma_loop(self, monkeypatch, corruption):
+        # the sweep over every parameter against one check_lemma call per
+        # in-range parameter: k in 1..n-1, mu in 1..gamma
+        if corruption is not None:
+            _corrupt(monkeypatch, corruption)
+        targets = ("L2", "L3", "L4", "L5", "L6")
+        if corruption == "s":
+            # no run vector fits the moved boundaries, which also leave s
+            # and its set S disagreeing; L2 and L6 read each consistently
+            targets = ("L2", "L6")
+        by_key = {(rec.target, rec.n): rec for rec in sweep(15, targets).records}
+        assert len(by_key) == len(targets) * 8
+        for n in range(1, 16, 2):
+            population = brute_balanced_tuples(n)
+            for target in targets:
+                met, witnesses = 0, []
+                for runs in population:
+                    instance = rle(runs)
+                    name, top = ("mu", len(runs)) if target == "L6" else ("k", n - 1)
+                    for param in range(1, top + 1):
+                        verdict = check_lemma(target, instance, **{name: param})
+                        if not verdict.hypotheses_met:
+                            assert verdict.conclusion_holds is None
+                            continue
+                        met += 1
+                        if not verdict.conclusion_holds:
+                            witnesses.append(
+                                {"instance": instance.to_text(), "param": param, **verdict.witness}
+                            )
+                rec = by_key[(target, n)]
+                assert rec.population == len(population)
+                assert rec.hypotheses_met_count == met
+                assert rec.failure_count == len(witnesses)
+                assert list(rec.failures) == witnesses[:10]
+
+
+class TestMutantControls:
+    # the L7n window is n-k0-1..n-k0+2; (3,2,2,2,1,1) has n = 11, k0 = 8
+    @pytest.mark.parametrize("j,holds", [(1, False), (2, True), (5, True), (6, False)])
+    def test_l7n_reads_exactly_its_window(self, monkeypatch, j, holds):
+        instance = rle((3, 2, 2, 2, 1, 1))
+        assert balanced_profile(instance).k0 == 8
+        c = [0] * 12
+        c[j] = 3  # the only |C_j| >= 3
+        monkeypatch.setattr(lemmalab, "aperiodic_autocorrelations", lambda seq: tuple(c))
+        verdict = check_lemma("L7n", instance)
+        assert verdict.hypotheses_met
+        assert verdict.conclusion_holds is holds
+        if not holds:
+            assert verdict.witness == {"k0": 8, "window": [2, 3, 4, 5], "values": [0, 0, 0, 0]}
+
+    def test_profile_rejects_a_pivot_beyond_gamma_plus_one_at_p3(self, monkeypatch):
+        # (3,5,1) passes every earlier cross-check once taken as balanced:
+        # last run 1, nu = 1, q = 5, s_2 = 8 > gamma + 1 = 4
+        monkeypatch.setattr(lemmalab, "is_balanced", lambda rs: True)
+        with pytest.raises(RuntimeError, match="pivot boundary exceeds gamma"):
+            balanced_profile(rle((3, 5, 1)))

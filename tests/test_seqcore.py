@@ -16,6 +16,7 @@ from runvec.seqcore import (
     is_skew_symmetric,
     pack,
     packed_autocorrelations,
+    packed_runs,
     periodic_autocorrelations,
     run_structure,
     run_vector,
@@ -154,6 +155,11 @@ class TestEncodeDecode:
     )
     def test_decode_examples(self, sign, runs, text):
         assert decode_rle(rle(sign, runs)).to_text() == text
+
+    def test_packed_runs_match_groupby_to_12(self):
+        for n in range(1, 13):
+            for x, elems in enumerate(all_sign_tuples(n)):  # mask order
+                assert packed_runs(x, n) == brute_runs(elems)
 
     def test_round_trip_exhaustive_to_14(self):
         for n in range(1, 15):
