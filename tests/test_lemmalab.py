@@ -7,6 +7,7 @@ import pytest
 from runvec import lemmalab
 from runvec.lemmalab import (
     LEMMA_IDS,
+    SEQUENCE_TARGETS,
     SWEEP_LIMITS,
     SWEEP_TARGETS,
     balanced_profile,
@@ -37,6 +38,7 @@ from oracles import (
     brute_balanced_tuples,
     brute_delta_autocorrelation,
     brute_is_balanced,
+    brute_is_skew_symmetric,
     brute_prefix_structure,
     brute_rank,
     brute_runs,
@@ -358,6 +360,86 @@ class TestSweeps:
                 assert rec.failure_count == len(failures)
                 assert list(rec.failures) == failures[:10]
         assert by_key[("theorem1", 6)].failure_count == 20  # 2 * C(5, 2) > 10
+
+    def test_orbit_witnesses_are_listed_by_ascending_mask(self, monkeypatch):
+        # Corrupt the last reflected run-vector entry of every four-run
+        # instance and flip balancedness of every three-run one: both are
+        # the same on each member of a negation-reversal orbit.  Compare
+        # the sweep's counts and clipped witnesses with an ascending loop
+        # over plain tuples.
+        real_rv, real_balanced = lemmalab.run_vector_of, lemmalab.is_balanced
+
+        def corrupted_rv(rs):
+            rv = real_rv(rs)
+            if rs.gamma != 4:
+                return rv
+            return RunVector(rv.r_tilde, rv.r[:-1] + (rv.r[-1] + 1,))
+
+        monkeypatch.setattr(lemmalab, "run_vector_of", corrupted_rv)
+        monkeypatch.setattr(lemmalab, "is_balanced", lambda rs: real_balanced(rs) != (rs.gamma == 3))
+        report = sweep(9, SEQUENCE_TARGETS)
+        by_key = {(rec.target, rec.n): rec for rec in report.records}
+        orbit_sizes = {"theorem1": set(), "delta": set(), "prop-skew": set()}
+        for n in range(1, 10):
+            expected = {"theorem1": [], "delta": [], "prop-skew": []}
+            for elems in all_sign_tuples(n):  # ascending mask order
+                gamma = len(brute_runs(elems))
+                text = "".join("+" if x == 1 else "-" for x in elems)
+                negated = tuple(-x for x in elems)
+                orbit_size = len({elems, negated, elems[::-1], negated[::-1]})
+                if gamma == 4:
+                    c = brute_aperiodic(elems)
+                    k = n - 1
+                    r_true = -(c[k + 1] - 2 * c[k] + c[k - 1]) // 2
+                    expected["theorem1"].append({"instance": text, "k": k, "residual": 2})
+                    expected["delta"].append(
+                        {
+                            "instance": text,
+                            "k": k,
+                            "delta": brute_delta_autocorrelation(elems, k),
+                            "r_k": r_true + 1,
+                        }
+                    )
+                    orbit_sizes["theorem1"].add(orbit_size)
+                    orbit_sizes["delta"].add(orbit_size)
+                if gamma == 3 and n % 2:
+                    skew = brute_is_skew_symmetric(elems)
+                    expected["prop-skew"].append(
+                        {"instance": text, "skew_symmetric": skew, "balanced": not skew}
+                    )
+                    orbit_sizes["prop-skew"].add(orbit_size)
+            for target, failures in expected.items():
+                if target == "prop-skew" and n % 2 == 0:
+                    continue
+                rec = by_key[(target, n)]
+                assert rec.failure_count == len(failures)
+                assert list(rec.failures) == failures[:10]
+        assert all(sizes == {2, 4} for sizes in orbit_sizes.values())
+        assert by_key[("theorem1", 9)].failure_count == 112  # 2 * C(8, 3) > 10
+        assert by_key[("prop-skew", 9)].failure_count == 56  # 2 * C(8, 2) > 10
+
+    def test_sweep_evaluates_each_orbit_exactly_once(self, monkeypatch):
+        # no output can show a skipped orbit, since correct code never
+        # fails, so record the masks the sweep evaluates instead
+        real = lemmalab.packed_rle
+        evaluated = {}
+
+        def recording(x, n):
+            evaluated.setdefault(n, []).append(x)
+            return real(x, n)
+
+        monkeypatch.setattr(lemmalab, "packed_rle", recording)
+        sweep(14, SEQUENCE_TARGETS)
+        assert sorted(evaluated) == list(range(1, 15))
+        for n, masks in evaluated.items():
+            full = (1 << n) - 1
+            covered = set()
+            for x in masks:
+                y = int(format(x, f"0{n}b")[::-1], 2)
+                orbit = {x, x ^ full, y, y ^ full}
+                assert covered.isdisjoint(orbit), (n, x)
+                covered |= orbit
+            assert covered == set(range(1 << n)), n
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_joint_sweep_equals_single_target_sweeps(self, monkeypatch, workers):

@@ -254,27 +254,45 @@ def test_delta_vector_matches_brute(seq):
 
 
 def _complement_invariants(x, n):
-    """What the sequence sweep reads of mask ``x``; it evaluates only the
-    '+'-first masks and takes each verdict to hold for the complement."""
+    """What the sequence sweep reads of mask ``x``, runs first; it
+    evaluates one mask per orbit of negation and reversal and takes each
+    verdict to hold for the whole orbit."""
+    rs = run_structure(packed_rle(x, n))
+    rv = run_vector_of(rs)
     return (
         packed_rle(x, n).runs,
         tuple(packed_autocorrelations(x, n)),
         packed_skew_symmetric(x, n),
         delta_autocorrelations(unpack(x, n)),
+        rv.r_tilde,
+        rv.r,
+        is_balanced(rs),
     )
+
+
+def _assert_orbit_invariant(x, n):
+    """Negation keeps every invariant of ``x``; reversal and negation after
+    reversal keep all but the runs, which they reverse."""
+    full = (1 << n) - 1
+    runs, *rest = _complement_invariants(x, n)
+    assert _complement_invariants(x ^ full, n) == (runs, *rest)
+    y = int(format(x, f"0{n}b")[::-1], 2)
+    for member in (y, y ^ full):
+        member_runs, *member_rest = _complement_invariants(member, n)
+        assert member_runs == runs[::-1]
+        assert member_rest == rest
 
 
 def test_sweep_quantities_are_complement_invariant_to_14():
     for n in range(1, 15):
-        full = (1 << n) - 1
         for x in range(1 << (n - 1)):  # x or its complement is every mask
-            assert _complement_invariants(x, n) == _complement_invariants(x ^ full, n)
+            _assert_orbit_invariant(x, n)
 
 
 @given(st.integers(1, 200).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
 def test_sweep_quantities_are_complement_invariant(case):
     n, x = case
-    assert _complement_invariants(x, n) == _complement_invariants(x ^ ((1 << n) - 1), n)
+    _assert_orbit_invariant(x, n)
 
 
 # free text over the parsers' alphabet plus characters they must refuse
