@@ -39,9 +39,10 @@ for ``~x``, ``y`` and ``~y``.  For negation, read off the code:
 For reversal:
 
 * the runs are reversed, which swaps ``s`` and ``t``, and
-  :func:`~runvec.seqcore.run_vector_of` accumulates both alike (each
-  boundary adds its rank's sign, each pair ``s_j + t_i`` the sign of
-  ``i + j``), so ``r`` and ``r_tilde`` are equal;
+  :func:`~runvec.seqcore.run_vector_of` treats both alike (it
+  multiplies ``(1 + 2A)(1 + 2B)``, where ``A`` and ``B`` carry the ranks'
+  signs at the boundaries of ``s`` and ``t``), so ``r`` and ``r_tilde``
+  are equal;
 * ``C_k`` sums ``a_i * a_{i+k}`` over all i, which reversal permutes;
 * the difference sequence is reversed and negated, so the pairs at
   distance k, and their products, are the same;

@@ -128,3 +128,12 @@ def brute_u(runs, k):
     s, _, _, _ = brute_prefix_structure(runs)
     _, f_t = brute_signs(runs)
     return sum((-1) ** j * f_t.get(k - s[j - 1], 0) for j in range(1, len(runs)))
+
+
+def brute_run_vector(runs):
+    """(r~_1, ..., r~_{n-1}) with r~_k = f_s(k) + f_t(k) + 2*u_k, each term
+    read literally off :func:`brute_signs` and :func:`brute_u`."""
+    f_s, f_t = brute_signs(runs)
+    return tuple(
+        f_s.get(k, 0) + f_t.get(k, 0) + 2 * brute_u(runs, k) for k in range(1, sum(runs))
+    )

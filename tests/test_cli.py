@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -459,6 +460,12 @@ print(json.dumps({"at_import": at_import, "after": unwanted(), "codes": codes,
 SEQ_200 = "".join("-" if pow(i, 105, 211) == 210 else "+" for i in range(1, 201))
 
 
+def _random_text(n):
+    """A length-n '+-' text drawn from a generator seeded with n."""
+    bits = random.Random(n).getrandbits(n)
+    return "".join(["-" if (bits >> i) & 1 else "+" for i in range(n)])
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -545,3 +552,28 @@ class TestDeterminism:
             code, out, _ = run_cli(capsys, *argv, "--workers", "2")
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "kind,n,digest",
+        [
+            ("random", 32, "a023bd09cd5e7a9c86af044713b408321b9771a3a488d2f0ab14e6051005a8f8"),
+            ("alternating", 32, "585e2c3a5cbc52e742d945590185801758a43f0e8fc855f0a20ef8ca30e00bb6"),
+            ("random", 33, "aafef56b63ea5f85ad69f4286bb9663cc847608df4fe0d232791aacaef164172"),
+            ("alternating", 33, "cdf42834f0d7cb7e1e16c9be9b5210575b2f75fc8e2eaf96baf1e613e2c888d8"),
+            ("random", 256, "11695d1629c7ea26c85bd88a0e70c0ab935b9a27e9ebea4ec4156d78d747528e"),
+            ("alternating", 256, "3280b026aa749fdc132f78f495dc2fae0af7b08e72b8bedec4fcb8696e372dde"),
+            ("random", 8192, "1a90244e4bfb7c44451d46081cd4511cf52e451c47e2d1421d99d7ef26ec7ed5"),
+            ("alternating", 8192, "b86a8f63b15c80aa3a74dea6f2e36cf4303eb686dc33cb7675856d01ffaac51f"),
+            ("random", 8193, "997225e38b36f99daa55c1042fca4c18468cb45a9380d98f62c04c04abc8b808"),
+            ("alternating", 8193, "f1adb2485b64ac4a2a13988e7297a64588aafe188af6f5abc87730c86dd81d4d"),
+            ("random", 10_000, "ed84aed6ed4a09d37ecd6b718e5c77981392ff066f63eedf7248c04cb18a434d"),
+            ("alternating", 10_000, "42e7757bd387cb4140a6f1af7ffc55805f58870f604ef42c94bc4f1bbb6018af"),
+        ],
+    )
+    def test_pinned_analyze_sha256(self, capsys, kind, n, digest):
+        # analyze reports on both sides of the run vector's slot-width
+        # switches (n = 32 and 8192) and at the length cap
+        text = _random_text(n) if kind == "random" else ("+-" * n)[:n]
+        code, out, _ = run_cli(capsys, "analyze", text, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

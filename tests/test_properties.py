@@ -42,6 +42,7 @@ from oracles import (
     brute_is_balanced,
     brute_is_barker,
     brute_periodic,
+    brute_run_vector,
     brute_runs,
     composition,
 )
@@ -156,6 +157,12 @@ def test_sign_reflection(rle, k):
     assert f == fs + ft
     assert fs in (-1, 0, 1) and ft in (-1, 0, 1)
     assert fs == sign_gamma * f_eval(rs, rs.n - k)[1]
+
+
+@given(long_encodings)
+def test_run_vector_matches_oracle(rle):
+    # lengths to 200 cross from 8-bit to 16-bit product slots at n = 33
+    assert run_vector_of(run_structure(rle)).r_tilde == brute_run_vector(rle.runs)
 
 
 @given(st.one_of(encodings, long_encodings))

@@ -1,7 +1,11 @@
 """Core calculus: encodings, autocorrelations, run structure, run vector."""
 
+import random
+
 import pytest
 
+from runvec.cli import MAX_LENGTH
+from runvec.lemmalab import theorem1_residual
 from runvec.seqcore import (
     BinarySequence,
     ParseError,
@@ -33,6 +37,7 @@ from oracles import (
     brute_is_skew_symmetric,
     brute_periodic,
     brute_prefix_structure,
+    brute_run_vector,
     brute_runs,
     compositions,
 )
@@ -334,8 +339,16 @@ class TestRunVector:
         assert run_vector(seq("+")) == run_vector_of(run_structure(rle(1, (1,))))
         assert run_vector(seq("+")).r_tilde == ()
 
+    def test_matches_oracle_every_composition_to_12(self):
+        # the big-integer product against f_s + f_t + 2u read off the oracle
+        for n in range(1, 13):
+            for runs in compositions(n):
+                expected = brute_run_vector(runs)
+                for sign in (1, -1):
+                    assert run_vector_of(run_structure(rle(sign, runs))).r_tilde == expected
+
     def test_matches_componentwise_definition(self):
-        # the pair-accumulated fast path must agree with f + 2u entry by entry
+        # the big-integer product must agree with f + 2u entry by entry
         for n in range(2, 13):
             for runs in compositions(n):
                 rs = run_structure(rle(1, runs))
@@ -358,6 +371,28 @@ class TestRunVector:
         rv = run_vector(seq("++-"))
         with pytest.raises(ValueError):
             rv.tilde(0)
+
+
+class TestRunVectorSlotWidths:
+    """``run_vector_of`` reads the run vector off 8-bit slots up to n = 32,
+    16-bit slots up to n = 8192 and 32-bit slots beyond; these lengths
+    straddle both switches."""
+
+    def test_alternating_closed_form(self):
+        # all runs of length 1: r~_k = (-1)**k * 2k, and the last entry,
+        # 2n - 2, overflows the narrower slot one length past each switch
+        for n in (*range(2, 41), *range(8190, 8195), MAX_LENGTH):
+            rv = run_vector_of(run_structure(rle(1, (1,) * n)))
+            assert rv.r_tilde == tuple([(-1) ** k * 2 * k for k in range(1, n)]), n
+            sign_gamma = -1 if n % 2 else 1
+            assert rv.r == tuple([sign_gamma * v for v in reversed(rv.r_tilde)]), n
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 8191, 8192, 8193, MAX_LENGTH])
+    def test_theorem1_holds_on_seeded_random_sequences(self, n):
+        # C comes from the packed XOR-and-popcount kernel, an independent route
+        bits = random.Random(n).getrandbits(n)
+        sequence = BinarySequence(tuple([-1 if (bits >> i) & 1 else 1 for i in range(n)]))
+        assert not any(theorem1_residual(sequence))
 
 
 class TestPredicates:
