@@ -48,53 +48,35 @@ from .seqcore import (
     ParseError,
     RunLengthEncoding,
     aperiodic_autocorrelations,
-    decode_rle,
+    decode_text,
     encode_rle,
     is_balanced,
-    is_barker,
-    is_skew_symmetric,
-    periodic_autocorrelations,
+    packed_correlation_vectors,
+    packed_rle,
+    packed_skew_symmetric,
+    parse_sequence,
     run_structure,
     run_vector_of,
 )
 
 
-#: Longest sequence ``analyze`` and ``rle`` accept.  The two
-#: autocorrelation vectors of the ``analyze`` report cost O(n**2) bit
-#: operations: a random or alternating sequence of this length takes
-#: about 0.11 s (2-core VM, Python 3.11.7), twice the length 0.33 s.
+#: Longest sequence ``analyze`` and ``rle`` accept; the text parsers
+#: check it.  The ``analyze`` report multiplies two pairs of n-slot
+#: integers, one for both autocorrelation vectors and one for the run
+#: vector: a random or alternating sequence of this length takes about
+#: 0.05 s (2-core VM, Python 3.11.7).
 MAX_LENGTH = 10_000
 
 
-def _check_length(n: int) -> None:
-    if n > MAX_LENGTH:
-        raise ValueError(f"sequence length limited to n <= {MAX_LENGTH}, got {n}")
-
-
-def _parse_sequence(text: str) -> BinarySequence:
-    _check_length(len(text))
-    return BinarySequence.from_text(text)
-
-
-def _parse_rle(text: str) -> RunLengthEncoding:
-    """Parse an encoding, refused over the cap before it is decoded."""
-    # '+,1,1,...,1', the longest encoding of n elements, has 2n+1 characters
-    if len(text) > 2 * MAX_LENGTH + 1:
-        raise ValueError(
-            f"encoding text limited to {2 * MAX_LENGTH + 1} characters, got {len(text)}"
-        )
-    # a run with more digits than the cap is over it on its own; refuse it
-    # before int() meets it, which converts at most 4300 digits
-    for token in text.split(",")[1:]:
-        digits = token.lstrip("0")
-        if digits.isascii() and digits.isdigit() and len(digits) > len(str(MAX_LENGTH)):
-            raise ValueError(
-                f"sequence length limited to n <= {MAX_LENGTH}, "
-                f"got a run of {len(digits)} digits"
-            )
-    rle = RunLengthEncoding.from_text(text)
-    _check_length(rle.n)
-    return rle
+def _parse_input(text: str, encoded: bool) -> tuple[str, int, RunLengthEncoding]:
+    """The '+'/'-' text, the packed form and the encoding of the sequence
+    that ``text``, an encoding text or not, describes."""
+    if encoded:
+        rle = RunLengthEncoding.from_text(text, MAX_LENGTH)
+        text = decode_text(rle)
+        return text, parse_sequence(text), rle
+    x = parse_sequence(text, MAX_LENGTH)
+    return text, x, packed_rle(x, len(text))
 
 
 def _dumps(obj) -> str:
@@ -109,28 +91,26 @@ def _cmd_analyze(args) -> int:
     if (args.sequence is None) == (args.rle is None):
         print("error: provide either a sequence or --rle", file=sys.stderr)
         return 1
-    if args.rle is not None:
-        rle = _parse_rle(args.rle)
-        seq = decode_rle(rle)
-    else:
-        seq = _parse_sequence(args.sequence)
-        rle = encode_rle(seq)
+    encoded = args.rle is not None
+    text, x, rle = _parse_input(args.rle if encoded else args.sequence, encoded)
+    n = len(text)
     rs = run_structure(rle)
     rv = run_vector_of(rs)
+    c, c_periodic = packed_correlation_vectors(x, n)
     report = {
-        "sequence": seq.to_text(),
-        "n": seq.n,
+        "sequence": text,
+        "n": n,
         "rle": rle.to_text(),
         "gamma": rle.gamma,
         "S": sorted(rs.s_set),
         "T": sorted(rs.t_set),
-        "C": list(aperiodic_autocorrelations(seq)),
-        "C_periodic": list(periodic_autocorrelations(seq)),
+        "C": list(c),
+        "C_periodic": list(c_periodic),
         "r_tilde": list(rv.r_tilde),
         "r": list(rv.r),
         "balanced": is_balanced(rs),
-        "skew_symmetric": is_skew_symmetric(seq),
-        "barker": is_barker(seq),
+        "skew_symmetric": packed_skew_symmetric(x, n),
+        "barker": all(-1 <= v <= 1 for v in c[1:n]),
     }
     if args.json:
         print(_dumps(report))
@@ -146,18 +126,12 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_rle(args) -> int:
     # an encoding always contains a comma; a bare sequence never does
-    if "," in args.input:
-        rle = _parse_rle(args.input)
-        seq = decode_rle(rle)
-        converted = seq.to_text()
-    else:
-        seq = _parse_sequence(args.input)
-        rle = encode_rle(seq)
-        converted = rle.to_text()
+    encoded = "," in args.input
+    text, _, rle = _parse_input(args.input, encoded)
     if args.json:
-        print(_dumps({"sequence": seq.to_text(), "rle": rle.to_text()}))
+        print(_dumps({"sequence": text, "rle": rle.to_text()}))
     else:
-        print(converted)
+        print(text if encoded else rle.to_text())
     return 0
 
 

@@ -14,7 +14,7 @@ of an odd length -- and aggregates per-length records.  Its unit of
 work is one length of one population with every requested target of
 that population: each instance's shared state is built once and every
 target is evaluated on it.  Sequences are swept as packed masks (see
-:mod:`runvec.seqcore`): C comes from the packed kernel, the run vector
+:mod:`runvec.seqcore`): C comes from the lazy packed loop, the run vector
 from the runs read off the mask (never from C), and sequences are
 decoded only for the delta oracle, which is computed on the elements,
 and for failure witnesses.

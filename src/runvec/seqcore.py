@@ -26,17 +26,20 @@ Packed form: a length-n sequence is also one integer ``x`` with bit
 the first element is the most significant bit and numeric order of the
 masks is lexicographic order with '+' before '-'.  Slots ``i`` and
 ``i+k`` differ exactly where ``x ^ (x >> k)`` has a set bit below
-``n-k``, so ``C_k = (n-k) - 2*popcount((x ^ (x >> k)) & mask)``; the
-autocorrelations, the run lengths and the predicates are all computed
-on this form.
+``n-k``, so ``C_k = (n-k) - 2*popcount((x ^ (x >> k)) & mask)``; C
+at the short lengths of the sweeps and searches, the run lengths and
+the predicates are all computed on this form.
 
-Run-vector product: the run vector comes from the run structure alone,
-as one big-integer multiplication.  The forward and the reverse interior
-boundaries give two polynomials ``A`` and ``B`` with coefficients +-1;
-:func:`run_vector_of` packs ``1 + 2A`` and ``1 + 2B`` into fixed-width
-byte slots of two integers (Kronecker substitution), multiplies them
-once and reads entry k off slot k of the product.  Its docstring derives
-the slot widths and the decoding.
+Products: both autocorrelation vectors and the run vector are each read
+off one big-integer multiplication (Kronecker substitution): two
+polynomials with small integer coefficients are packed into fixed-width
+byte slots of two integers, multiplied once, and the signed slots of the
+product are decoded by :func:`_signed_digits`.  For C the factors are
+the sequence and its reversal (:func:`packed_correlation_vectors`, which
+folds the periodic vector out of the same product); for the run vector
+they come from the forward and the reverse interior boundaries of the
+run structure alone (:func:`run_vector_of`), never from C.  Each
+docstring derives its slot widths.
 
 Every operation is a pure function of its inputs; no operation mutates
 a value after construction, so values are safe to share across threads.
@@ -56,6 +59,23 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at position {position}")
         self.position = position
+
+
+#: Decimal digits ``int()`` converts under any ``sys.set_int_max_str_digits``
+#: setting (640 is the least it accepts); an uncapped encoding whose runs
+#: are all this short is parsed in one pass.
+_INT_DIGITS = 640
+
+
+def _length_error(max_n: int, got) -> ValueError:
+    return ValueError(f"sequence length limited to n <= {max_n}, got {got}")
+
+
+def _capped(rle: RunLengthEncoding, max_n: int | None) -> RunLengthEncoding:
+    """``rle``, or ``ValueError`` when it has more than ``max_n`` elements."""
+    if max_n is not None and rle.n > max_n:
+        raise _length_error(max_n, rle.n)
+    return rle
 
 
 class Record:
@@ -124,18 +144,8 @@ class BinarySequence(Record):
 
     @classmethod
     def from_text(cls, text: str) -> BinarySequence:
-        """Parse a '+'/'-' string such as ``"+++--+-"``."""
-        if not text:
-            raise ParseError("empty sequence", 0)
-        elems = []
-        for pos, ch in enumerate(text):
-            if ch == "+":
-                elems.append(1)
-            elif ch == "-":
-                elems.append(-1)
-            else:
-                raise ParseError(f"expected '+' or '-', got {ch!r}", pos)
-        return cls(tuple(elems))
+        """Parse a '+'/'-' string such as ``"+++--+-"`` (see :func:`parse_sequence`)."""
+        return unpack(parse_sequence(text), len(text))
 
     def to_text(self) -> str:
         return "".join("+" if x == 1 else "-" for x in self.elems)
@@ -178,18 +188,52 @@ class RunLengthEncoding(Record):
         return sum(self.runs)
 
     @classmethod
-    def from_text(cls, text: str) -> RunLengthEncoding:
-        """Parse ``"<sign>,r1,r2,..."`` such as ``"+,3,2,1,1"``."""
+    def from_text(cls, text: str, max_n: int | None = None) -> RunLengthEncoding:
+        """Parse ``"<sign>,r1,r2,..."`` such as ``"+,3,2,1,1"``.
+
+        With ``max_n``, an encoding of more elements raises ``ValueError``,
+        checked in this order: a text longer than ``2*max_n + 1``
+        characters, the length of ``'+,1,...,1'`` with ``max_n`` runs; a
+        run with more digits than ``max_n`` has, anywhere after the first
+        comma, before any token is parsed; then a total over ``max_n``.
+
+        A sign, a comma and ASCII digit runs of at most that many digits
+        (without a cap, of at most :data:`_INT_DIGITS`) are validated and
+        converted at C level in one pass.  Any other text, or a zero run,
+        goes through the token loop, which raises the :class:`ParseError`
+        of the first bad token.
+        """
+        if max_n is not None and len(text) > 2 * max_n + 1:
+            raise ValueError(
+                f"encoding text limited to {2 * max_n + 1} characters, got {len(text)}"
+            )
+        run_digits = _INT_DIGITS if max_n is None else len(str(max_n))
+        tokens = text[2:].split(",")
+        if (
+            text[:2] in ("+,", "-,")
+            and not text[2:].strip(",0123456789")
+            and "" not in tokens
+            and max(map(len, tokens)) <= run_digits
+        ):
+            runs = tuple(map(int, tokens))
+            if 0 not in runs:
+                return _capped(cls(1 if text[0] == "+" else -1, runs), max_n)
+        if max_n is not None:
+            # a run with more digits than the cap is over it on its own; refuse it
+            # before int() meets it, which converts at most 4300 digits
+            for token in text.split(",")[1:]:
+                digits = token.lstrip("0")
+                if digits.isascii() and digits.isdigit() and len(digits) > run_digits:
+                    raise _length_error(max_n, f"a run of {len(digits)} digits")
         if not text:
             raise ParseError("empty run-length encoding", 0)
         if text[0] not in "+-":
             raise ParseError(f"expected leading sign '+' or '-', got {text[0]!r}", 0)
-        sign = 1 if text[0] == "+" else -1
         if len(text) < 2 or text[1] != ",":
             raise ParseError("expected ',' after the sign", 1)
         runs = []
         pos = 2
-        for token in text[2:].split(","):
+        for token in tokens:
             # isdigit() alone admits '²' or '①', which int() rejects; leading
             # zeros are dropped so they count against no digit limit
             digits = token.lstrip("0")
@@ -200,7 +244,7 @@ class RunLengthEncoding(Record):
             except ValueError:  # more digits than int() converts
                 raise ParseError(f"run length of {len(digits)} digits", pos) from None
             pos += len(token) + 1
-        return cls(sign, tuple(runs))
+        return _capped(cls(1 if text[0] == "+" else -1, tuple(runs)), max_n)
 
     def to_text(self) -> str:
         sign = "+" if self.start_sign == 1 else "-"
@@ -254,6 +298,9 @@ class RunVector(Record):
         return self.r_tilde[k - 1]
 
 
+_BITS = str.maketrans("+-", "01")
+
+
 def pack(seq: BinarySequence) -> int:
     """The packed form of a sequence, in the layout the module docstring states."""
     return int("".join(["1" if v < 0 else "0" for v in seq.elems]), 2)
@@ -264,6 +311,34 @@ def unpack(x: int, n: int) -> BinarySequence:
     if not 0 <= x < 1 << n:
         raise ValueError(f"mask {x} does not fit in {n} bits")
     return BinarySequence(tuple([-1 if b == "1" else 1 for b in format(x, f"0{n}b")]))
+
+
+def parse_sequence(text: str, max_n: int | None = None) -> int:
+    """The packed form of a '+'/'-' text such as ``"+++--+-"``, whose
+    length is ``len(text)``.
+
+    With ``max_n``, a longer text raises ``ValueError`` before it is read.
+    A text of '+' and '-' only is validated by one ``strip`` and converted
+    by one base-2 ``int()``, which no digit limit applies to; only any
+    other text is scanned again, for the :class:`ParseError` at its first
+    other character.
+    """
+    if max_n is not None and len(text) > max_n:
+        raise _length_error(max_n, len(text))
+    if text and not text.strip("+-"):
+        return int(text.translate(_BITS), 2)
+    if not text:
+        raise ParseError("empty sequence", 0)
+    pos = next(i for i, ch in enumerate(text) if ch not in "+-")
+    raise ParseError(f"expected '+' or '-', got {text[pos]!r}", pos)
+
+
+def decode_text(rle: RunLengthEncoding) -> str:
+    """The '+'/'-' text of the sequence an encoding describes: run j
+    repeats its sign ``r_j`` times, and the signs alternate from the
+    start sign."""
+    signs = "+-" if rle.start_sign == 1 else "-+"
+    return "".join(map(str.__mul__, signs * len(rle.runs), rle.runs))
 
 
 def packed_runs(x: int, n: int) -> tuple[int, ...]:
@@ -289,13 +364,94 @@ def packed_autocorrelations(x: int, n: int) -> Iterator[int]:
     """``C_1, ..., C_{n-1}`` of the packed length-n sequence ``x``, lazily;
     requires ``0 <= x < 2**n``.
 
-    The only aperiodic-autocorrelation loop of the package; callers that
-    test a bound stop consuming at the first shift that breaks it.
+    The lazy loop for early-exit bound tests: a caller that tests a
+    bound stops consuming at the first shift that breaks it.  It also
+    gives the whole of C to the sweeps, the search records and
+    :func:`aperiodic_autocorrelations`, whose callers in the package
+    all stay at n <= 45: up to about n = 21 the loop is as fast as the
+    fixed cost of :func:`packed_correlation_vectors` or faster (4.0 us
+    against 7.7 us at n = 13, 2-core VM, Python 3.11.7), and that
+    product serves ``analyze``.
     """
     mask = (1 << n) - 1
     for k in range(1, n):
         mask >>= 1
         yield n - k - 2 * ((x ^ (x >> k)) & mask).bit_count()
+
+
+_INT_CODES = {1: "b", 2: "h", 4: "i"}  # struct codes of 1-, 2- and 4-byte slots
+
+
+def _signed_digits(value: int, count: int, width: int) -> tuple[int, ...]:
+    """Digits ``0..count-1`` of ``value = sum_k d_k * y**k``,
+    ``y = 2**w``, ``w = 8*width``, as signed integers.  Each of them must
+    lie in ``[-2**(w-1), 2**(w-1))``; the digits from ``count`` up may be
+    anything.
+
+    A negative digit borrows from the one above it.  Adding ``M``, which
+    holds ``2**(w-1)`` in each of the ``count`` low slots, lifts digit k
+    to ``d_k + 2**(w-1)``, which lies in ``[0, 2**w)``.  So the low terms
+    form the plain base-``y`` representation of a number below
+    ``y**count``, and the terms from ``y**count`` up are a multiple of
+    ``y**count``: masking to ``count*w`` bits keeps exactly the lifted
+    digits.  XOR with ``M`` flips each slot's top bit back, which leaves
+    ``d_k`` in w-bit two's complement.  The slots are read little-endian,
+    whatever the host byte order.
+    """
+    bits = 8 * width
+    mask = (1 << bits * count) - 1
+    signs = mask // ((1 << bits) - 1) << (bits - 1)  # M
+    digits = ((value + signs) & mask) ^ signs
+    return unpack_from(f"<{count}{_INT_CODES[width]}", digits.to_bytes(width * count, "little"))
+
+
+_LIFTED = bytes.maketrans(b"01", b"\x02\x00")  # a bit of a mask -> a_i + 1
+
+
+def packed_correlation_vectors(x: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The aperiodic vector ``(C_0, ..., C_n)``, with ``C_n = 0``, and the
+    periodic vector ``(P_0, ..., P_{n-1})`` of the packed length-n
+    sequence ``x``, both from one product; requires ``0 <= x < 2**n``.
+
+    For ``A = sum_i a_i y**i`` and its reversal
+    ``R = sum_i a_{n-1-i} y**i``, coefficient ``n-1+k`` of ``A*R`` is
+    ``sum_i a_{i+k} * a_i = C_k``, and so is coefficient ``n-1-k``
+    (``0 <= k < n``).  Both factors are packed with ``w`` bits per
+    coefficient, ``y = 2**w`` (Kronecker substitution), from one byte
+    string with ``a_i + 1`` (2 or 0) in the low byte of slot i: read
+    little-endian it is ``A + O``, read big-endian and shifted down by
+    ``w - 8`` bits it is ``R + O``, where ``O`` has 1 in every slot.
+    The product ``A*R = sum_m d_m y**m`` then takes one multiplication.
+
+    Splitting: every ``|d_m| <= n < y/2``, and the top digit of the low
+    half ``L = sum_{m<n} d_m y**m`` is ``d_{n-1} = C_0 = n >= 1``, so
+    ``0 < L < y**n``.  Hence masking the product to ``n*w`` bits gives
+    ``L`` and shifting it right by ``n*w`` bits gives the high half
+    ``H = sum_{j<n-1} C_{j+1} y**j``, both exactly, with no borrow
+    between them.  ``H`` holds ``C_1..C_{n-1}``.  The periodic vector is
+    the product reduced modulo ``y**n - 1``: ``P_0 = n``, and slot j of
+    ``L + H`` holds ``d_j + d_{n+j} = C_{n-1-j} + C_{j+1} = P_{j+1}``
+    (see :func:`periodic_autocorrelations`).
+
+    Slot widths: :func:`_signed_digits` reads ``C_1..C_{n-1}`` and
+    ``P_1..P_{n-1}``, all of magnitude at most ``n``, and
+    ``P_k = n`` for the constant sequence.  So 8-bit slots hold
+    n <= 127, 16-bit slots n <= 32767 and 32-bit slots every
+    n < 2**31; the constant sequence overflows the narrower slot at
+    n = 128 and n = 32768.
+    """
+    width = 1 if n <= 127 else 2 if n <= 32767 else 4
+    slots = bytearray(width * n)
+    slots[::width] = format(x, f"0{n}b").encode().translate(_LIFTED)
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * n, "little")
+    product = (int.from_bytes(slots, "little") - ones) * (
+        (int.from_bytes(slots, "big") >> 8 * width - 8) - ones
+    )
+    low, high = product & ((1 << 8 * width * n) - 1), product >> 8 * width * n
+    return (
+        (n, *_signed_digits(high, n - 1, width), 0),
+        (n, *_signed_digits(low + high, n - 1, width)),
+    )
 
 
 def packed_skew_symmetric(x: int, n: int) -> bool:
@@ -336,15 +492,14 @@ def aperiodic_autocorrelations(seq: BinarySequence) -> tuple[int, ...]:
 def periodic_autocorrelations(seq: BinarySequence) -> tuple[int, ...]:
     """Cyclic autocorrelations for shifts ``0..n-1`` (indices wrap modulo n).
 
-    The packed kernel with the shift replaced by a rotation: slots ``i``
-    and ``(i+k) mod n`` differ where ``x`` and ``x`` rotated by k do.
+    They follow from the aperiodic ones: ``P_0 = C_0 = n``, and for
+    ``0 < k < n`` the cyclic products ``a_i * a_{(i+k) mod n}`` split
+    into those with ``i < n-k``, which sum to ``C_k``, and those with
+    ``i = n-k+j`` for ``0 <= j < k``, which are ``a_j * a_{j+n-k}`` and
+    sum to ``C_{n-k}``, so ``P_k = C_k + C_{n-k}``.
+    :func:`packed_correlation_vectors` reads both off one product.
     """
-    n = seq.n
-    x = pack(seq)
-    mask = (1 << n) - 1
-    return tuple(
-        n - 2 * (x ^ (((x >> k) | (x << (n - k))) & mask)).bit_count() for k in range(n)
-    )
+    return packed_correlation_vectors(pack(seq), seq.n)[1]
 
 
 def run_structure(rle: RunLengthEncoding) -> RunStructure:
@@ -420,26 +575,17 @@ def run_vector_of(rs: RunStructure) -> RunVector:
 
     The product is one big-integer multiplication (Kronecker
     substitution): each factor is packed with ``w`` bits per coefficient,
-    ``x = 2**w``, and multiplied once.  Coefficient k >= 1 is
-    ``d_k = 2 * r_tilde_k`` with ``|r_tilde_k| <= 2*gamma - 1 <= 2n - 1``,
-    so ``|d_k| <= 4n - 2`` fits ``[-2**(w-1), 2**(w-1))`` with 8-bit
-    slots for n <= 32, 16-bit slots for n <= 8192 and 32-bit slots for
-    every n <= 2**29.  None of the first two reaches further: the
-    alternating sequence has ``r_tilde_{n-1} = 2n - 2``, so
-    ``d_{n-1} = 128`` at n = 33 and ``32768`` at n = 8193.
-
-    Decoding: the product ``P = sum_k d_k x**k`` has signed digits, and
-    a negative digit borrows from the one above it.  Adding
-    ``M = sum_{k<n} 2**(w-1) x**k`` lifts digit k to ``d_k + 2**(w-1)``,
-    which lies in ``[0, 2**w)``, so the terms below ``x**n`` form the
-    plain base-``x`` representation of a number below ``x**n``, and the
-    terms from ``x**n`` up are a multiple of ``x**n``: masking to ``n*w``
-    bits keeps exactly the lifted digits.  XOR with ``M`` flips each
-    slot's top bit back, which leaves ``d_k`` in w-bit two's complement.
-    Every ``d_k`` with k >= 1 is even, so shifting the whole integer
-    right by one bit moves no set bit across a slot boundary; OR-ing
-    the sign bits back halves every slot at once.  The slots are then
-    read little-endian, whatever the host byte order.
+    ``x = 2**w``, and multiplied once.  The product is ``1 + 2*Q`` with
+    ``Q = A + B + 2*A*B``, which has no constant term because every
+    interior boundary is at least 1; so ``Q`` is a multiple of ``x``, and
+    one right shift by ``w + 1`` bits gives ``Q / x`` exactly, whose
+    digit ``k - 1`` is ``r_tilde_k``.  :func:`_signed_digits` reads its
+    ``n - 1`` low digits.  ``|r_tilde_k| <= 2*gamma - 1 <= 2n - 1``
+    fits ``[-2**(w-1), 2**(w-1))`` with 8-bit slots for n <= 64,
+    16-bit slots for n <= 16384 and 32-bit slots for every n <= 2**30.
+    None of the first two reaches further: the alternating sequence has
+    ``r_tilde_{n-1} = 2n - 2``, which is 128 at n = 65 and 32768 at
+    n = 16385.
 
     Each factor is built from a ``bytearray`` holding each coefficient
     plus 2 in the low byte of its slot (3 for the constant 1, 4 for an
@@ -451,7 +597,7 @@ def run_vector_of(rs: RunStructure) -> RunVector:
     n, gamma = rs.n, rs.gamma
     if n < 2:
         return RunVector((), ())
-    width, code = (1, "b") if n <= 32 else (2, "h") if n <= 8192 else (4, "i")
+    width = 1 if n <= 64 else 2 if n <= 16384 else 4
     twos = (b"\x02" + bytes(width - 1)) * n
     forward = bytearray(twos)
     reverse = bytearray(twos)
@@ -463,10 +609,7 @@ def run_vector_of(rs: RunStructure) -> RunVector:
     product = (int.from_bytes(forward, "little") - offset) * (
         int.from_bytes(reverse, "little") - offset
     )
-    bias = offset << (8 * width - 2)  # 2**(w-1) in every slot
-    digits = ((product + bias) & ((1 << 8 * width * n) - 1)) ^ bias
-    halves = (digits >> 1) | (digits & bias)
-    r_tilde = unpack_from(f"<{n - 1}{code}", halves.to_bytes(width * n, "little"), width)
+    r_tilde = _signed_digits(product >> 8 * width + 1, n - 1, width)
     if gamma & 1:
         r = tuple([-v for v in reversed(r_tilde)])
     else:

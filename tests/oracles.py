@@ -123,17 +123,89 @@ def brute_rank(runs, k):
     return next(mu for mu, boundary in enumerate(s, start=1) if k <= boundary)
 
 
+def _u(s, f_t, k):
+    return sum((-1) ** j * f_t.get(k - s[j - 1], 0) for j in range(1, len(s)))
+
+
 def brute_u(runs, k):
     """u_k = sum over j = 1..gamma-1 of (-1)**j * f_t(k - s_j), literally."""
     s, _, _, _ = brute_prefix_structure(runs)
     _, f_t = brute_signs(runs)
-    return sum((-1) ** j * f_t.get(k - s[j - 1], 0) for j in range(1, len(runs)))
+    return _u(s, f_t, k)
 
 
 def brute_run_vector(runs):
     """(r~_1, ..., r~_{n-1}) with r~_k = f_s(k) + f_t(k) + 2*u_k, each term
-    read literally off :func:`brute_signs` and :func:`brute_u`."""
+    read literally off :func:`brute_signs` and the sum of :func:`brute_u`."""
+    s, _, _, _ = brute_prefix_structure(runs)
     f_s, f_t = brute_signs(runs)
-    return tuple(
-        f_s.get(k, 0) + f_t.get(k, 0) + 2 * brute_u(runs, k) for k in range(1, sum(runs))
-    )
+    return tuple(f_s.get(k, 0) + f_t.get(k, 0) + 2 * _u(s, f_t, k) for k in range(1, sum(runs)))
+
+
+def brute_parse_sequence(text, max_n=None):
+    """The outcome of reading a '+'/'-' text character by character:
+    ("ok", elements), ("ParseError", message, position) or
+    ("ValueError", message) for a text longer than ``max_n``."""
+    if max_n is not None and len(text) > max_n:
+        return ("ValueError", f"sequence length limited to n <= {max_n}, got {len(text)}")
+    if not text:
+        return ("ParseError", "empty sequence at position 0", 0)
+    elems = []
+    for pos, ch in enumerate(text):
+        if ch == "+":
+            elems.append(1)
+        elif ch == "-":
+            elems.append(-1)
+        else:
+            return ("ParseError", f"expected '+' or '-', got {ch!r} at position {pos}", pos)
+    return ("ok", tuple(elems))
+
+
+def brute_parse_encoding(text, max_n=None):
+    """The outcome of reading ``"<sign>,r1,r2,..."`` token by token:
+    ("ok", (start sign, runs)), ("ParseError", message, position) or
+    ("ValueError", message).  With ``max_n`` these come first: a text
+    longer than ``2*max_n + 1`` characters, then any token after the
+    first comma that, without its leading zeros, is an ASCII digit
+    string longer than ``max_n``'s; a total over ``max_n`` comes last.
+    A run is an ASCII digit string that is not all zeros; one of more
+    than 4300 significant digits is refused, as ``int()`` refuses it."""
+
+    def error(message, pos):
+        return ("ParseError", f"{message} at position {pos}", pos)
+
+    if max_n is not None:
+        if len(text) > 2 * max_n + 1:
+            return (
+                "ValueError",
+                f"encoding text limited to {2 * max_n + 1} characters, got {len(text)}",
+            )
+        for token in text.split(",")[1:]:
+            digits = token.lstrip("0")
+            if digits and all(ch in "0123456789" for ch in digits) and len(digits) > len(str(max_n)):
+                return (
+                    "ValueError",
+                    f"sequence length limited to n <= {max_n}, got a run of {len(digits)} digits",
+                )
+    if not text:
+        return error("empty run-length encoding", 0)
+    if text[0] not in ("+", "-"):
+        return error(f"expected leading sign '+' or '-', got {text[0]!r}", 0)
+    if len(text) < 2 or text[1] != ",":
+        return error("expected ',' after the sign", 1)
+    runs = []
+    pos = 2
+    for token in text[2:].split(","):
+        digits = token.lstrip("0")
+        if not digits or not all(ch in "0123456789" for ch in digits):
+            return error(f"expected a positive run length, got {token!r}", pos)
+        if len(digits) > 4300:
+            return error(f"run length of {len(digits)} digits", pos)
+        value = 0
+        for ch in digits:
+            value = 10 * value + "0123456789".index(ch)
+        runs.append(value)
+        pos += len(token) + 1
+    if max_n is not None and sum(runs) > max_n:
+        return ("ValueError", f"sequence length limited to n <= {max_n}, got {sum(runs)}")
+    return ("ok", (1 if text[0] == "+" else -1, tuple(runs)))

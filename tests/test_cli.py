@@ -15,7 +15,17 @@ import pytest
 from runvec import cli
 from runvec.cli import MAX_LENGTH, main
 
-from oracles import all_sign_tuples, brute_runs
+from oracles import (
+    all_sign_tuples,
+    brute_aperiodic,
+    brute_is_balanced,
+    brute_is_barker,
+    brute_is_skew_symmetric,
+    brute_periodic,
+    brute_prefix_structure,
+    brute_run_vector,
+    brute_runs,
+)
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +89,57 @@ class TestAnalyze:
         assert code == 1 and "provide either" in err
         code, _, err = run_cli(capsys, "analyze", "++-", "--rle", "+,2,1")
         assert code == 1
+
+
+def _encoding_of(text):
+    return ",".join([text[0]] + [str(r) for r in brute_runs(text)])
+
+
+class TestAnalyzeMatchesOracles:
+    """Every field of ``analyze --json`` against the first-principles
+    oracles, for one seeded random sequence of each length 1..300, given
+    bare and as an encoding."""
+
+    def test_every_field_every_length_to_300(self, capsys):
+        rng = random.Random(1501)
+        for n in range(1, 301):
+            text = "".join(rng.choice("+-") for _ in range(n))
+            elems = tuple([1 if ch == "+" else -1 for ch in text])
+            runs = brute_runs(elems)
+            _, _, s_set, t_set = brute_prefix_structure(runs)
+            r_tilde = brute_run_vector(runs)
+            sign_gamma = -1 if len(runs) % 2 else 1
+            want = {
+                "sequence": text,
+                "n": n,
+                "rle": _encoding_of(text),
+                "gamma": len(runs),
+                "S": sorted(s_set),
+                "T": sorted(t_set),
+                "C": list(brute_aperiodic(elems)),
+                "C_periodic": list(brute_periodic(elems)),
+                "r_tilde": list(r_tilde),
+                "r": [sign_gamma * r_tilde[n - k - 1] for k in range(1, n)],
+                "balanced": brute_is_balanced(runs),
+                "skew_symmetric": brute_is_skew_symmetric(elems),
+                "barker": brute_is_barker(elems),
+            }
+            bare = run_cli(capsys, "analyze", text, "--json")
+            assert bare[0] == 0 and bare[2] == ""
+            assert json.loads(bare[1]) == want, n
+            assert run_cli(capsys, "analyze", "--rle", _encoding_of(text), "--json") == bare
+
+    @pytest.mark.parametrize("n", [126, 127, 128, 129])
+    def test_constant_and_alternating_across_the_slot_switch(self, capsys, n):
+        # C and C_periodic come from 8-bit product slots up to n = 127; the
+        # constant sequence has P_k = n, the alternating one |P_k| = n for even n
+        for text in ("+" * n, "-" * n, ("+-" * n)[:n], ("-+" * n)[:n]):
+            elems = tuple([1 if ch == "+" else -1 for ch in text])
+            code, out, _ = run_cli(capsys, "analyze", "--rle", _encoding_of(text), "--json")
+            report = json.loads(out)
+            assert code == 0 and report["sequence"] == text
+            assert report["C"] == list(brute_aperiodic(elems))
+            assert report["C_periodic"] == list(brute_periodic(elems))
 
 
 class TestRleCommand:
@@ -576,4 +637,37 @@ class TestDeterminism:
         text = _random_text(n) if kind == "random" else ("+-" * n)[:n]
         code, out, _ = run_cli(capsys, "analyze", text, "--json")
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "kind,n,digest",
+        [
+            ("random", 1, "41705b44b713fa006ab830ffdf5b2d41e9d51791c56af159a963846bfe2f3abd"),
+            ("random", 7, "9fda907d0513425c57607827887c431678e98d859057b2f5420e778d8900b304"),
+            ("random", 33, "da1cce43b3cb95fdc213c4b7275d35e3ec7b19d57a34ab7157f2ff6e1d4abbee"),
+            ("random", 128, "761fd514bfa3dc946c9a7fc59ff4faf13dbb03344da4881881a11856d5dfd47a"),
+            ("random", 256, "520df1e4bb3c58a53422980e10f04c65987a0a65cfe2212431fcb7fdf9ecccb8"),
+            ("random", 10_000, "f8309de0ca3d46c90b98f1461bbc8184eb231741f7c0754f92775e43ea949222"),
+            ("alternating", 1, "41705b44b713fa006ab830ffdf5b2d41e9d51791c56af159a963846bfe2f3abd"),
+            ("alternating", 7, "5b5aeb0394ac9c2f7fb0b81c641a20ba1e0fe6ac9204f79bdfef71ac58275abe"),
+            ("alternating", 33, "511d2311d5e7a852d1dcceee81c8e2f3206fcb18fc76765d8b43378b6777ad46"),
+            ("alternating", 128, "47b487a158755eca1355e63017b7f7a238480d1e62943cd162c87e22cec371b9"),
+            ("alternating", 256, "b33f263802ae140b24f500bc86f70a540594b10f4bd54bc301de60c88368cd58"),
+            ("alternating", 10_000, "a2e5ceb21f27351dd6847ebb552a3acf24555fa3bb62badb7c0190d512a60b3d"),
+        ],
+    )
+    def test_pinned_plain_analyze_and_rle_sha256(self, capsys, kind, n, digest):
+        # the human-readable replies, which only these pins read: plain
+        # analyze of the text and of its encoding, then rle both ways
+        text = _random_text(n) if kind == "random" else ("+-" * n)[:n]
+        out = ""
+        for argv in (
+            ("analyze", text),
+            ("analyze", "--rle", _encoding_of(text)),
+            ("rle", text),
+            ("rle", _encoding_of(text)),
+        ):
+            code, reply, _ = run_cli(capsys, *argv)
+            assert code == 0
+            out += reply
         assert hashlib.sha256(out.encode()).hexdigest() == digest

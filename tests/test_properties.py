@@ -25,9 +25,12 @@ from runvec.seqcore import (
     is_balanced,
     is_barker,
     is_skew_symmetric,
+    pack,
     packed_autocorrelations,
+    packed_correlation_vectors,
     packed_rle,
     packed_skew_symmetric,
+    parse_sequence,
     periodic_autocorrelations,
     run_structure,
     run_vector,
@@ -41,6 +44,8 @@ from oracles import (
     brute_delta_autocorrelation,
     brute_is_balanced,
     brute_is_barker,
+    brute_parse_encoding,
+    brute_parse_sequence,
     brute_periodic,
     brute_run_vector,
     brute_runs,
@@ -161,7 +166,7 @@ def test_sign_reflection(rle, k):
 
 @given(long_encodings)
 def test_run_vector_matches_oracle(rle):
-    # lengths to 200 cross from 8-bit to 16-bit product slots at n = 33
+    # lengths to 200 cross from 8-bit to 16-bit product slots at n = 65
     assert run_vector_of(run_structure(rle)).r_tilde == brute_run_vector(rle.runs)
 
 
@@ -247,6 +252,15 @@ def test_packed_periodic_matches_brute(seq):
     assert periodic_autocorrelations(seq) == brute_periodic(seq.elems)
 
 
+@given(long_sequences)
+def test_correlation_product_matches_brute(seq):
+    # lengths to 300 cross from 8-bit to 16-bit product slots at n = 128
+    assert packed_correlation_vectors(pack(seq), seq.n) == (
+        brute_aperiodic(seq.elems),
+        brute_periodic(seq.elems),
+    )
+
+
 @given(st.one_of(long_sequences, sequences))
 def test_packed_is_barker_matches_brute(seq):
     assert is_barker(seq) == brute_is_barker(seq.elems)
@@ -324,6 +338,64 @@ def test_text_parsers_return_a_value_or_raise_parse_error(text):
             parse(text)
         except ParseError:
             pass
+
+
+def _outcome(parse, text, max_n):
+    """What a library parser does with ``text``, in the form of the
+    reference parsers in :mod:`oracles`."""
+    try:
+        value = parse(text, max_n)
+    except ParseError as err:
+        return ("ParseError", str(err), err.position)
+    except ValueError as err:
+        return ("ValueError", str(err))
+    return ("ok", value)
+
+
+def _mask(elems):
+    """The packed form, bit n-1-i set where element i is -1, by a loop."""
+    return sum(1 << (len(elems) - 1 - i) for i, v in enumerate(elems) if v < 0)
+
+
+# texts over the parsers' alphabet and the characters that int() or
+# str.isdigit() would take but the parsers refuse ('²', '٣', '_', ' '),
+# encodings built from such tokens or from plain, zero-padded or overlong
+# numbers, and plain sequences; the caps put some on each side of every
+# length check
+parser_alphabet = "+-,0123456789\u00b2\u0663_ "
+parser_tokens = st.one_of(
+    st.text(parser_alphabet.replace(",", ""), max_size=3),
+    st.integers(0, 20_000).map(str),
+    st.tuples(st.integers(1, 6), st.integers(0, 99)).map(lambda p: "0" * p[0] + str(p[1])),
+    run_tokens,
+)
+parser_texts = st.one_of(
+    st.text(parser_alphabet, max_size=30),
+    st.tuples(st.sampled_from(["+", "-", "", "+;", "x"]), st.lists(parser_tokens, max_size=6)).map(
+        lambda pair: ",".join((pair[0], *pair[1]))
+    ),
+    st.tuples(
+        st.sampled_from("+-"), st.lists(st.integers(1, 40).map(str), min_size=1, max_size=8)
+    ).map(lambda pair: ",".join((pair[0], *pair[1]))),
+    st.text("+-", max_size=40),
+)
+
+
+@given(parser_texts, st.sampled_from([None, 1, 7, 99, 10_000]))
+def test_one_pass_parsers_agree_with_the_positional_loop(text, max_n):
+    # the same value, or the same error line and position, with or without a cap
+    def encoding(text, max_n):
+        rle = RunLengthEncoding.from_text(text, max_n)
+        return rle.start_sign, rle.runs
+
+    assert _outcome(encoding, text, max_n) == brute_parse_encoding(text, max_n)
+    want = brute_parse_sequence(text, max_n)
+    if want[0] == "ok":
+        want = ("ok", _mask(want[1]))
+    assert _outcome(parse_sequence, text, max_n) == want
+    if max_n is None:
+        sequence = _outcome(lambda text, _: BinarySequence.from_text(text).elems, text, None)
+        assert sequence == brute_parse_sequence(text)
 
 
 # each main call builds the argparse parser (about 1.6 ms), so keep this small

@@ -20,6 +20,7 @@ from runvec.seqcore import (
     is_skew_symmetric,
     pack,
     packed_autocorrelations,
+    packed_correlation_vectors,
     packed_runs,
     periodic_autocorrelations,
     run_structure,
@@ -233,6 +234,49 @@ class TestAutocorrelations:
                     assert (cp[k] - n) % 4 == 0
 
 
+def _constant_vectors(n):
+    """(C, P) of the all-'+' sequence: C_k = n - k, P_k = n."""
+    return (*range(n, 0, -1), 0), (n,) * n
+
+
+def _alternating_vectors(n):
+    """(C, P) of '+-+-...': a_i = (-1)**i gives C_k = (-1)**k * (n - k)
+    and P_k = C_k + C_{n-k}, which is (-1)**k * n for even n and
+    (-1)**k * (n - 2k) for odd n."""
+    c = tuple([(n - k) if k % 2 == 0 else (k - n) for k in range(n)]) + (0,)
+    if n % 2 == 0:
+        p = tuple([n if k % 2 == 0 else -n for k in range(n)])
+    else:
+        p = tuple([(n - 2 * k) if k % 2 == 0 else (2 * k - n) for k in range(n)])
+    return c, p
+
+
+class TestCorrelationProduct:
+    """``packed_correlation_vectors`` reads C and the periodic vector off
+    one product with 8-bit slots up to n = 127, 16-bit slots up to
+    n = 32767 and 32-bit slots beyond."""
+
+    def test_matches_oracles_every_sequence_to_12(self):
+        for n in range(1, 13):
+            for x, elems in enumerate(all_sign_tuples(n)):  # mask order
+                assert packed_correlation_vectors(x, n) == (
+                    brute_aperiodic(elems),
+                    brute_periodic(elems),
+                ), (n, x)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 126, 127, 128, 129, 32767, 32768])
+    def test_constant_and_alternating_closed_forms(self, n):
+        # the constant sequence has P_k = n, the largest digit read, so it
+        # overflows the narrower slot one length past each switch
+        full = (1 << n) - 1
+        alternating = int(("01" * n)[:n], 2)  # '+' first
+        assert packed_correlation_vectors(0, n) == _constant_vectors(n)
+        c, p = _constant_vectors(n)
+        assert packed_correlation_vectors(full, n) == (c, p)  # negation
+        assert packed_correlation_vectors(alternating, n) == _alternating_vectors(n)
+        assert packed_correlation_vectors(alternating ^ full, n) == _alternating_vectors(n)
+
+
 class TestRunStructure:
     def test_examples(self):
         rs = run_structure(rle(1, (2, 1)))
@@ -374,20 +418,22 @@ class TestRunVector:
 
 
 class TestRunVectorSlotWidths:
-    """``run_vector_of`` reads the run vector off 8-bit slots up to n = 32,
-    16-bit slots up to n = 8192 and 32-bit slots beyond; these lengths
+    """``run_vector_of`` reads the run vector off 8-bit slots up to n = 64,
+    16-bit slots up to n = 16384 and 32-bit slots beyond; these lengths
     straddle both switches."""
 
     def test_alternating_closed_form(self):
         # all runs of length 1: r~_k = (-1)**k * 2k, and the last entry,
         # 2n - 2, overflows the narrower slot one length past each switch
-        for n in (*range(2, 41), *range(8190, 8195), MAX_LENGTH):
+        for n in (*range(2, 70), *range(8190, 8195), MAX_LENGTH, *range(16382, 16387)):
             rv = run_vector_of(run_structure(rle(1, (1,) * n)))
             assert rv.r_tilde == tuple([(-1) ** k * 2 * k for k in range(1, n)]), n
             sign_gamma = -1 if n % 2 else 1
             assert rv.r == tuple([sign_gamma * v for v in reversed(rv.r_tilde)]), n
 
-    @pytest.mark.parametrize("n", [31, 32, 33, 8191, 8192, 8193, MAX_LENGTH])
+    @pytest.mark.parametrize(
+        "n", [31, 32, 33, 63, 64, 65, 127, 128, 8191, 8192, 8193, MAX_LENGTH]
+    )
     def test_theorem1_holds_on_seeded_random_sequences(self, n):
         # C comes from the packed XOR-and-popcount kernel, an independent route
         bits = random.Random(n).getrandbits(n)
@@ -459,6 +505,7 @@ class TestPackedForm:
         assert pack(s) == (1 << 199) | 1
         assert unpack(pack(s), 200) == s
         assert aperiodic_autocorrelations(s) == brute_aperiodic(s.elems)
+        assert periodic_autocorrelations(s) == brute_periodic(s.elems)
 
     def test_packed_autocorrelations_are_lazy(self):
         # '++++' fails the Barker bound at the first shift
