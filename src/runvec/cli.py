@@ -7,39 +7,32 @@ byte-identical reports.  Reports go to stdout, diagnostics to stderr.
 Exit codes: 0 on success with zero verifier failures, 1 on parse errors,
 verifier failures or output that cannot be written, 2 when a requested
 range or input length exceeds a resource limit, ``--workers`` is below
-1, an option value is invalid or argparse rejects the command line.
+1, an option value is invalid or the command line is malformed.
 
-A sequence or encoding text that starts with '-' is read as a value
-wherever a '+' text would be (:class:`_Parser`); a bare ``--`` stays
-the end-of-options marker.
+The command line is read against one table, :data:`_COMMANDS`, by
+argparse's rules: an option may be shortened to a unique prefix and
+given its value after ``=``, the last of a repeated option wins, the
+first bare ``--`` ends the options, and a token is a value, not an
+option, when it does not start with '-', is a sequence or encoding text
+('-' then only '+'/'-', or '-,' first), a negative number or contains a
+space.  A malformed command line prints the usage line and one error
+line to stderr and raises ``SystemExit(2)``; ``-h``/``--help`` prints
+the usage and help lines to stdout and exits 0.
 
-The argument parser is built on the first :func:`main` call and reused
-by every later one, because a build costs about twenty parses.
-``set_defaults`` binds the ``_cmd_*`` handlers at build time, so a test
-that patches one must call ``_build_parser.cache_clear()``.
-
-Start-up costs are paid at import, none by the first command.  argparse
-imports ``locale`` and, on 3.10, 3.12 and 3.13, ``shutil`` with
-``bz2``/``lzma``/``zlib`` on its first parser build.  Nothing else here
-loads them, since :mod:`runvec.lemmalab` imports its process pool only
-when a sweep starts one, so this module imports both up front.  The
-first build ends with ``gc.freeze()``: the modules and the parser live
-as long as the process, so later collections stop rescanning them in
-whichever command crosses a threshold, and pool workers forked after it
-leave those pages shared.
+The import ends with ``gc.freeze()``: the modules live as long as the
+process, so later collections stop rescanning them in whichever command
+crosses a threshold, and pool workers forked after it leave those pages
+shared.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import gc
 import json
-import locale  # for argparse, see the module docstring
 import os
-import shutil  # for argparse, see the module docstring
+import re
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from .lemmalab import SWEEP_LIMITS, SWEEP_TARGETS, sweep
 from .search import SearchSpec, classify_odd_barker, counts_csv, enumerate_barker
@@ -206,7 +199,8 @@ def _cmd_classify(args) -> int:
     report = classify_odd_barker(args.max_n)
     if args.csv:
         try:
-            Path(args.csv).write_text(counts_csv(report))
+            with open(args.csv, "w") as out:
+                out.write(counts_csv(report))
         except OSError as err:
             print(f"error: cannot write {args.csv}: {err.strerror or err}", file=sys.stderr)
             return 1
@@ -228,100 +222,102 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The ``runvec`` parser, built on the first call and shared by every
-    later :func:`main` call: building takes 1.2-1.5 ms, a parse with it
-    0.05-0.07 ms (timeit, 2-core VM, Python 3.11.7).  ``set_defaults``
-    binds the ``_cmd_*`` handlers here, so a test that patches one must
-    call ``_build_parser.cache_clear()``.  The build ends with
-    ``gc.freeze()``, which moves every object alive then out of the
-    collector's generations."""
-    parser = _Parser(
-        prog="runvec",
-        description="Run-vector analysis, verification sweeps, and Barker search "
-        "for binary sequences.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="full report for one sequence or encoding")
-    p.add_argument("sequence", nargs="?", help="sequence as a '+-' string")
-    p.add_argument("--rle", help="encoding as '<sign>,r1,r2,...'")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("rle", help="convert between sequence and encoding text")
-    p.add_argument("input", help="'+-' string or '<sign>,r1,r2,...'")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_rle)
-
-    p = sub.add_parser("verify", help="run verifier sweeps over full populations")
-    p.add_argument(
-        "--targets",
-        required=True,
-        help=f"comma-separated from: {', '.join(SWEEP_TARGETS)}",
-    )
-    p.add_argument("--max-n", type=int, required=True, help="largest length to sweep")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("search", help="enumerate Barker sequences of odd length")
-    p.add_argument("--min-n", type=int, default=1)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--mode", choices=("full", "skew"), default="full")
-    p.add_argument(
-        "--normalize",
-        action="store_true",
-        help="one representative per negation/reversal orbit",
-    )
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--json", action="store_true", help="JSON lines output")
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("classify", help="classify odd Barker encodings up to a length")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--csv", help="also write per-length counts CSV to this path")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_classify)
-    # the imported modules and this parser live as long as the process
-    gc.freeze()
-    return parser
+#: command -> (handler, help line, arguments).  An argument maps its name
+#: to (type, default): a name without dashes is a positional, type ``bool``
+#: makes a flag and the default ``...`` marks a required argument.
+_COMMANDS = {
+    "analyze": (_cmd_analyze, "full report for one sequence or encoding",
+                {"sequence": (str, None), "--rle": (str, None), "--json": (bool, False)}),
+    "rle": (_cmd_rle, "convert between a sequence and its encoding",
+            {"input": (str, ...), "--json": (bool, False)}),
+    "verify": (_cmd_verify, f"run verifier sweeps; targets {','.join(SWEEP_TARGETS)}",
+               {"--targets": (str, ...), "--max-n": (int, ...), "--workers": (int, 1),
+                "--json": (bool, False)}),
+    "search": (_cmd_search, "enumerate Barker sequences of odd length; --mode full or skew",
+               {"--min-n": (int, 1), "--max-n": (int, ...), "--mode": (str, "full"),
+                "--normalize": (bool, False), "--workers": (int, 1), "--json": (bool, False)}),
+    "classify": (_cmd_classify, "classify odd Barker encodings up to a length",
+                 {"--max-n": (int, ...), "--csv": (str, None), "--workers": (int, 1),
+                  "--json": (bool, False)}),
+}
 
 
-def _is_input_text(token: str) -> bool:
-    """A sequence or encoding text that argparse would read as an option:
-    '-' then only '+'/'-', or an encoding that starts '-,'.  A bare
-    ``--`` is argparse's end-of-options marker, never a sequence."""
-    if token.startswith("-,"):
-        return True
-    return token.startswith("-") and token != "--" and not token.strip("+-")
+def _usage(command: str, error: str = ""):
+    """Print usage and ``error`` to stderr and exit 2, or usage and help to stdout, exit 0."""
+    usage = f"usage: runvec {command or '{' + ','.join(_COMMANDS) + '}'} [-h]"
+    for name, (kind, default) in (_COMMANDS[command][2] if command else {}).items():
+        word = name if kind is bool or name[0] != "-" else f"{name} {name[2:].upper()}"
+        usage += f" {word}" if default is ... else f" [{word}]"
+    if error:
+        print(usage, f"runvec {command}".rstrip() + f": error: {error}", sep="\n", file=sys.stderr)
+        raise SystemExit(2)
+    rows = [f"  {name:<10}{about}" for name, (_, about, _) in _COMMANDS.items()
+            if command in ("", name)]
+    print(usage, "", *rows, sep="\n")
+    raise SystemExit(0)
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ``ArgumentParser`` that reads each token :func:`_is_input_text`
-    accepts as a value, wherever a '+' text would be read.
+def _is_value(token: str) -> bool:
+    """Whether ``token`` is a value, not an option: a '+' text, a '-' text of
+    a sequence or encoding, a negative number or a text with a space."""
+    return (token[:1] != "-" or token[:2] == "-," or not token.strip("+-") or " " in token
+            or re.match(r"-\d+$|-\d*\.\d+$", token) is not None)
 
-    argparse decides whether a token is an option in the private
-    ``_parse_optional`` hook, which returns ``None`` for a value, and
-    offers no public switch for that decision, so this class overrides
-    the hook.  Subparsers are built from the same class.  Checked on
-    CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0."""
 
-    def _parse_optional(self, arg_string):
-        if _is_input_text(arg_string):
-            return None
-        return super()._parse_optional(arg_string)
+def _read_argv(argv: list[str]):
+    """The handler and the arguments ``argv`` asks for, by the rules of the module docstring."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else ""
+    handler, _, spec = _COMMANDS.get(command, (None, None, {}))
+    args, values, extras = {name: default for name, (_, default) in spec.items()}, [], []
+    # with no command, argv[0] can only ask for help or be the error
+    names, tokens = ["-h", "--help", *spec], iter(argv[1:] if command else argv[:1])
+    positionals = [name for name in spec if name[0] != "-"]
+    for token in tokens:
+        name, sep, value = token.partition("=")
+        found = [name] if name in names else [
+            n for n in names if name[:2] == "--" and n.startswith(name)]
+        if token == "--":
+            values += tokens  # the first "--" ends the options; the rest are values
+        elif _is_value(token):
+            (values if len(values) < len(positionals) else extras).append(token)
+        elif len(found) > 1:
+            _usage(command, f"ambiguous option: {token} could match {', '.join(found)}")
+        elif not found:
+            extras.append(token)
+        else:
+            name, value = found[0], value if sep else None
+            kind = spec[name][0] if name in spec else bool  # or -h, --help
+            if kind is not bool and value is None:
+                value = next(tokens, "--")
+                if value == "--" or not _is_value(value):
+                    _usage(command, f"argument {name}: expected one argument")
+            if kind is bool and value is not None:
+                _usage(command, f"argument {name}: ignored explicit argument {value!r}")
+            if name not in spec:
+                _usage(command)
+            try:
+                args[name] = True if kind is bool else kind(value)
+            except ValueError:
+                _usage(command, f"argument {name}: invalid int value: {value!r}")
+    if not command:  # the usage line names the commands
+        _usage("", f"argument command: invalid choice: {extras[0]!r}" if extras
+               else "the following arguments are required: command")
+    args.update(zip(positionals, values))
+    missing = [name for name, value in args.items() if value is ...]
+    extras += values[len(positionals):]
+    if missing or extras:
+        _usage(command, f"the following arguments are required: {', '.join(missing)}" if missing
+               else f"unrecognized arguments: {' '.join(extras)}")
+    return handler, SimpleNamespace(**{n.lstrip("-").replace("-", "_"): v for n, v in args.items()})
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    handler, args = _read_argv(sys.argv[1:] if argv is None else list(argv))
     if getattr(args, "workers", 1) < 1:
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
     try:
-        code = args.func(args)
+        code = handler(args)
         sys.stdout.flush()  # a closed pipe must fail here, not at exit
         return code
     except BrokenPipeError:
@@ -338,6 +334,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
+
+gc.freeze()  # see the module docstring
 
 if __name__ == "__main__":
     sys.exit(main())

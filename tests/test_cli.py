@@ -434,37 +434,86 @@ class TestOutputErrors:
         assert "Traceback" not in err
 
 
-class TestSharedParser:
-    """``main`` builds its parser once per process and reuses it."""
+#: Command lines at the corners of the argv rules: (argv, exit code, want).
+#: A row that succeeds gives as ``want`` the escaped form of the same
+#: request, which must print the same; a failing row gives a substring of
+#: its stderr that Python 3.10 to 3.13 all printed under argparse.
+ARGV_CORNERS = [
+    # a unique prefix names its option; an ambiguous one is an error
+    (("analyze", "--rl", "+,3,2,1,1", "--js"), 0, ("analyze", "--json", "--rle=+,3,2,1,1")),
+    (("rle", "--js", "-++"), 0, ("rle", "--json", "--", "-++")),
+    (("analyze", "--rl=-,2,1", "--js"), 0, ("analyze", "--json", "--rle=-,2,1")),
+    (("search", "--max", "5", "--mo", "skew"), 0, ("search", "--max-n", "5", "--mode", "skew")),
+    (("search", "--m", "5"), 2, "ambiguous option: --m could match --min-n, --max-n, --mode"),
+    # '=' gives a value to an option that takes one, and to no flag
+    (("search", "--max-n=5", "--json"), 0, ("search", "--max-n", "5", "--json")),
+    (("analyze", "--json=1", "+++"), 2, "argument --json: ignored explicit argument '1'"),
+    (("search", "--max-n", "5", "--normalize=1"), 2, "ignored explicit argument '1'"),
+    # the last of a repeated option wins
+    (("analyze", "--rle", "+,2", "--rle", "-,3", "--json"), 0, ("analyze", "--json", "--rle=-,3")),
+    (
+        ("search", "--max-n", "3", "--mode", "full", "--max-n", "5", "--mode", "skew"),
+        0,
+        ("search", "--max-n", "5", "--mode", "skew"),
+    ),
+    # a negative number is a value: it reaches the --workers check, or
+    # is one positional too many
+    (("search", "--max-n", "5", "--workers=-1"), 2, "error: --workers must be >= 1, got -1"),
+    (("search", "--max-n", "5", "--workers", "-1"), 2, "error: --workers must be >= 1, got -1"),
+    (("search", "--max-n", "5", "-1"), 2, "unrecognized arguments: -1"),
+    # the first bare '--' ends the options and is dropped; a later one is a value
+    (("analyze", "++", "--"), 0, ("analyze", "--", "++")),
+    (("rle", "--", "++", "--"), 2, "unrecognized arguments: --"),
+    (("analyze", "--", "--json"), 1, "error: "),
+    # a missing required argument is reported before an unrecognized one
+    (("rle", "-x"), 2, "the following arguments are required: input"),
+    (("verify", "--json"), 2, "the following arguments are required: --targets, --max-n"),
+    # values that are missing or invalid
+    (("analyze", "--rle"), 2, "argument --rle: expected one argument"),
+    (("classify", "--max-n", "3", "--csv"), 2, "argument --csv: expected one argument"),
+    (("analyze", "--rle", "--json"), 2, "argument --rle: expected one argument"),
+    (("search", "--max-n", "x"), 2, "argument --max-n: invalid int value: 'x'"),
+    (("search", "--max-n", "5", "--mode", "both"), 2, "'both'"),
+    # the command itself
+    (("frobnicate",), 2, "invalid choice: 'frobnicate'"),
+    ((), 2, "error: "),
+    (("rle", "a", "b"), 2, "unrecognized arguments: b"),
+]
 
-    #: Calls that must not see each other through the shared parser: the
-    #: value of the first ``--rle`` must not reach the bare ``analyze``.
+
+class TestArgvCorners:
+    @pytest.mark.parametrize("argv,code,want", ARGV_CORNERS)
+    def test_exit_code_and_output(self, capsys, argv, code, want):
+        got = run_cli(capsys, *argv)
+        assert got[0] == code
+        if code == 0:
+            assert got == run_cli(capsys, *want)
+        else:
+            assert got[1] == "" and want in got[2]
+            assert len([line for line in got[2].splitlines() if "error:" in line]) == 1
+
+
+class TestSharedParser:
+    """``main`` calls in one process share no argument state."""
+
+    #: Calls that must not see each other: the value of the first ``--rle``
+    #: must not reach the bare ``analyze``.
     ARGVS = [
         ("analyze", "--rle", "+,3,2,1,1"),
         ("analyze", "+++--+-"),
         ("search",),  # usage error: --max-n is required
         ("search", "--max-n", "5", "--workers", "0"),
         ("analyze", "++", "--rle", "+,2"),
-        ("rle", "-++"),  # a dash text, read as a value by the parser itself
+        ("rle", "-++"),  # a dash text, read as a value
         ("verify", "--targets", "theorem1", "--max-n", "4", "--json"),
         ("analyze", "--json", "--rle", "-,1,2"),
         ("rle", "+,2,1", "--json"),
     ]
 
-    def test_built_once(self, capsys):
-        cli._build_parser.cache_clear()
-        for argv in self.ARGVS:
-            run_cli(capsys, *argv)
-        assert cli._build_parser.cache_info().misses == 1
-
     def test_no_state_leaks_between_calls(self, capsys):
         forward = [run_cli(capsys, *argv) for argv in self.ARGVS]
         backward = [run_cli(capsys, *argv) for argv in reversed(self.ARGVS)][::-1]
-        fresh = []
-        for argv in self.ARGVS:
-            cli._build_parser.cache_clear()
-            fresh.append(run_cli(capsys, *argv))
-        assert forward == backward == fresh
+        assert forward == backward
         codes = [code for code, _, _ in forward]
         assert codes == [0, 0, 2, 2, 1, 0, 0, 0, 0]
         # one sequence as encoding, then bare: the --rle default was reset
@@ -475,23 +524,28 @@ class TestSharedParser:
 
 class TestStartup:
     """Importing the CLI loads no process-pool module and neither
-    :mod:`dataclasses` nor :mod:`inspect`, and the first commands of a
-    process import nothing new: what argparse loads on its first build
-    is imported with :mod:`runvec.cli` itself."""
+    :mod:`dataclasses` nor :mod:`inspect`, neither the import nor the
+    commands add the modules argparse needs, and the first commands of a
+    process import nothing new."""
 
     SCRIPT = """
 import contextlib, io, json, sys
+snapshot = set(sys.modules)  # a site hook may have loaded some already
 from runvec import cli
 def unwanted():
     return sorted(m for m in sys.modules
                   if m in ("concurrent.futures.process", "dataclasses", "inspect")
                   or m.startswith("multiprocessing"))
-at_import = unwanted()
+def for_argparse():
+    return sorted(set(sys.modules) - snapshot
+                  & {"argparse", "gettext", "locale", "shutil", "pathlib"})
+at_import, argparse_at_import = unwanted(), for_argparse()
 before = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"at_import": at_import, "after": unwanted(), "codes": codes,
-                  "new": sorted(set(sys.modules) - before)}))
+                  "new": sorted(set(sys.modules) - before),
+                  "argparse_at_import": argparse_at_import, "argparse_after": for_argparse()}))
 """
     ARGVS = [
         ["search", "--mode", "full", "--max-n", "13", "--json"],
@@ -515,6 +569,32 @@ print(json.dumps({"at_import": at_import, "after": unwanted(), "codes": codes,
         assert report["after"] == []
         assert report["codes"] == [0] * len(self.ARGVS)
         assert report["new"] == []
+        assert report["argparse_at_import"] == [] and report["argparse_after"] == []
+
+
+class TestProcessExit:
+    """``python -m runvec.cli``: the exit code and streams a shell sees."""
+
+    def run(self, *argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "runvec.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+
+    @pytest.mark.parametrize("argv", [("--help",), ("analyze", "-h")])
+    def test_help_exit_0(self, argv):
+        result = self.run(*argv)
+        assert result.returncode == 0 and result.stderr == ""
+        assert result.stdout.startswith("usage: runvec")
+
+    def test_usage_error_exit_2(self):
+        result = self.run("search", "--max-n", "x")
+        assert result.returncode == 2 and result.stdout == ""
+        assert len([line for line in result.stderr.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in result.stderr
 
 
 #: A fixed 200-element sequence: '-' at the quadratic non-residues mod 211.
