@@ -435,9 +435,9 @@ class TestOutputErrors:
 
 
 #: Command lines at the corners of the argv rules: (argv, exit code, want).
-#: A row that succeeds gives as ``want`` the escaped form of the same
-#: request, which must print the same; a failing row gives a substring of
-#: its stderr that Python 3.10 to 3.13 all printed under argparse.
+#: The exit codes are those argparse gave on Python 3.10 to 3.13.  A row
+#: that succeeds gives as ``want`` the escaped form of the same request,
+#: which must print the same; a failing row gives a substring of its stderr.
 ARGV_CORNERS = [
     # a unique prefix names its option; an ambiguous one is an error
     (("analyze", "--rl", "+,3,2,1,1", "--js"), 0, ("analyze", "--json", "--rle=+,3,2,1,1")),
@@ -537,7 +537,7 @@ def unwanted():
                   if m in ("concurrent.futures.process", "dataclasses", "inspect")
                   or m.startswith("multiprocessing"))
 def for_argparse():
-    return sorted(set(sys.modules) - snapshot
+    return sorted((set(sys.modules) - snapshot)
                   & {"argparse", "gettext", "locale", "shutil", "pathlib"})
 at_import, argparse_at_import = unwanted(), for_argparse()
 before = set(sys.modules)

@@ -398,7 +398,7 @@ def test_one_pass_parsers_agree_with_the_positional_loop(text, max_n):
         assert sequence == brute_parse_sequence(text)
 
 
-# each main call builds the argparse parser (about 1.6 ms), so keep this small
+# each example runs a whole analyze or rle command in-process
 @settings(max_examples=150, deadline=None)
 @given(
     st.one_of(
@@ -413,7 +413,7 @@ def test_fuzzed_analyze_and_rle_argv_exit_cleanly(argv, as_json):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main([*argv, "--json"] if as_json else list(argv))
-        except SystemExit as exc:  # argparse refused the argv
+        except SystemExit as exc:  # a malformed command line
             code = exc.code
     assert code in (0, 1, 2)
     errors = [line for line in err.getvalue().splitlines() if "error:" in line]
