@@ -74,10 +74,14 @@ individual verdict evaluations whose hypotheses held, and ``failures``
 holds up to ten witnesses (``failure_count`` gives the full tally).
 Records come in the order of ``SWEEP_TARGETS``, then by length, and
 the report is a deterministic function of (targets, n_max), whatever
-the worker count; a pool receives the units longest first.  The pool
-module, ``concurrent.futures.process`` with ``multiprocessing``, is
-imported only when a sweep starts a pool, so no other command pays for
-loading it.
+the worker count.  With more than one process (see :func:`pool_size`)
+the units are dealt, longest first, into one share per process, each
+unit to the share with the smallest population so far; at n <= 12 the
+sequence targets split into {12} and {11..1}.  The caller computes the
+first share and forks one child per other share, which sends its
+records back pickled through a pipe; neither ``multiprocessing`` nor
+``concurrent.futures`` is imported, and ``pickle`` only when a sweep
+forks.
 """
 
 from __future__ import annotations
@@ -747,15 +751,79 @@ def _sweep_balanced(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
     ]
 
 
-def _sweep_unit(unit) -> list[SweepRecord]:
-    sweep_length, n, targets = unit
-    return sweep_length(n, targets)
-
-
 def pool_size(workers: int, tasks: int) -> int:
-    """Processes a sweep may start: the request, capped by the task count
-    and the core count, so no argument can launch an unbounded pool."""
-    return max(1, min(workers, tasks, os.cpu_count() or 1))
+    """Processes a sweep may run, the calling one included: the request,
+    capped by the task count and by the CPUs this process may run on (its
+    affinity mask where the platform has one, else the core count), so no
+    argument can start an unbounded number of processes.  Without
+    ``os.fork`` the sweep runs in-process, so the size is 1."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, tasks, cpus))
+
+
+def _run_share(share) -> list[SweepRecord]:
+    return [rec for sweep_length, n, targets in share for rec in sweep_length(n, targets)]
+
+
+def _run_shares(shares) -> list[SweepRecord]:
+    """The records of every share: the first computed here, each other in
+    a forked child that pickles ``(ok, records or exception)`` into a pipe.
+
+    A child leaves only through ``os._exit``, so it never returns into the
+    caller's stack or flushes the caller's stdio buffers; it exits 0 once
+    its result is written and 1 otherwise.  Every child is reaped before
+    this returns or raises.  A child's exception is raised here, and a
+    child that ended without a result raises RuntimeError.  The package
+    starts no threads, which a fork would not carry into the child (Python
+    3.12 and later warn when a process with threads forks).
+    """
+    # imported here: only a sweep that forks needs it
+    import pickle
+
+    pids, pipes = [], []
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            with open(write_fd, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        # a read end still open in a child would block that
+                        # pipe's writer once the caller has closed its copy
+                        for pipe in pipes:
+                            pipe.close()
+                        try:
+                            payload = (True, _run_share(share))
+                        except Exception as exc:
+                            payload = (False, exc)
+                        pickle.dump(payload, writer)
+                        writer.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+            pids.append(pid)
+        records = _run_share(shares[0])
+        sent = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for data, status in zip(sent, statuses):
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise RuntimeError(f"a sweep process ended without a result (exit status {code})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        records += value
+    return records
 
 
 def sweep(n_max: int, targets, workers: int = 1) -> SweepReport:
@@ -785,23 +853,21 @@ def sweep(n_max: int, targets, workers: int = 1) -> SweepReport:
         step = 1 if target in ("theorem1", "delta") else 2
         for n in range(1, top + 1, step):
             by_length.setdefault((sweep_length, n), []).append(target)
-    # longest first, so a pool does not end on one long unit
+    # longest first, each to the share with the smallest population so
+    # far, so no share ends on one long unit
     units = sorted(
         ((fn, n, tuple(names)) for (fn, n), names in by_length.items()),
         key=lambda unit: -unit[1],
     )
-
     size = pool_size(workers, len(units))
-    if size == 1:
-        batches = [_sweep_unit(u) for u in units]
-    else:
-        # imported here: it loads multiprocessing, which only a pool needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            batches = list(pool.map(_sweep_unit, units))
+    shares = [[] for _ in range(size)]
+    loads = [0] * size
+    for unit in units:
+        fn, n, _ = unit
+        i = loads.index(min(loads))
+        shares[i].append(unit)
+        loads[i] += 1 << n if fn is _sweep_sequences else 1 << (n - 1) // 2
+    records = _run_share(units) if size == 1 else _run_shares(shares)
     rank = {target: i for i, target in enumerate(ordered)}
-    records = sorted(
-        (rec for batch in batches for rec in batch), key=lambda rec: (rank[rec.target], rec.n)
-    )
+    records.sort(key=lambda rec: (rank[rec.target], rec.n))
     return SweepReport(n_max, ordered, tuple(records), complete)

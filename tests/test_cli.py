@@ -525,8 +525,9 @@ class TestSharedParser:
 class TestStartup:
     """Importing the CLI loads no process-pool module and neither
     :mod:`dataclasses` nor :mod:`inspect`, neither the import nor the
-    commands add the modules argparse needs, and the first commands of a
-    process import nothing new."""
+    commands add the modules argparse needs, the first commands of a
+    process import nothing new, and a sweep that forks loads neither
+    ``concurrent.futures.process`` nor ``multiprocessing``."""
 
     SCRIPT = """
 import contextlib, io, json, sys
@@ -555,21 +556,32 @@ print(json.dumps({"at_import": at_import, "after": unwanted(), "codes": codes,
         ["classify", "--max-n", "13"],
     ]
 
-    def test_no_pool_import_and_no_lazy_imports(self):
+    def report(self, argvs):
         src = str(Path(cli.__file__).resolve().parents[1])
         result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps(self.ARGVS)],
+            [sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": src},
             check=True,
         )
-        report = json.loads(result.stdout)
+        return json.loads(result.stdout)
+
+    def test_no_pool_import_and_no_lazy_imports(self):
+        report = self.report(self.ARGVS)
         assert report["at_import"] == []
         assert report["after"] == []
         assert report["codes"] == [0] * len(self.ARGVS)
         assert report["new"] == []
         assert report["argparse_at_import"] == [] and report["argparse_after"] == []
+
+    def test_forked_sweep_loads_no_pool_module(self):
+        # a sweep that forks imports pickle, so only the pool modules are
+        # checked here, apart from the other commands' import diet
+        argv = ["verify", "--targets", "theorem1,L1", "--max-n", "9", "--workers", "2"]
+        report = self.report([argv])
+        assert report["codes"] == [0]
+        assert report["after"] == []
 
 
 class TestProcessExit:

@@ -1,5 +1,6 @@
 """Verifiers: residual identity, delta oracle, profiles, lemma checks, sweeps."""
 
+import os
 import random
 
 import pytest
@@ -286,6 +287,20 @@ class TestCheckPOdd:
         assert not check_p_odd(rle((2, 2))).hypotheses_met  # not Barker, even-ish
 
 
+def _usable_cpus(monkeypatch, count):
+    """Let the sweep see ``count`` CPUs in this process's affinity mask."""
+    monkeypatch.setattr(
+        lemmalab.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
+
+
+def _assert_all_reaped():
+    # waitpid(-1) raises ChildProcessError only when no child is left,
+    # running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestSweeps:
     def test_prop_skew_examples(self):
         report = sweep(3, ("prop-skew",))
@@ -445,8 +460,8 @@ class TestSweeps:
     def test_joint_sweep_equals_single_target_sweeps(self, monkeypatch, workers):
         # a pass over one length evaluates every requested target on shared
         # state; each target's records must be those of sweeping it alone.
-        # Two cores and workers=2 start a real two-process pool.
-        monkeypatch.setattr(lemmalab.os, "cpu_count", lambda: 2)
+        # Two CPUs and workers=2 fork a real child.
+        _usable_cpus(monkeypatch, 2)
         cases = [
             (15, LEMMA_IDS + ("p-odd",)),
             (10, ("theorem1", "delta", "prop-skew")),
@@ -472,6 +487,8 @@ class TestSweeps:
         assert serial == parallel
 
     def test_pool_size_is_clamped(self, monkeypatch):
+        # without an affinity mask the core count caps the size
+        monkeypatch.delattr(lemmalab.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(lemmalab.os, "cpu_count", lambda: 4)
         assert lemmalab.pool_size(10**9, 50) == 4
         assert lemmalab.pool_size(10**9, 3) == 3
@@ -481,31 +498,87 @@ class TestSweeps:
         assert lemmalab.pool_size(8, 0) == 1
         monkeypatch.setattr(lemmalab.os, "cpu_count", lambda: None)
         assert lemmalab.pool_size(10**9, 50) == 1
+        # where there is one, the affinity mask caps it, not the core count
+        monkeypatch.setattr(lemmalab.os, "cpu_count", lambda: 64)
+        _usable_cpus(monkeypatch, 3)
+        assert lemmalab.pool_size(10**9, 50) == 3
+        assert lemmalab.pool_size(2, 50) == 2
+        assert lemmalab.pool_size(10**9, 1) == 1
+        # without fork the sweep runs in-process
+        monkeypatch.delattr(lemmalab.os, "fork")
+        assert lemmalab.pool_size(10**9, 50) == 1
+        assert sweep(9, ("theorem1", "L1"), workers=3) == sweep(9, ("theorem1", "L1"))
 
     def test_sweep_starts_a_clamped_pool(self, monkeypatch):
-        # a stand-in executor records the size it is asked for and maps
-        # in this process, so no worker process is ever started
-        sizes = []
+        # the caller computes one share, so two CPUs allow one child
+        forks = []
+        real_fork = os.fork
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def counting_fork():
+            forks.append(None)
+            return real_fork()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(lemmalab.os, "cpu_count", lambda: 2)
-        # sweep imports the executor when it starts a pool, so patch its home
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+        _usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(lemmalab.os, "fork", counting_fork)
         report = sweep(5, ("L1",), workers=10**9)
-        assert sizes == [2]
+        assert len(forks) == 1
+        _assert_all_reaped()
         assert report == sweep(5, ("L1",), workers=1)
+
+    @staticmethod
+    def _hook_sequence_units(monkeypatch, hook):
+        """Two usable CPUs, and hook(n) runs before each sequence unit.
+        ``sweep(12, ("theorem1",), workers=2)`` then computes n = 12 in
+        the caller and n = 11..1 in one child."""
+        _usable_cpus(monkeypatch, 2)
+        real = lemmalab._sweep_sequences
+
+        def hooked(n, targets):
+            hook(n)
+            return real(n, targets)
+
+        monkeypatch.setattr(lemmalab, "_sweep_sequences", hooked)
+
+    def test_child_exception_reaches_the_caller(self, monkeypatch):
+        def hook(n):
+            if n == 5:
+                raise ValueError(f"unit 5 failed in process {os.getpid()}")
+
+        self._hook_sequence_units(monkeypatch, hook)
+        with pytest.raises(ValueError, match=r"^unit 5 failed in process \d+$") as info:
+            sweep(12, ("theorem1",), workers=2)
+        assert type(info.value) is ValueError
+        assert info.value.args[0] != f"unit 5 failed in process {os.getpid()}"
+        _assert_all_reaped()
+
+    def test_child_without_result_raises_runtime_error(self, monkeypatch):
+        caller = os.getpid()
+
+        def hook(n):
+            if n == 5:
+                assert os.getpid() != caller, "unit 5 ran in the caller"
+                os._exit(3)
+
+        self._hook_sequence_units(monkeypatch, hook)
+        with pytest.raises(RuntimeError, match="exit status 3"):
+            sweep(12, ("theorem1",), workers=2)
+        _assert_all_reaped()
+
+    def test_no_child_outlives_a_sweep(self, monkeypatch):
+        caller = os.getpid()
+
+        def hook(n):
+            if n == 12:
+                assert os.getpid() == caller, "unit 12 ran in a child"
+                raise KeyError("the caller's share failed")
+
+        _usable_cpus(monkeypatch, 2)
+        sweep(12, SWEEP_TARGETS, workers=2)
+        _assert_all_reaped()
+        self._hook_sequence_units(monkeypatch, hook)
+        with pytest.raises(KeyError, match="the caller's share failed"):
+            sweep(12, ("theorem1",), workers=2)
+        _assert_all_reaped()
 
     def test_records_serialize(self):
         report = sweep(5, ("L1",))
