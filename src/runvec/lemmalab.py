@@ -56,16 +56,18 @@ partner, y or ``~y``, is not smaller; at n <= 12 that is 2 142 of the
 8 190 masks.
 
 Balanced run tuples are generated by mirroring the free half of a
-skew-symmetric sequence; negation preserves the tuple, so each odd
-length ``n`` yields exactly ``2**((n+1)//2 - 1)`` distinct instances.
-Each tuple's run structure is built once, its balancedness, run vector,
-boundary-rank table and balanced profile on first use.  The targets
-reach their evaluators through one table that :func:`check_lemma` also
-uses.  An evaluator takes an instance and a domain of parameter values
-and tests the hypotheses and the conclusion at each value itself: the
-sweep calls it once per tuple with every in-range value (k in 1..n-1
-for L2-L5, mu in 1..gamma for L6), and :func:`check_lemma` with the
-one value it was given, so both run the same code.
+skew-symmetric sequence with a '+' centre: negation preserves the tuple,
+so each odd length ``n`` yields exactly ``2**((n+1)//2 - 1)`` distinct
+instances, one per negation pair.  Each tuple's run structure and
+balancedness are built once, its run vector, its tables indexed by k
+(boundary rank and signs) and its balanced profile on first use.  The
+targets reach their evaluators through one table that
+:func:`check_lemma` also uses.  An evaluator takes an instance and a
+domain of parameter values and tests the hypotheses and the conclusion
+at each value itself: the sweep calls it once per tuple with every
+in-range value (k in 1..n-1 for L2-L5, mu in 1..gamma for L6, each
+range built once per length), and :func:`check_lemma` with the one
+value it was given, so both run the same code.
 
 Sweep reports serialize as one JSON record per (target, length):
 ``{target, n, population, hypotheses_met_count, failures}`` where
@@ -96,13 +98,14 @@ from .seqcore import (
     RunVector,
     aperiodic_autocorrelations,
     decode_rle,
+    decode_text,
     f_eval,
     is_balanced,
-    is_barker,
     packed_autocorrelations,
     packed_rle,
     packed_runs,
     packed_skew_symmetric,
+    parse_sequence,
     run_structure,
     run_vector,
     run_vector_of,
@@ -323,8 +326,8 @@ def barker_predictions(n: int) -> BarkerPredictions:
 # hypotheses and then its conclusion at each value in turn, and returns
 # (number of values whose hypotheses held, [(value, witness), ...] for the
 # values whose conclusion failed, in iteration order).  The parameterised
-# ones read per-instance state inside the loop: the rank table, the sign
-# tables and the run vector.  check_lemma, check_p_odd and the sweep
+# ones read per-instance state inside the loop: the rank and sign tables,
+# indexed by k, and the run vector.  check_lemma, check_p_odd and the sweep
 # harness all reach them through _BALANCED_CHECKS.
 # ---------------------------------------------------------------------------
 
@@ -332,14 +335,14 @@ def barker_predictions(n: int) -> BarkerPredictions:
 class _Instance:
     """One encoding with the state its verifiers share, each part built
     once: the run structure and balancedness, which nearly every
-    verifier reads, up front; the run vector, the rank table and the
-    balanced profile on first read, kept in plain attributes."""
+    verifier reads, up front; the run vector, the tables indexed by k
+    and the balanced profile on first read, kept in plain attributes."""
 
     def __init__(self, rle: RunLengthEncoding):
         self.rle = rle
         self.rs = run_structure(rle)
         self.balanced = is_balanced(self.rs)
-        self._rv = self._rank = self._profile = None
+        self._rv = self._tables = self._profile = None
 
     @property
     def rv(self) -> RunVector:
@@ -348,10 +351,11 @@ class _Instance:
         return self._rv
 
     @property
-    def rank(self) -> tuple[int, ...]:
-        if self._rank is None:
-            self._rank = self._build_rank()
-        return self._rank
+    def tables(self) -> tuple[list[int], list[int], list[int]]:
+        """``(rank, f_s, f_t)``, each a list with one slot per k = 0..n."""
+        if self._tables is None:
+            self._tables = self._build_tables()
+        return self._tables
 
     @property
     def profile(self) -> BalancedProfile:
@@ -359,16 +363,23 @@ class _Instance:
             self._profile = self._build_profile()
         return self._profile
 
-    def _build_rank(self) -> tuple[int, ...]:
-        """Slot k holds :func:`~runvec.seqcore.boundary_rank_interval` of
-        k, the mu with ``s_{mu-1} < k <= s_mu``, for ``1 <= k <= n``; one
-        pass over the boundaries instead of a bisection per k."""
-        table = [0]
-        before = 0
-        for mu, boundary in enumerate(self.rs.s, start=1):
-            table += [mu] * (boundary - before)
-            before = boundary
-        return tuple(table)
+    def _build_tables(self) -> tuple[list[int], list[int], list[int]]:
+        """Slot k of ``rank`` holds :func:`~runvec.seqcore.boundary_rank_interval`
+        of k, the mu with ``s_{mu-1} < k <= s_mu``, for ``1 <= k <= n``;
+        slot k of ``f_s`` (``f_t``) holds the forward (reverse) sign of
+        :func:`~runvec.seqcore.f_eval` at k, ``(-1)**mu`` at the mu-th
+        interior boundary of ``s`` (``t``) and 0 elsewhere.  One pass over
+        the boundaries instead of a bisection or lookup per k."""
+        s, t, gamma, n = self.rs.s, self.rs.t, self.rs.gamma, self.rs.n
+        rank, f_s, f_t = [0], [0] * (n + 1), [0] * (n + 1)
+        before, sign = 0, -1
+        for mu in range(1, gamma):
+            boundary = s[mu - 1]
+            rank += [mu] * (boundary - before)
+            f_s[boundary] = f_t[t[mu - 1]] = sign
+            before, sign = boundary, -sign
+        rank += [gamma] * (n - before)
+        return rank, f_s, f_t
 
     def _build_profile(self) -> BalancedProfile:
         """:func:`balanced_profile` of the encoding, read off this state."""
@@ -413,16 +424,16 @@ def _eval_l1(inst: _Instance, _):
 def _eval_l2(inst: _Instance, ks):
     if not inst.balanced:
         return 0, []
-    rs, rank = inst.rs, inst.rank
-    s_set, f_s, f_t = rs.s_set, rs.f_s, rs.f_t
+    s_set = inst.rs.s_set
+    rank, f_s, f_t = inst.tables
     met, failed = 0, []
     for k in ks:
         if k in s_set:
             continue
         met += 1
         mu = rank[k]
-        ft = f_t.get(k, 0)
-        f = f_s.get(k, 0) + ft
+        ft = f_t[k]
+        f = f_s[k] + ft
         want = -_sign_pow(k + mu)
         if not f == ft == want:
             failed.append((k, {"k": k, "mu": mu, "f": f, "f_t": ft, "expected": want}))
@@ -432,21 +443,21 @@ def _eval_l2(inst: _Instance, ks):
 def _eval_l3(inst: _Instance, ks):
     if not inst.balanced:
         return 0, []
-    rs = inst.rs
-    s_set, t_set, f_s, f_t = rs.s_set, rs.t_set, rs.f_s, rs.f_t
+    s_set, t_set = inst.rs.s_set, inst.rs.t_set
+    _, f_s, f_t = inst.tables
     met, failed = 0, []
     for k in ks:
         if not (k in s_set and k & 1):
             continue
         met += 1
-        f_at = f_s.get(k, 0) + f_t.get(k, 0)
+        f_at = f_s[k] + f_t[k]
         if k > 1:
-            f_before = f_s.get(k - 1, 0) + f_t.get(k - 1, 0)
+            f_before = f_s[k - 1] + f_t[k - 1]
             if f_before != -f_at:
                 failed.append((k, {"k": k, "part": "before", "f": f_at, "f_before": f_before}))
                 continue
         if (k + 1) in t_set:
-            f_after = f_s.get(k + 1, 0) + f_t.get(k + 1, 0)
+            f_after = f_s[k + 1] + f_t[k + 1]
             if f_after != f_at:
                 failed.append((k, {"k": k, "part": "after", "f": f_at, "f_after": f_after}))
     return met, failed
@@ -455,14 +466,14 @@ def _eval_l3(inst: _Instance, ks):
 def _eval_l4(inst: _Instance, ks):
     if not inst.balanced:
         return 0, []
-    rs, rank, r_tilde = inst.rs, inst.rank, inst.rv.r_tilde
-    s_set, f_s, f_t = rs.s_set, rs.f_s, rs.f_t
+    s_set, r_tilde = inst.rs.s_set, inst.rv.r_tilde
+    rank, f_s, f_t = inst.tables
     met, failed = 0, []
     for k in ks:
         met += 1
         mu = rank[k]
         # r~_k = f(k) + 2*u_k, read off the run vector the instance already holds
-        u = (r_tilde[k - 1] - f_s.get(k, 0) - f_t.get(k, 0)) // 2
+        u = (r_tilde[k - 1] - f_s[k] - f_t[k]) // 2
         parity_match = (u - mu) % 2 == 0
         doubled = k % 2 == 0 and (k // 2) in s_set
         if parity_match != doubled:
@@ -556,7 +567,10 @@ def _eval_l7n(inst: _Instance, _):
 def _eval_p_odd(inst: _Instance, _):
     rle = inst.rle
     n = rle.n
-    if not (n % 2 == 1 and rle.runs[0] > 1 and is_barker(decode_rle(rle))):
+    if not (n % 2 == 1 and rle.runs[0] > 1):
+        return 0, []
+    x = parse_sequence(decode_text(rle))
+    if not all(-1 <= c <= 1 for c in packed_autocorrelations(x, n)):
         return 0, []
     if n <= 3:
         return 1, []
@@ -588,13 +602,6 @@ _BALANCED_CHECKS = {
 }
 
 
-def _domain(name: str | None, rs) -> range | tuple[None]:
-    """Every in-range value of a parameter: k in 1..n-1, mu in 1..gamma."""
-    if name is None:
-        return (None,)
-    return range(1, rs.n) if name == "k" else range(1, rs.gamma + 1)
-
-
 def _verdict(lemma_id: str, rle: RunLengthEncoding, outcome) -> Verdict:
     """The verdict of an evaluator run on a single parameter value."""
     met, failed = outcome
@@ -621,16 +628,16 @@ def check_lemma(
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma_id {lemma_id!r}; expected one of {LEMMA_IDS}")
     evaluate, name = _BALANCED_CHECKS[lemma_id]
-    inst = _Instance(rle)
-    domain = _domain(name, inst.rs)
+    domain = (None,)
     if name is not None:
         param = k if name == "k" else mu
         if param is None:
             raise ValueError(f"{lemma_id} requires parameter {name}")
-        if not 1 <= param <= len(domain):
-            raise ValueError(f"parameter out of range: {name} must be in [1, {len(domain)}]")
+        top = rle.n - 1 if name == "k" else rle.gamma
+        if not 1 <= param <= top:
+            raise ValueError(f"parameter out of range: {name} must be in [1, {top}]")
         domain = (param,)
-    return _verdict(lemma_id, rle, evaluate(inst, domain))
+    return _verdict(lemma_id, rle, evaluate(_Instance(rle), domain))
 
 
 def check_p_odd(rle: RunLengthEncoding) -> Verdict:
@@ -644,10 +651,10 @@ def check_p_odd(rle: RunLengthEncoding) -> Verdict:
 def balanced_run_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     """All balanced run tuples summing to odd ``n``, sorted.
 
-    Enumerates the ``2**m`` skew-symmetric sequences as masks (m free
-    elements from the centre rightwards), reads the run lengths off
-    each, and deduplicates: the two sign choices of a sequence share one
-    run tuple, so exactly ``2**(m-1)`` tuples remain.
+    Enumerates the skew-symmetric sequences with a '+' centre as masks
+    (m free elements from the centre rightwards), one per negation pair,
+    since a negated sequence has the same run tuple.  The ``2**(m-1)``
+    run tuples read off them must all differ.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 1, got {n}")
@@ -656,7 +663,7 @@ def balanced_run_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     m = (n + 1) // 2
     flip_odd = int("10" * m, 2) & ((1 << m) - 1)
     seen = set()
-    for bits in range(1 << m):
+    for bits in range(0, 1 << m, 2):
         # bit j of ``bits`` is element m+j; element m-j mirrors it, negated
         # for odd j, and the centre element m is bit m-1 of the mask
         right = int(format(bits, f"0{m}b")[::-1], 2)
@@ -728,6 +735,8 @@ def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
 def _sweep_balanced(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
     """The balanced-encoding targets at odd length n over every balanced
     run tuple; each tuple's state is built once for all of them."""
+    # every balanced tuple of length n has (n+1)//2 runs
+    domains = {None: (None,), "k": range(1, n), "mu": range(1, (n + 1) // 2 + 1)}
     checks = [(target, *_BALANCED_CHECKS[target]) for target in targets]
     met = dict.fromkeys(targets, 0)
     failures = {target: [] for target in targets}
@@ -735,7 +744,7 @@ def _sweep_balanced(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
     for runs in population:
         inst = _Instance(RunLengthEncoding(1, runs))
         for target, evaluate, name in checks:
-            met_count, failed = evaluate(inst, _domain(name, inst.rs))
+            met_count, failed = evaluate(inst, domains[name])
             met[target] += met_count
             for param, witness in failed:
                 entry = {"instance": inst.rle.to_text()}

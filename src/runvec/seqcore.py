@@ -3,7 +3,7 @@
 Covers the whole chain from raw sequences to their run vector:
 run-length encoding and decoding, aperiodic and periodic
 autocorrelations, the forward/reverse boundary prefix sums with the
-alternating sign tables built on them, and the derived run-vector pair.
+alternating boundary signs read off them, and the derived run-vector pair.
 
 Index conventions, stated once here for the whole package:
 
@@ -86,9 +86,8 @@ class Record:
     :meth:`__setattr__`; the types a sweep builds per instance bind it
     to a local first, which builds them no slower than a dataclass.
     Records of the exact same type with equal fields are equal; hash
-    and repr read the same fields, except those named in ``_hidden``.
-    Unpickling calls the constructor (:meth:`__reduce__`), since
-    restoring slot state would assign.
+    and repr read the same fields.  Unpickling calls the constructor
+    (:meth:`__reduce__`), since restoring slot state would assign.
 
     Not a dataclass: importing :mod:`dataclasses`, which imports
     :mod:`inspect`, and building the frozen classes took about 20 ms of
@@ -96,10 +95,9 @@ class Record:
     """
 
     __slots__ = ()
-    _hidden: tuple[str, ...] = ()
 
     def _items(self) -> tuple:
-        return tuple([(f, getattr(self, f)) for f in self.__slots__ if f not in self._hidden])
+        return tuple([(f, getattr(self, f)) for f in self.__slots__])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -255,21 +253,20 @@ class RunLengthEncoding(Record):
 
 
 class RunStructure(Record):
-    """Boundary prefix sums of an encoding plus the sign tables on them.
+    """Boundary prefix sums of an encoding.
 
     ``s`` holds the forward prefix sums of the run lengths, ``t`` the
     prefix sums taken from the other end; both end at ``n``.
     ``s_set``/``t_set`` are the first ``gamma - 1`` of each (the interior
-    boundary positions).  ``f_s``/``f_t`` map an interior boundary
-    position to the alternating sign of its rank, ``(-1)**j`` at rank
-    ``j``; they follow from the rest, so equality, hash and repr skip them.
+    boundary positions).  The alternating sign of an interior boundary,
+    ``(-1)**j`` at rank ``j``, follows from its slot in ``s`` or ``t``, so
+    it is not stored: :func:`f_eval` reads it off them.
     """
 
-    __slots__ = ("s", "t", "s_set", "t_set", "gamma", "n", "f_s", "f_t")
-    _hidden = ("f_s", "f_t")
+    __slots__ = ("s", "t", "s_set", "t_set", "gamma", "n")
 
     def __init__(self, s: tuple[int, ...], t: tuple[int, ...], s_set: frozenset[int],
-                 t_set: frozenset[int], gamma: int, n: int, f_s: dict, f_t: dict):
+                 t_set: frozenset[int], gamma: int, n: int):
         set_ = object.__setattr__
         set_(self, "s", s)
         set_(self, "t", t)
@@ -277,8 +274,6 @@ class RunStructure(Record):
         set_(self, "t_set", t_set)
         set_(self, "gamma", gamma)
         set_(self, "n", n)
-        set_(self, "f_s", f_s)
-        set_(self, "f_t", f_t)
 
 
 class RunVector(Record):
@@ -503,54 +498,48 @@ def periodic_autocorrelations(seq: BinarySequence) -> tuple[int, ...]:
 
 
 def run_structure(rle: RunLengthEncoding) -> RunStructure:
-    """Boundary prefix sums, interior boundary sets, and their sign tables."""
+    """Boundary prefix sums from both ends and the interior boundary sets."""
     runs = rle.runs
     s = tuple(accumulate(runs))
     t = tuple(accumulate(reversed(runs)))
     gamma = len(runs)
-    f_s: dict[int, int] = {}
-    f_t: dict[int, int] = {}
-    sign = -1
-    for j in range(gamma - 1):
-        f_s[s[j]] = sign
-        f_t[t[j]] = sign
-        sign = -sign
-    return RunStructure(
-        s=s,
-        t=t,
-        s_set=frozenset(s[: gamma - 1]),
-        t_set=frozenset(t[: gamma - 1]),
-        gamma=gamma,
-        n=s[-1],
-        f_s=f_s,
-        f_t=f_t,
-    )
+    return RunStructure(s, t, frozenset(s[: gamma - 1]), frozenset(t[: gamma - 1]), gamma, s[-1])
+
+
+def _boundary_sign(prefix: tuple[int, ...], k: int) -> int:
+    """``(-1)**j`` when ``k`` is the j-th interior boundary of the
+    increasing prefix sums ``prefix`` (the 0-based slot ``j - 1``), else 0."""
+    j = bisect_left(prefix, k)
+    return (1 if j & 1 else -1) if j < len(prefix) - 1 and prefix[j] == k else 0
 
 
 def f_eval(rs: RunStructure, k: int) -> tuple[int, int, int]:
-    """Sign-table values at any integer ``k``: the forward sign, the
-    reverse sign, and their sum.  Zero outside the boundary sets, so the
-    function is total over all of Z."""
-    fs = rs.f_s.get(k, 0)
-    ft = rs.f_t.get(k, 0)
+    """The boundary signs at any integer ``k``: the forward sign, the
+    reverse sign, and their sum.  The forward (reverse) sign is
+    ``(-1)**j`` when ``k`` is the j-th interior boundary of ``s`` (``t``),
+    found by bisection, and zero off the boundary sets, so the function is
+    total over all of Z."""
+    fs = _boundary_sign(rs.s, k)
+    ft = _boundary_sign(rs.t, k)
     return fs, ft, fs + ft
 
 
 def u_k(rs: RunStructure, k: int) -> int:
     """Alternating sum of reverse-boundary signs sampled at ``k`` minus each
-    forward boundary.  Zero whenever ``k`` does not exceed the first boundary.
+    forward boundary, each sign read off ``t`` as in :func:`f_eval`.  Zero
+    whenever ``k`` does not exceed the first boundary.
 
     Requires ``1 <= k <= n - 1``.
     """
     if not 1 <= k <= rs.n - 1:
         raise ValueError(f"k must be in [1, {rs.n - 1}], got {k}")
     total = 0
-    ft = rs.f_t
+    s, t = rs.s, rs.t
     for j in range(1, rs.gamma):
-        d = k - rs.s[j - 1]
+        d = k - s[j - 1]
         if d <= 0:
-            break  # boundaries increase and the reverse table vanishes at <= 0
-        v = ft.get(d, 0)
+            break  # boundaries increase and the reverse signs vanish at <= 0
+        v = _boundary_sign(t, d)
         total += -v if j & 1 else v
     return total
 

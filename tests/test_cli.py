@@ -693,6 +693,17 @@ class TestDeterminism:
                 ("search", "--mode", "full", "--min-n", "1", "--max-n", "45", "--json"),
                 "4bcfbf6a8fc5911c1d7e8d1f63a6cea73191827031e3cb5efb6ead54c08ceef6",
             ),
+            (
+                (
+                    "verify", "--targets", "L1,L2,L3,L4,L5,L6,L7,L7n,p-odd",
+                    "--max-n", "25", "--json",
+                ),
+                "e13138cb6c31ebbefdf0efd3a50396577d1c61298d6755f884fc8701e37902c6",
+            ),
+            (
+                ("verify", "--targets", "theorem1,delta,prop-skew", "--max-n", "14", "--json"),
+                "d5ac9a441de66f0727a630f31f7b75f9660e4221832c553fabd195210245d5c9",
+            ),
         ],
     )
     def test_pinned_stdout_sha256(self, capsys, argv, digest):

@@ -216,8 +216,18 @@ class TestCheckLemma:
         for n in range(1, 11):
             for runs in compositions(n):
                 inst = lemmalab._Instance(rle(runs))
+                rank = inst.tables[0]
+                assert len(rank) == n + 1
                 for k in range(1, n + 1):
-                    assert inst.rank[k] == boundary_rank_interval(inst.rs, k) == brute_rank(runs, k)
+                    assert rank[k] == boundary_rank_interval(inst.rs, k) == brute_rank(runs, k)
+
+    def test_sign_tables_match_the_oracle_on_every_balanced_tuple_to_15(self):
+        for n in range(1, 16, 2):
+            for runs in brute_balanced_tuples(n):
+                _, f_s, f_t = lemmalab._Instance(rle(runs)).tables
+                want_s, want_t = brute_signs(runs)
+                assert f_s == [want_s.get(k, 0) for k in range(n + 1)]
+                assert f_t == [want_t.get(k, 0) for k in range(n + 1)]
 
     def test_parameter_errors(self):
         instance = rle((3, 2, 1, 1))
@@ -283,6 +293,8 @@ class TestCheckPOdd:
 
     def test_gating(self):
         assert not check_p_odd(rle((3, 2, 2, 1, 1))).hypotheses_met  # not Barker
+        # every |C_k| <= 2, with C_1 = 2: the Barker bound is 1, not 2
+        assert not check_p_odd(rle((5, 2, 1, 1))).hypotheses_met
         assert not check_p_odd(rle((1, 2))).hypotheses_met  # p = 1
         assert not check_p_odd(rle((2, 2))).hypotheses_met  # not Barker, even-ish
 
@@ -651,6 +663,10 @@ class TestBalancedRunTuples:
         for n in range(1, 18, 2):
             assert len(balanced_run_tuples(n)) == 1 << ((n + 1) // 2 - 1)
 
+    def test_equals_the_composition_filter_to_15(self):
+        for n in range(1, 16, 2):
+            assert balanced_run_tuples(n) == tuple(brute_balanced_tuples(n))
+
     def test_every_tuple_is_balanced_to_11(self):
         for n in range(1, 12, 2):
             for runs in balanced_run_tuples(n):
@@ -671,24 +687,28 @@ class TestBalancedRunTuples:
 
 
 def _negate_odd(table):
-    return {k: -v if k & 1 else v for k, v in table.items()}
+    return [-v if k & 1 else v for k, v in enumerate(table)]
 
 
-def _corrupt_f_t(rs):
-    """f_t negated at odd boundaries: L2 fails at every odd k outside S."""
-    return RunStructure(rs.s, rs.t, rs.s_set, rs.t_set, rs.gamma, rs.n, rs.f_s, _negate_odd(rs.f_t))
+def _corrupt_f_t(tables):
+    """The instance's f_t negated at odd boundaries: L2 fails at every odd
+    k outside S."""
+    rank, f_s, f_t = tables
+    return rank, f_s, _negate_odd(f_t)
 
 
-def _corrupt_f_s(rs):
-    """f_s negated at odd boundaries: L3 fails at every odd k in S but 1."""
-    return RunStructure(rs.s, rs.t, rs.s_set, rs.t_set, rs.gamma, rs.n, _negate_odd(rs.f_s), rs.f_t)
+def _corrupt_f_s(tables):
+    """The instance's f_s negated at odd boundaries: L3 fails at every odd
+    k in S but 1."""
+    rank, f_s, f_t = tables
+    return rank, _negate_odd(f_s), f_t
 
 
 def _corrupt_s(rs):
     """Every boundary after the first moved up by one (still increasing):
     L6 sees each width from mu = 2 on one larger."""
     s = rs.s[:1] + tuple([v + 1 for v in rs.s[1:]])
-    return RunStructure(s, rs.t, rs.s_set, rs.t_set, rs.gamma, rs.n, rs.f_s, rs.f_t)
+    return RunStructure(s, rs.t, rs.s_set, rs.t_set, rs.gamma, rs.n)
 
 
 def _corrupt_r_tilde(rv):
@@ -697,18 +717,19 @@ def _corrupt_r_tilde(rv):
     return RunVector(r_tilde, rv.r)
 
 
+#: name -> (owner of the patched function, its name, corruption of its result)
 CORRUPTIONS = {
-    "f_t": ("run_structure", _corrupt_f_t),
-    "f_s": ("run_structure", _corrupt_f_s),
-    "s": ("run_structure", _corrupt_s),
-    "r_tilde": ("run_vector_of", _corrupt_r_tilde),
+    "f_t": (lemmalab._Instance, "_build_tables", _corrupt_f_t),
+    "f_s": (lemmalab._Instance, "_build_tables", _corrupt_f_s),
+    "s": (lemmalab, "run_structure", _corrupt_s),
+    "r_tilde": (lemmalab, "run_vector_of", _corrupt_r_tilde),
 }
 
 
 def _corrupt(monkeypatch, name):
-    attr, corrupt = CORRUPTIONS[name]
-    real = getattr(lemmalab, attr)
-    monkeypatch.setattr(lemmalab, attr, lambda arg: corrupt(real(arg)))
+    owner, attr, corrupt = CORRUPTIONS[name]
+    real = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr, lambda arg: corrupt(real(arg)))
 
 
 def _text(runs):

@@ -17,6 +17,7 @@ from runvec.lemmalab import (
 from runvec.search import ClassificationReport, SearchSpec, classify_odd_barker
 from runvec.seqcore import (
     BinarySequence,
+    Record,
     RunLengthEncoding,
     RunStructure,
     RunVector,
@@ -109,19 +110,21 @@ def _fields(record) -> tuple[str, ...]:
 
 
 class TestRunStructureIdentity:
-    def test_sign_tables_are_left_out_of_equality_and_hash(self):
+    def test_identity_covers_exactly_the_six_fields(self):
         rs = run_structure(B7)
-        fields = dict(s=rs.s, t=rs.t, s_set=rs.s_set, t_set=rs.t_set, gamma=rs.gamma, n=rs.n)
-        other = RunStructure(**fields, f_s={}, f_t={3: 1})
-        assert other == rs and hash(other) == hash(rs)
-        assert other.f_s != rs.f_s
-        assert "f_s" not in repr(rs) and "f_t" not in repr(rs)
-
-    def test_pickle_keeps_the_sign_tables(self):
-        rs = run_structure(B7)
+        fields = ("s", "t", "s_set", "t_set", "gamma", "n")
+        values = {field: getattr(rs, field) for field in fields}
+        assert _fields(rs) == RunStructure.__slots__ == fields
+        assert not hasattr(Record, "_hidden") and not hasattr(rs, "_hidden")
+        same = RunStructure(**values)
+        assert same == rs and hash(same) == hash(rs)
+        for field in fields:
+            other = RunStructure(**{**values, field: None})
+            assert other != rs and hash(other) != hash(rs)
+        shown = ", ".join([f"{field}={value!r}" for field, value in values.items()])
+        assert repr(rs) == f"RunStructure({shown})"
         back = pickle.loads(pickle.dumps(rs))
-        assert back.f_s == rs.f_s == {3: -1, 5: 1, 6: -1}
-        assert back.f_t == rs.f_t == {1: -1, 2: 1, 4: -1}
+        assert back == rs and {field: getattr(back, field) for field in fields} == values
 
 
 class TestPickleWithWitnesses:

@@ -40,6 +40,8 @@ from oracles import (
     brute_prefix_structure,
     brute_run_vector,
     brute_runs,
+    brute_signs,
+    brute_u,
     compositions,
 )
 
@@ -346,6 +348,18 @@ class TestSignFunctions:
                     fs, ft, f = f_eval(rs, k)
                     assert f == fs + ft
                     assert fs == sign_gamma * f_eval(rs, n - k)[1]
+
+    def test_f_eval_and_u_k_match_the_oracle_every_composition_to_12(self):
+        for n in range(1, 13):
+            for runs in compositions(n):
+                f_s, f_t = brute_signs(runs)
+                u = [brute_u(runs, k) for k in range(1, n)]
+                for sign in (1, -1):
+                    rs = run_structure(rle(sign, runs))
+                    for k in range(-2, n + 3):
+                        fs, ft = f_s.get(k, 0), f_t.get(k, 0)
+                        assert f_eval(rs, k) == (fs, ft, fs + ft)
+                    assert [u_k(rs, k) for k in range(1, n)] == u
 
     def test_u_k_examples(self):
         rs = run_structure(rle(1, (3, 2, 1, 1)))
