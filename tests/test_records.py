@@ -21,6 +21,7 @@ from runvec.seqcore import (
     RunLengthEncoding,
     RunStructure,
     RunVector,
+    f_eval,
     run_structure,
 )
 
@@ -125,6 +126,26 @@ class TestRunStructureIdentity:
         assert repr(rs) == f"RunStructure({shown})"
         back = pickle.loads(pickle.dumps(rs))
         assert back == rs and {field: getattr(back, field) for field in fields} == values
+
+    def test_sign_tables_are_left_out_of_equality_and_hash(self):
+        rs = run_structure(B7)
+        assert not hasattr(rs, "f_s") and not hasattr(rs, "f_t")
+        assert "f_s" not in repr(rs) and "f_t" not in repr(rs)
+        fields = dict(s=rs.s, t=rs.t, s_set=rs.s_set, t_set=rs.t_set, gamma=rs.gamma, n=rs.n)
+        with pytest.raises(TypeError):
+            RunStructure(**fields, f_s={}, f_t={3: 1})
+        other = RunStructure(**fields)
+        assert other == rs and hash(other) == hash(rs)
+        for k in range(-2, rs.n + 3):
+            assert f_eval(other, k) == f_eval(rs, k)
+
+    def test_pickle_keeps_the_sign_tables(self):
+        rs = run_structure(B7)
+        back = pickle.loads(pickle.dumps(rs))
+        signs = [(k, f_eval(back, k)) for k in range(rs.n + 1)]
+        assert {k: fs for k, (fs, _, _) in signs if fs} == {3: -1, 5: 1, 6: -1}
+        assert {k: ft for k, (_, ft, _) in signs if ft} == {1: -1, 2: 1, 4: -1}
+        assert [f_eval(rs, k) for k in range(rs.n + 1)] == [sign for _, sign in signs]
 
 
 class TestPickleWithWitnesses:
