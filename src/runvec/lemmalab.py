@@ -22,8 +22,8 @@ and for failure witnesses.
 One mask is evaluated per orbit of {identity, negation, reversal,
 negation after reversal}: every sequence target reads only quantities
 that negation, ``x -> x ^ (2**n - 1)``, and reversal, ``x -> y`` with
-y the n-bit reversal of x, leave unchanged, so each verdict also stands
-for ``~x``, ``y`` and ``~y``.  For negation, read off the code:
+``y = packed_reversal(x, n)``, leave unchanged, so each verdict also
+stands for ``~x``, ``y`` and ``~y``.  For negation, read off the code:
 
 * within n bits, ``~x ^ (~x >> 1)`` differs from ``x ^ (x >> 1)`` only
   in bit n-1, which :func:`~runvec.seqcore.packed_runs` forces on, so
@@ -51,9 +51,9 @@ For reversal:
 * swapping ``s_set`` and ``t_set`` keeps them a partition or not, so
   balancedness is equal.
 
-The sweep therefore evaluates the '+'-first masks x whose '+'-first
-partner, y or ``~y``, is not smaller; at n <= 12 that is 2 142 of the
-8 190 masks.
+The sweep therefore evaluates the least mask of each orbit only
+(:func:`~runvec.seqcore.packed_canonical`); at n <= 12 that is 2 142
+of the 8 190 masks.
 
 Balanced run tuples are generated by mirroring the free half of a
 skew-symmetric sequence with a '+' centre: negation preserves the tuple,
@@ -65,9 +65,10 @@ targets reach their evaluators through one table that
 :func:`check_lemma` also uses.  An evaluator takes an instance and a
 domain of parameter values and tests the hypotheses and the conclusion
 at each value itself: the sweep calls it once per tuple with every
-in-range value (k in 1..n-1 for L2-L5, mu in 1..gamma for L6, each
-range built once per length), and :func:`check_lemma` with the one
-value it was given, so both run the same code.
+value that can meet the hypotheses (k in 1..n-1 for L2-L5, mu in
+1..gamma-1 for L6, each range built once per length), and
+:func:`check_lemma` with the one value it was given, so both run the
+same code.
 
 Sweep reports serialize as one JSON record per (target, length):
 ``{target, n, population, hypotheses_met_count, failures}`` where
@@ -102,6 +103,9 @@ from .seqcore import (
     f_eval,
     is_balanced,
     packed_autocorrelations,
+    packed_canonical,
+    packed_orbit,
+    packed_reversal,
     packed_rle,
     packed_runs,
     packed_skew_symmetric,
@@ -457,6 +461,7 @@ def _eval_l3(inst: _Instance, ks):
                 failed.append((k, {"k": k, "part": "before", "f": f_at, "f_before": f_before}))
                 continue
         if (k + 1) in t_set:
+            # literal: k + 1 in t_set is not in s_set when balanced, so f_s[k + 1] = 0
             f_after = f_s[k + 1] + f_t[k + 1]
             if f_after != f_at:
                 failed.append((k, {"k": k, "part": "after", "f": f_at, "f_after": f_after}))
@@ -666,7 +671,7 @@ def balanced_run_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     for bits in range(0, 1 << m, 2):
         # bit j of ``bits`` is element m+j; element m-j mirrors it, negated
         # for odd j, and the centre element m is bit m-1 of the mask
-        right = int(format(bits, f"0{m}b")[::-1], 2)
+        right = packed_reversal(bits, m)
         seen.add(packed_runs(((bits ^ flip_odd) << (m - 1)) | right, n))
     if len(seen) != 1 << (m - 1):
         raise RuntimeError(f"balanced enumeration produced {len(seen)} tuples for n={n}")
@@ -682,22 +687,17 @@ def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
     """The sequence targets at length n over every mask; each evaluated
     mask's C, run structure and run vector are built once for all of them.
 
-    One mask is evaluated per orbit of negation and reversal: the
-    '+'-first mask x with x <= its '+'-first partner, the reversal of x
-    or its complement.  The verdict, and every witness field but the
-    instance, stand for each member of the orbit (see the module
-    docstring), so a failing orbit adds one witness per member and the
-    witnesses are listed by ascending mask.
+    One mask is evaluated per orbit of negation and reversal, its least.
+    The verdict, and every witness field but the instance, stand for
+    each member of the orbit (see the module docstring), so a failing
+    orbit adds one witness per member and the witnesses are listed by
+    ascending mask.
     """
     theorem1, delta, skew = (t in targets for t in SEQUENCE_TARGETS)
     failures = {target: [] for target in targets}
-    full = (1 << n) - 1
-    half = 1 << (n - 1)
-    for x in range(half):
-        y = int(format(x, f"0{n}b")[::-1], 2)
-        if x > (y if y < half else y ^ full):
+    for x in range(1 << (n - 1)):
+        if packed_canonical(x, n) != x:
             continue
-        orbit = {x, x ^ full, y, y ^ full}
         rs = run_structure(packed_rle(x, n))
         if theorem1 or delta:
             c = (n, *packed_autocorrelations(x, n), 0)
@@ -707,20 +707,21 @@ def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
         if theorem1 and from_c != from_r:
             residual = _second_difference_residual(c, r)
             k, value = next((k, v) for k, v in enumerate(residual, start=1) if v)
-            failures["theorem1"] += [(m, {"k": k, "residual": value}) for m in orbit]
+            witness = {"k": k, "residual": value}
+            failures["theorem1"] += [(m, witness) for m in packed_orbit(x, n)]
         if delta:
             # the oracle is a literal computation on the elements themselves
             deltas = delta_autocorrelations(unpack(x, n))
             if deltas != from_c or deltas != from_r:
                 i = next(i for i, d in enumerate(deltas) if d != from_c[i] or d != from_r[i])
                 witness = {"k": i + 1, "delta": deltas[i], "r_k": r[i]}
-                failures["delta"] += [(m, witness) for m in orbit]
+                failures["delta"] += [(m, witness) for m in packed_orbit(x, n)]
         if skew:
             skew_symmetric = packed_skew_symmetric(x, n)
             balanced = is_balanced(rs)
             if skew_symmetric != balanced:
                 witness = {"skew_symmetric": skew_symmetric, "balanced": balanced}
-                failures["prop-skew"] += [(m, witness) for m in orbit]
+                failures["prop-skew"] += [(m, witness) for m in packed_orbit(x, n)]
     population = 1 << n
     records = []
     for target, found in failures.items():
@@ -735,8 +736,8 @@ def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
 def _sweep_balanced(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
     """The balanced-encoding targets at odd length n over every balanced
     run tuple; each tuple's state is built once for all of them."""
-    # every balanced tuple of length n has (n+1)//2 runs
-    domains = {None: (None,), "k": range(1, n), "mu": range(1, (n + 1) // 2 + 1)}
+    # every balanced tuple of length n has gamma = (n+1)//2 runs; L6 needs mu < gamma
+    domains = {None: (None,), "k": range(1, n), "mu": range(1, (n + 1) // 2)}
     checks = [(target, *_BALANCED_CHECKS[target]) for target in targets]
     met = dict.fromkeys(targets, 0)
     failures = {target: [] for target in targets}

@@ -21,9 +21,10 @@ sequence that passes.  Outside-in placement makes the top shifts exact
 first -- after j pairs, C_{n-1}, ..., C_{n-j} are final -- so the bound
 bites near the root.
 
-The result set is closed under negation at the end, and pruning is
-never trusted for correctness: every emitted sequence is re-verified
-from scratch.  The search runs in the calling process.
+The search emits packed masks (see :mod:`runvec.seqcore`), closes them
+under negation by XOR and sorts them as integers; pruning is never
+trusted for correctness: every mask is re-verified from scratch before
+it is unpacked.  The search runs in the calling process.
 
 The unpruned reference filter runs the packed autocorrelation kernel of
 :mod:`runvec.seqcore` over every mask of a length; it exists so the
@@ -37,9 +38,10 @@ from .seqcore import (
     BinarySequence,
     Record,
     RunLengthEncoding,
-    encode_rle,
     pack,
     packed_autocorrelations,
+    packed_canonical,
+    packed_runs,
     unpack,
 )
 
@@ -100,15 +102,12 @@ class ClassificationReport(Record):
         }
 
 
-def _lex_key(elems):
-    return tuple(0 if x == 1 else 1 for x in elems)
-
-
 def _dfs(n, threshold, skew):
     """Outside-in search for sequences with all off-peak sums within threshold.
 
     Step i places the pair (a_i, a_{n+1-i}); a_1 = +1, and in skew mode
-    a_{n+1-i} is the skew mirror of a_i.  Returns raw element tuples.
+    a_{n+1-i} is the skew mirror of a_i.  Returns the packed masks of the
+    hits, each with its top bit clear.
     """
     m = (n + 1) // 2
     # [lo[k], hi[k]]: the admissible final C_k (module docstring)
@@ -146,17 +145,19 @@ def _dfs(n, threshold, skew):
             pairs = [(x, mirror * x) for x in signs]
         else:
             pairs = [(x, y) for x in signs for y in (1, -1)]
+        # the mask bits of the pair: a_i is bit n-i, set where it is -1
+        pairs = [(x, y, (x < 0) << (n - left) | (y < 0) << (n - right)) for x, y in pairs]
         steps.append((left, right, pairs, checks))
 
     a = [0] * (n + 1)
     out = []
 
-    def place(step, cum):
+    def place(step, cum, mask):
         if step == m:
-            out.append(tuple(a[1:]))
+            out.append(mask)
             return
         left, right, pairs, checks = steps[step]
-        for x, y in pairs:
+        for x, y, bits in pairs:
             a[left] = x
             a[right] = y
             c = cum[:]
@@ -166,18 +167,15 @@ def _dfs(n, threshold, skew):
                     break
                 c[k] = p
             else:
-                place(step + 1, c)
+                place(step + 1, c, mask | bits)
 
-    place(0, [0] * n)
+    place(0, [0] * n, 0)
     return out
 
 
-def _within_threshold(seq, threshold):
-    return all(-threshold <= c <= threshold for c in packed_autocorrelations(pack(seq), seq.n))
-
-
 def find_barker_sequences(n: int, mode: str = "full", threshold: int = 1) -> list[BinarySequence]:
-    """Pruned search at one length, lexicographic with '+' before '-'.
+    """Pruned search at one length, lexicographic with '+' before '-',
+    on masks that are re-verified on the packed kernel before unpacking.
 
     The full-mode engine accepts any n >= 1 (the unpruned-filter
     soundness check runs it on even lengths too); skew mode requires
@@ -191,23 +189,18 @@ def find_barker_sequences(n: int, mode: str = "full", threshold: int = 1) -> lis
     if mode == "skew" and n % 2 == 0:
         raise ValueError("skew mode requires odd n")
     raw = _dfs(n, threshold, mode == "skew")
-    closed = raw + [tuple(-x for x in s) for s in raw]
-    closed.sort(key=_lex_key)
-    seqs = [BinarySequence(t) for t in closed]
-    for seq in seqs:
-        if not _within_threshold(seq, threshold):
-            raise RuntimeError(f"pruned search emitted a bad candidate: {seq}")
-    return seqs
+    full = (1 << n) - 1
+    closed = sorted(raw + [x ^ full for x in raw])
+    for x in closed:
+        if not all(-threshold <= c <= threshold for c in packed_autocorrelations(x, n)):
+            raise RuntimeError(f"pruned search emitted a bad candidate: {unpack(x, n)}")
+    return [unpack(x, n) for x in closed]
 
 
 def enumerate_barker(spec: SearchSpec) -> list[BinarySequence]:
     """All Barker sequences of odd length within the range, ordered by
-    length and then lexicographically with '+' before '-'.
-
-    Skew mode visits only skew-symmetric sequences, which is complete
-    for odd lengths because every odd-length Barker sequence is
-    skew-symmetric; each survivor is still verified before emission.
-    """
+    length and then lexicographically with '+' before '-' (skew mode is
+    complete here: see the module docstring)."""
     if spec.n_max > SEARCH_LIMIT:
         raise ValueError(
             f"{spec.mode}-mode search limited to n <= {SEARCH_LIMIT}, requested {spec.n_max}"
@@ -222,14 +215,12 @@ def enumerate_barker(spec: SearchSpec) -> list[BinarySequence]:
 
 def canonical_form(seq: BinarySequence) -> BinarySequence:
     """Least of the four negation/reversal variants ('+' sorts first)."""
-    e = seq.elems
-    variants = [e, e[::-1], tuple(-x for x in e), tuple(-x for x in e[::-1])]
-    return BinarySequence(min(variants, key=_lex_key))
+    return unpack(packed_canonical(pack(seq), seq.n), seq.n)
 
 
 def canonical_representatives(seqs) -> list[BinarySequence]:
-    reps = {(s.n, canonical_form(s).elems) for s in seqs}
-    return [BinarySequence(e) for _, e in sorted(reps, key=lambda p: (p[0], _lex_key(p[1])))]
+    reps = {(s.n, packed_canonical(pack(s), s.n)) for s in seqs}
+    return [unpack(x, n) for n, x in sorted(reps)]
 
 
 def brute_force_barker(n: int) -> list[BinarySequence]:
@@ -248,24 +239,10 @@ def brute_force_barker(n: int) -> list[BinarySequence]:
     ]
 
 
-def _normalize_leading_run(seq: BinarySequence) -> BinarySequence:
-    """Reverse until the first run exceeds 1, then negate to start on '+'.
-
-    Reversal and negation both preserve the Barker property, so the
-    normal form represents the same search hit.
-    """
-    if encode_rle(seq).runs[0] == 1:
-        seq = seq.reversed()
-    if seq.elems[0] == -1:
-        seq = seq.negated()
-    if encode_rle(seq).runs[0] == 1:
-        raise RuntimeError(f"sequence has unit runs at both ends: {seq}")
-    return seq
-
-
 def classify_odd_barker(n_max: int) -> ClassificationReport:
     """Search every odd length up to ``n_max`` in skew mode and classify
-    the hits by their normalized (first run > 1, leading '+') encodings."""
+    the hits by their normalized (first run > 1, leading '+') encodings:
+    the runs, which negation keeps, reversed when the first run is 1."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > SEARCH_LIMIT:
@@ -282,7 +259,13 @@ def classify_odd_barker(n_max: int) -> ClassificationReport:
                     "n=1 excluded from the classification: its encoding has first run 1"
                 )
             continue
-        reps = {encode_rle(_normalize_leading_run(seq)).runs for seq in found}
+        reps = set()
+        for seq in found:
+            runs = packed_runs(pack(seq), n)
+            runs = runs[::-1] if runs[0] == 1 else runs
+            if runs[0] == 1:
+                raise RuntimeError(f"sequence has unit runs at both ends: {seq}")
+            reps.add(runs)
         if reps:
             normalized[n] = tuple(RunLengthEncoding(1, runs) for runs in sorted(reps))
     checks = []

@@ -24,9 +24,11 @@ Index conventions, stated once here for the whole package:
 Packed form: a length-n sequence is also one integer ``x`` with bit
 ``n-1-i`` set exactly where slot ``i`` holds -1 (see :func:`pack`), so
 the first element is the most significant bit and numeric order of the
-masks is lexicographic order with '+' before '-'.  Slots ``i`` and
-``i+k`` differ exactly where ``x ^ (x >> k)`` has a set bit below
-``n-k``, so ``C_k = (n-k) - 2*popcount((x ^ (x >> k)) & mask)``; C
+masks is lexicographic order with '+' before '-'.  Negation is
+``x ^ (2**n - 1)``, reversal :func:`packed_reversal`, and the orbit of
+both (:func:`packed_orbit`) is represented by its least mask,
+:func:`packed_canonical`.  Slots ``i`` and ``i+k`` differ exactly
+where ``x ^ (x >> k)`` has a set bit below ``n-k``, so ``C_k = (n-k) - 2*popcount((x ^ (x >> k)) & mask)``; C
 at the short lengths of the sweeps and searches, the run lengths and
 the predicates are all computed on this form.
 
@@ -303,9 +305,27 @@ def pack(seq: BinarySequence) -> int:
 
 def unpack(x: int, n: int) -> BinarySequence:
     """The length-n sequence whose packed form is ``x``, ``0 <= x < 2**n``."""
+    if n < 1:
+        raise ValueError("sequence length must be >= 1")
     if not 0 <= x < 1 << n:
         raise ValueError(f"mask {x} does not fit in {n} bits")
     return BinarySequence(tuple([-1 if b == "1" else 1 for b in format(x, f"0{n}b")]))
+
+
+def packed_reversal(x: int, n: int) -> int:
+    """The packed form of the reversal of the packed length-n sequence ``x``."""
+    return int(format(x, f"0{n}b")[::-1], 2)
+
+
+def packed_orbit(x: int, n: int) -> set[int]:
+    """The masks of ``x``, its negation, its reversal and both."""
+    full, y = (1 << n) - 1, packed_reversal(x, n)
+    return {x, x ^ full, y, y ^ full}
+
+
+def packed_canonical(x: int, n: int) -> int:
+    """The least mask of :func:`packed_orbit`, the orbit's representative."""
+    return min(packed_orbit(x, n))
 
 
 def parse_sequence(text: str, max_n: int | None = None) -> int:
@@ -460,7 +480,7 @@ def packed_skew_symmetric(x: int, n: int) -> bool:
         return False
     c = n // 2
     flipped = int(("01" * n)[c & 1 : (c & 1) + n], 2)
-    return int(format(x, f"0{n}b")[::-1], 2) == x ^ flipped
+    return packed_reversal(x, n) == x ^ flipped
 
 
 def encode_rle(seq: BinarySequence) -> RunLengthEncoding:
@@ -470,12 +490,7 @@ def encode_rle(seq: BinarySequence) -> RunLengthEncoding:
 
 def decode_rle(rle: RunLengthEncoding) -> BinarySequence:
     """Expand an encoding back into the unique sequence it describes."""
-    elems = []
-    sign = rle.start_sign
-    for r in rle.runs:
-        elems.extend([sign] * r)
-        sign = -sign
-    return BinarySequence(tuple(elems))
+    return BinarySequence.from_text(decode_text(rle))
 
 
 def aperiodic_autocorrelations(seq: BinarySequence) -> tuple[int, ...]:

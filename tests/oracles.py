@@ -49,6 +49,14 @@ def brute_is_skew_symmetric(elems):
     )
 
 
+def brute_canonical(elems):
+    """The least of the four negation/reversal variants of ``elems``,
+    compared as '+'/'-' texts, where '+' sorts before '-'."""
+    negated = tuple(-x for x in elems)
+    variants = [elems, elems[::-1], negated, negated[::-1]]
+    return min(variants, key=lambda v: "".join("+" if x == 1 else "-" for x in v))
+
+
 def brute_delta_autocorrelation(elems, k):
     """Difference-sequence autocorrelation with zero padding, literally."""
     n = len(elems)

@@ -704,6 +704,11 @@ class TestDeterminism:
                 ("verify", "--targets", "theorem1,delta,prop-skew", "--max-n", "14", "--json"),
                 "d5ac9a441de66f0727a630f31f7b75f9660e4221832c553fabd195210245d5c9",
             ),
+            (
+                ("search", "--mode", "skew", "--min-n", "1", "--max-n", "45", "--normalize",
+                 "--json"),
+                "3ca496e8f05280d8e0d77d06944b65c0e2593d06352eaaee1d5be2cddf0aa9b2",
+            ),
         ],
     )
     def test_pinned_stdout_sha256(self, capsys, argv, digest):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from runvec import search
 from runvec.lemmalab import balanced_run_tuples
 from runvec.search import (
     SEARCH_LIMIT,
@@ -21,6 +22,7 @@ from runvec.seqcore import BinarySequence, all_sequences, encode_rle, is_barker
 from oracles import (
     all_sign_tuples,
     brute_aperiodic,
+    brute_canonical,
     brute_is_barker,
     brute_is_skew_symmetric,
 )
@@ -153,6 +155,26 @@ class TestSoundness:
         assert loose == expect
 
 
+class TestRuntimeGuards:
+    # negative controls: each guard fires when the code before it is wrong
+
+    @pytest.mark.parametrize("mode", ["full", "skew"])
+    def test_search_rejects_a_bad_candidate(self, monkeypatch, mode):
+        dfs = search._dfs
+        # mask 0 is the all-'+' sequence, C_1 = 6 at n = 7
+        monkeypatch.setattr(search, "_dfs", lambda n, threshold, skew: dfs(n, threshold, skew) + [0])
+        with pytest.raises(RuntimeError, match="pruned search emitted a bad candidate"):
+            find_barker_sequences(7, mode)
+
+    def test_classification_rejects_unit_runs_at_both_ends(self, monkeypatch):
+        def found(n, mode):
+            return [BinarySequence.from_text("+-+")] if n == 3 else []
+
+        monkeypatch.setattr(search, "find_barker_sequences", found)
+        with pytest.raises(RuntimeError, match="unit runs at both ends"):
+            classify_odd_barker(3)
+
+
 class TestBalancedEnumeration:
     def test_examples(self):
         assert balanced_run_tuples(3) == ((1, 2), (2, 1))
@@ -216,6 +238,18 @@ class TestCanonicalization:
         assert canonical_form(seq).to_text() == "++-"
         seq = BinarySequence.from_text("+-+-++--+++++")
         assert canonical_form(seq).to_text() == "+++++--++-+-+"
+
+    def test_canonical_form_matches_oracle_exhaustive_to_12(self):
+        seqs = [BinarySequence(elems) for n in range(1, 13) for elems in all_sign_tuples(n)]
+        expect = set()
+        for s in seqs:
+            want = BinarySequence(brute_canonical(s.elems))
+            assert canonical_form(s) == want
+            expect.add((s.n, want.to_text()))
+        random.Random(1212).shuffle(seqs)
+        reps = canonical_representatives(seqs)
+        # by length, then as texts sort: '+' before '-'
+        assert [(s.n, s.to_text()) for s in reps] == sorted(expect)
 
     def test_representatives_sorted_and_unique(self):
         found = enumerate_barker(SearchSpec(3, 3, "full"))

@@ -20,7 +20,10 @@ from runvec.seqcore import (
     is_skew_symmetric,
     pack,
     packed_autocorrelations,
+    packed_canonical,
     packed_correlation_vectors,
+    packed_orbit,
+    packed_reversal,
     packed_runs,
     periodic_autocorrelations,
     run_structure,
@@ -506,6 +509,22 @@ class TestPackedForm:
         for bad in (-1, 16):
             with pytest.raises(ValueError):
                 unpack(bad, 4)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_unpack_rejects_lengths_below_one(self, n):
+        # format(0, "00b") is "0", and 1 << -1 raises its own error
+        with pytest.raises(ValueError, match="^sequence length must be >= 1$"):
+            unpack(0, n)
+
+    def test_reversal_and_orbit_exhaustive_to_10(self):
+        for n in range(1, 11):
+            for x, elems in enumerate(all_sign_tuples(n)):
+                reversed_ = BinarySequence(elems[::-1])
+                negated = BinarySequence(tuple(-v for v in elems))
+                assert unpack(packed_reversal(x, n), n) == reversed_
+                orbit = {BinarySequence(elems), reversed_, negated, negated.reversed()}
+                assert {unpack(m, n) for m in packed_orbit(x, n)} == orbit
+                assert packed_canonical(x, n) == min(packed_orbit(x, n))
 
     def test_round_trip_exhaustive_to_10(self):
         for n in range(1, 11):
