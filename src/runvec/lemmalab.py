@@ -106,7 +106,7 @@ from .seqcore import (
     packed_canonical,
     packed_orbit,
     packed_reversal,
-    packed_rle,
+    packed_run_structure,
     packed_runs,
     packed_skew_symmetric,
     parse_sequence,
@@ -698,7 +698,7 @@ def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
     for x in range(1 << (n - 1)):
         if packed_canonical(x, n) != x:
             continue
-        rs = run_structure(packed_rle(x, n))
+        rs = packed_run_structure(x, n)
         if theorem1 or delta:
             c = (n, *packed_autocorrelations(x, n), 0)
             r = run_vector_of(rs).r

@@ -25,12 +25,16 @@ Packed form: a length-n sequence is also one integer ``x`` with bit
 ``n-1-i`` set exactly where slot ``i`` holds -1 (see :func:`pack`), so
 the first element is the most significant bit and numeric order of the
 masks is lexicographic order with '+' before '-'.  Negation is
-``x ^ (2**n - 1)``, reversal :func:`packed_reversal`, and the orbit of
-both (:func:`packed_orbit`) is represented by its least mask,
-:func:`packed_canonical`.  Slots ``i`` and ``i+k`` differ exactly
-where ``x ^ (x >> k)`` has a set bit below ``n-k``, so ``C_k = (n-k) - 2*popcount((x ^ (x >> k)) & mask)``; C
-at the short lengths of the sweeps and searches, the run lengths and
-the predicates are all computed on this form.
+``x ^ (2**n - 1)``; reversal, :func:`packed_reversal`, is one
+byte-table ``translate`` of the mask's bytes; the orbit of both
+(:func:`packed_orbit`) is represented by its least mask,
+:func:`packed_canonical`.  Slots ``i`` and ``i+k`` differ exactly where
+``x ^ (x >> k)`` has a set bit below ``n-k``, so
+``C_k = (n-k) - 2*popcount((x ^ (x >> k)) & mask)``.  C at the short
+lengths of the sweeps and searches, the run lengths, the run structure
+(:func:`packed_run_structure`) and the predicates are all computed on
+this form, and :func:`unpack` turns a mask into a sequence without
+re-checking the elements it makes.
 
 Products: both autocorrelation vectors and the run vector are each read
 off one big-integer multiplication (Kronecker substitution): two
@@ -303,18 +307,55 @@ def pack(seq: BinarySequence) -> int:
     return int("".join(["1" if v < 0 else "0" for v in seq.elems]), 2)
 
 
+_SIGNED = bytes.maketrans(b"01", b"\x01\xff")  # a bit of a mask -> its element as an int8
+
+
 def unpack(x: int, n: int) -> BinarySequence:
-    """The length-n sequence whose packed form is ``x``, ``0 <= x < 2**n``."""
+    """The length-n sequence whose packed form is ``x``, ``0 <= x < 2**n``.
+
+    Both ranges are checked, the elements are not: each is read as a
+    signed byte from its translated bit, ``0`` to ``+1`` and ``1`` to
+    ``-1``, so it is +1 or -1 by construction, and the sequence is built
+    past the constructor's per-element check, which could never fail
+    here.  Every other construction of a :class:`BinarySequence`,
+    unpickling included, still runs the check.
+    """
     if n < 1:
         raise ValueError("sequence length must be >= 1")
     if not 0 <= x < 1 << n:
         raise ValueError(f"mask {x} does not fit in {n} bits")
-    return BinarySequence(tuple([-1 if b == "1" else 1 for b in format(x, f"0{n}b")]))
+    seq = object.__new__(BinarySequence)
+    object.__setattr__(
+        seq, "elems", unpack_from(f"{n}b", format(x, f"0{n}b").encode().translate(_SIGNED))
+    )
+    return seq
+
+
+#: Bit reversal of each nibble, and through it of each byte.
+_REVERSED_NIBBLES = (0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15)
+_REVERSED_BYTES = bytes(
+    [_REVERSED_NIBBLES[b & 15] << 4 | _REVERSED_NIBBLES[b >> 4] for b in range(256)]
+)
 
 
 def packed_reversal(x: int, n: int) -> int:
-    """The packed form of the reversal of the packed length-n sequence ``x``."""
-    return int(format(x, f"0{n}b")[::-1], 2)
+    """The packed form of the reversal of the packed length-n sequence
+    ``x``, ``0 <= x < 2**n``: bit ``p`` moves to bit ``n-1-p``.
+
+    Byte-table reversal (Warren, *Hacker's Delight*, 2nd ed., 2012,
+    section 7-1), in C at every n.  Written little-endian in
+    ``w = ceil(n/8)`` bytes, bit ``p = 8j + i`` of ``x`` is bit ``i`` of
+    byte ``j``.  One ``translate`` through the 256-entry table moves it
+    to bit ``7 - i`` of byte ``j``, and reading the bytes big-endian
+    gives byte ``j`` the weight ``2**(8*(w-1-j))``, so the bit lands at
+    ``8*(w-1-j) + 7 - i = 8w-1-p``: ``x`` reversed within ``8w`` bits.
+    The ``8w - n`` padding bits above bit ``n-1`` are 0 and land below
+    bit ``8w-n``, so shifting right by ``8w - n`` leaves ``n-1-p``.
+    """
+    width = (n + 7) // 8
+    return int.from_bytes(x.to_bytes(width, "little").translate(_REVERSED_BYTES), "big") >> (
+        8 * width - n
+    )
 
 
 def packed_orbit(x: int, n: int) -> set[int]:
@@ -324,8 +365,10 @@ def packed_orbit(x: int, n: int) -> set[int]:
 
 
 def packed_canonical(x: int, n: int) -> int:
-    """The least mask of :func:`packed_orbit`, the orbit's representative."""
-    return min(packed_orbit(x, n))
+    """The least mask of :func:`packed_orbit`, the orbit's representative,
+    taken over the four masks without building the set."""
+    full, y = (1 << n) - 1, packed_reversal(x, n)
+    return min(x, x ^ full, y, y ^ full)
 
 
 def parse_sequence(text: str, max_n: int | None = None) -> int:
@@ -512,13 +555,23 @@ def periodic_autocorrelations(seq: BinarySequence) -> tuple[int, ...]:
     return packed_correlation_vectors(pack(seq), seq.n)[1]
 
 
-def run_structure(rle: RunLengthEncoding) -> RunStructure:
-    """Boundary prefix sums from both ends and the interior boundary sets."""
-    runs = rle.runs
+def _structure_of(runs: tuple[int, ...]) -> RunStructure:
+    """The run structure of the run lengths ``runs``."""
     s = tuple(accumulate(runs))
     t = tuple(accumulate(reversed(runs)))
     gamma = len(runs)
     return RunStructure(s, t, frozenset(s[: gamma - 1]), frozenset(t[: gamma - 1]), gamma, s[-1])
+
+
+def run_structure(rle: RunLengthEncoding) -> RunStructure:
+    """Boundary prefix sums from both ends and the interior boundary sets."""
+    return _structure_of(rle.runs)
+
+
+def packed_run_structure(x: int, n: int) -> RunStructure:
+    """:func:`run_structure` of the packed length-n sequence ``x``, built
+    straight from :func:`packed_runs` with no encoding in between."""
+    return _structure_of(packed_runs(x, n))
 
 
 def _boundary_sign(prefix: tuple[int, ...], k: int) -> int:

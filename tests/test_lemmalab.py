@@ -448,14 +448,14 @@ class TestSweeps:
     def test_sweep_evaluates_each_orbit_exactly_once(self, monkeypatch):
         # no output can show a skipped orbit, since correct code never
         # fails, so record the masks the sweep evaluates instead
-        real = lemmalab.packed_rle
+        real = lemmalab.packed_run_structure
         evaluated = {}
 
         def recording(x, n):
             evaluated.setdefault(n, []).append(x)
             return real(x, n)
 
-        monkeypatch.setattr(lemmalab, "packed_rle", recording)
+        monkeypatch.setattr(lemmalab, "packed_run_structure", recording)
         sweep(14, SEQUENCE_TARGETS)
         assert sorted(evaluated) == list(range(1, 15))
         for n, masks in evaluated.items():

@@ -1,5 +1,6 @@
 """Core calculus: encodings, autocorrelations, run structure, run vector."""
 
+import pickle
 import random
 
 import pytest
@@ -24,7 +25,10 @@ from runvec.seqcore import (
     packed_correlation_vectors,
     packed_orbit,
     packed_reversal,
+    packed_rle,
+    packed_run_structure,
     packed_runs,
+    packed_skew_symmetric,
     periodic_autocorrelations,
     run_structure,
     run_vector,
@@ -36,6 +40,7 @@ from runvec.seqcore import (
 from oracles import (
     all_sign_tuples,
     brute_aperiodic,
+    brute_canonical,
     brute_is_balanced,
     brute_is_barker,
     brute_is_skew_symmetric,
@@ -526,12 +531,59 @@ class TestPackedForm:
                 assert {unpack(m, n) for m in packed_orbit(x, n)} == orbit
                 assert packed_canonical(x, n) == min(packed_orbit(x, n))
 
+    @pytest.mark.parametrize("n", [*range(1, 81), 255, 256, 257, 10_000])
+    def test_reversal_canonical_and_skew_on_seeded_random_masks(self, n):
+        # the byte-table kernel at every byte width up to 10 and past the
+        # 8-bit boundaries, against text reversal and the element oracles;
+        # the exhaustive tests stop at two bytes
+        rng = random.Random(n)
+        top, full = 1 << (n - 1), (1 << n) - 1
+        masks = [0, 1, top, full, top | 1]
+        for _ in range(3):
+            bits = rng.getrandbits(n)
+            masks += [bits, bits | top, bits | 1, bits & ~top & ~1]
+        if n % 2:
+            # a skew-symmetric mask, a_{m-j} = (-1)**j * a_{m+j} around the
+            # centre a_m, and the same with a_1 flipped
+            m = (n + 1) // 2
+            right = [rng.choice((1, -1)) for _ in range(m)]
+            left = [(-1) ** j * right[j] for j in range(m - 1, 0, -1)]
+            skew = int("".join(["1" if v < 0 else "0" for v in left + right]), 2)
+            masks += [skew, skew ^ top]
+        for x in masks:
+            text = format(x, f"0{n}b")
+            elems = tuple([-1 if b == "1" else 1 for b in text])
+            assert packed_reversal(x, n) == int(text[::-1], 2), (n, x)
+            canonical = "".join(["1" if v < 0 else "0" for v in brute_canonical(elems)])
+            assert packed_canonical(x, n) == int(canonical, 2), (n, x)
+            assert packed_skew_symmetric(x, n) == brute_is_skew_symmetric(elems), (n, x)
+        if n % 2 and n > 1:
+            assert packed_skew_symmetric(skew, n) and not packed_skew_symmetric(skew ^ top, n)
+
+    def test_packed_run_structure_matches_both_routes_to_12(self):
+        for n in range(1, 13):
+            for x, elems in enumerate(all_sign_tuples(n)):
+                rs = packed_run_structure(x, n)
+                assert rs == run_structure(packed_rle(x, n)), (n, x)
+                s, t, s_set, t_set = brute_prefix_structure(brute_runs(elems))
+                assert (rs.s, rs.t, rs.s_set, rs.t_set) == (s, t, s_set, t_set), (n, x)
+                assert (rs.gamma, rs.n) == (len(s), n), (n, x)
+
     def test_round_trip_exhaustive_to_10(self):
         for n in range(1, 11):
             for x, elems in enumerate(all_sign_tuples(n)):
                 s = BinarySequence(elems)
                 assert pack(s) == x  # numeric order is '+'-first lexicographic
-                assert unpack(x, n) == s
+                # unpack skips the per-element check; what it builds must be
+                # indistinguishable from the checked construction
+                got = unpack(x, n)
+                assert got == s and hash(got) == hash(s) and repr(got) == repr(s), (n, x)
+                assert pickle.dumps(got) == pickle.dumps(s), (n, x)
+                assert pickle.loads(pickle.dumps(got)) == s, (n, x)
+                assert type(got.elems) is tuple and all(type(v) is int for v in got.elems)
+            for bad in (-1, 1 << n, -(1 << n)):
+                with pytest.raises(ValueError, match="does not fit"):
+                    unpack(bad, n)
 
     def test_multi_word_masks(self):
         s = seq("-" + "+" * 198 + "-")
