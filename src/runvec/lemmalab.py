@@ -58,9 +58,12 @@ of the 8 190 masks.
 Balanced run tuples are generated by mirroring the free half of a
 skew-symmetric sequence with a '+' centre: negation preserves the tuple,
 so each odd length ``n`` yields exactly ``2**((n+1)//2 - 1)`` distinct
-instances, one per negation pair.  Each tuple's run structure and
-balancedness are built once, its run vector, its tables indexed by k
-(boundary rank and signs) and its balanced profile on first use.  The
+instances, one per negation pair.  Each tuple becomes an encoding through
+:func:`~runvec.seqcore.trusted_rle`, which skips the constructor's run
+check: the enumeration reads the runs off masks, so they are positive
+ints by construction.  Each tuple's run structure and balancedness are
+built once, its run vector, its tables indexed by k (boundary rank and
+signs) and its balanced profile on first use.  The
 targets reach their evaluators through one table that
 :func:`check_lemma` also uses.  An evaluator takes an instance and a
 domain of parameter values and tests the hypotheses and the conclusion
@@ -113,6 +116,7 @@ from .seqcore import (
     run_structure,
     run_vector,
     run_vector_of,
+    trusted_rle,
     u_k,
     unpack,
 )
@@ -340,7 +344,11 @@ class _Instance:
     """One encoding with the state its verifiers share, each part built
     once: the run structure and balancedness, which nearly every
     verifier reads, up front; the run vector, the tables indexed by k
-    and the balanced profile on first read, kept in plain attributes."""
+    and the balanced profile on first read, kept in slots.  The sweep's
+    encodings come from :func:`~runvec.seqcore.trusted_rle`, unchecked:
+    :func:`balanced_run_tuples` makes tuples of positive ints only."""
+
+    __slots__ = ("rle", "rs", "balanced", "_rv", "_tables", "_profile")
 
     def __init__(self, rle: RunLengthEncoding):
         self.rle = rle
@@ -377,10 +385,9 @@ class _Instance:
         s, t, gamma, n = self.rs.s, self.rs.t, self.rs.gamma, self.rs.n
         rank, f_s, f_t = [0], [0] * (n + 1), [0] * (n + 1)
         before, sign = 0, -1
-        for mu in range(1, gamma):
-            boundary = s[mu - 1]
+        for mu, boundary, reverse in zip(range(1, gamma), s, t):
             rank += [mu] * (boundary - before)
-            f_s[boundary] = f_t[t[mu - 1]] = sign
+            f_s[boundary] = f_t[reverse] = sign
             before, sign = boundary, -sign
         rank += [gamma] * (n - before)
         return rank, f_s, f_t
@@ -419,7 +426,7 @@ class _Instance:
 def _eval_l1(inst: _Instance, _):
     balanced = inst.balanced
     r_tilde = inst.rv.r_tilde
-    if balanced == all(v & 1 for v in r_tilde):
+    if balanced == all(map((1).__and__, r_tilde)):
         return 1, []
     bad = next((k for k, v in enumerate(r_tilde, start=1) if not v & 1), None)
     return 1, [(None, {"balanced": balanced, "first_even_entry_k": bad})]
@@ -438,7 +445,7 @@ def _eval_l2(inst: _Instance, ks):
         mu = rank[k]
         ft = f_t[k]
         f = f_s[k] + ft
-        want = -_sign_pow(k + mu)
+        want = 1 if (k + mu) & 1 else -1
         if not f == ft == want:
             failed.append((k, {"k": k, "mu": mu, "f": f, "f_t": ft, "expected": want}))
     return met, failed
@@ -478,9 +485,9 @@ def _eval_l4(inst: _Instance, ks):
         met += 1
         mu = rank[k]
         # r~_k = f(k) + 2*u_k, read off the run vector the instance already holds
-        u = (r_tilde[k - 1] - f_s[k] - f_t[k]) // 2
-        parity_match = (u - mu) % 2 == 0
-        doubled = k % 2 == 0 and (k // 2) in s_set
+        u = (r_tilde[k - 1] - f_s[k] - f_t[k]) >> 1
+        parity_match = not (u - mu) & 1
+        doubled = not k & 1 and (k >> 1) in s_set
         if parity_match != doubled:
             failed.append((k, {"k": k, "mu": mu, "u": u, "doubled_boundary": doubled}))
     return met, failed
@@ -495,9 +502,9 @@ def _eval_l5(inst: _Instance, ks):
         if k not in s_set:
             continue
         met += 1
-        doubled = k % 2 == 0 and (k // 2) in s_set
+        doubled = not k & 1 and (k >> 1) in s_set
         r_tilde_k = r_tilde[k - 1]
-        if doubled != (r_tilde_k % 4 == 1):
+        if doubled != (r_tilde_k & 3 == 1):
             failed.append((k, {"k": k, "r_tilde_k": r_tilde_k, "doubled_boundary": doubled}))
     return met, failed
 
@@ -509,8 +516,8 @@ def _eval_l6(inst: _Instance, mus):
     gamma = len(runs)
     # mu meets the hypotheses when mu < gamma and the mu - 1 runs before it
     # are all >= 2, that is, when mu - 1 <= short, the count of leading
-    # runs >= 2
-    short = next((j for j, run in enumerate(runs) if run < 2), gamma)
+    # runs >= 2, which ends at the first run of 1 since every run is >= 1
+    short = runs.index(1) if 1 in runs else gamma
     top = min(gamma - 1, short + 1)
     met, failed = 0, []
     for mu in mus:
@@ -738,26 +745,25 @@ def _sweep_balanced(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
     run tuple; each tuple's state is built once for all of them."""
     # every balanced tuple of length n has gamma = (n+1)//2 runs; L6 needs mu < gamma
     domains = {None: (None,), "k": range(1, n), "mu": range(1, (n + 1) // 2)}
-    checks = [(target, *_BALANCED_CHECKS[target]) for target in targets]
-    met = dict.fromkeys(targets, 0)
-    failures = {target: [] for target in targets}
+    checks = [  # (evaluator, domain, failures) per target, looked up once per length
+        (evaluate, domains[name], []) for evaluate, name in map(_BALANCED_CHECKS.get, targets)
+    ]
+    met = [0] * len(checks)
     population = balanced_run_tuples(n)
     for runs in population:
-        inst = _Instance(RunLengthEncoding(1, runs))
-        for target, evaluate, name in checks:
-            met_count, failed = evaluate(inst, domains[name])
-            met[target] += met_count
+        inst = _Instance(trusted_rle(1, runs))
+        for i, (evaluate, domain, found) in enumerate(checks):
+            met_count, failed = evaluate(inst, domain)
+            met[i] += met_count
             for param, witness in failed:
                 entry = {"instance": inst.rle.to_text()}
                 if param is not None:
                     entry["param"] = param
                 entry.update(witness)
-                failures[target].append(entry)
+                found.append(entry)
     return [
-        SweepRecord(
-            target, n, len(population), met[target], len(found), tuple(found[:_MAX_WITNESSES])
-        )
-        for target, found in failures.items()
+        SweepRecord(target, n, len(population), count, len(found), tuple(found[:_MAX_WITNESSES]))
+        for target, count, (_, _, found) in zip(targets, met, checks)
     ]
 
 

@@ -331,6 +331,16 @@ def unpack(x: int, n: int) -> BinarySequence:
     return seq
 
 
+def trusted_rle(start_sign: int, runs: tuple[int, ...]) -> RunLengthEncoding:
+    """``RunLengthEncoding(start_sign, runs)`` past the constructor's checks,
+    for a caller whose sign is +1 or -1 and whose runs are a non-empty
+    tuple of positive ints by construction; unpickling still checks."""
+    rle = object.__new__(RunLengthEncoding)
+    object.__setattr__(rle, "start_sign", start_sign)
+    object.__setattr__(rle, "runs", runs)
+    return rle
+
+
 #: Bit reversal of each nibble, and through it of each byte.
 _REVERSED_NIBBLES = (0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15)
 _REVERSED_BYTES = bytes(

@@ -153,6 +153,14 @@ class TestCheckLemma:
         verdict = check_lemma("L1", rle((2, 2)))
         assert verdict.hypotheses_met and verdict.conclusion_holds
 
+    def test_l1_holds_on_every_encoding_to_10(self):
+        # unbalanced encodings too: the parity test must catch an even
+        # entry whatever its residue mod 4, such as the -2 of (1, 1)
+        for n in range(1, 11):
+            for runs in compositions(n):
+                verdict = check_lemma("L1", rle(runs))
+                assert verdict.hypotheses_met and verdict.conclusion_holds, runs
+
     def test_l5_example(self):
         verdict = check_lemma("L5", rle((3, 2, 1, 1)), k=6)
         assert verdict.hypotheses_met and verdict.conclusion_holds
@@ -332,6 +340,20 @@ class TestSweeps:
         for lemma in LEMMA_IDS:
             assert sum(r.hypotheses_met_count for r in report.records if r.target == lemma) > 0
 
+    def test_closed_form_hypothesis_counts_to_25(self):
+        # on a balanced tuple L1 holds one verdict, L4 one per k, and L2
+        # and L5 one per k off and on S, which has gamma - 1 = (n-1)/2
+        # points: a loop that skips a k or counts one twice breaks these
+        by_key = {(rec.target, rec.n): rec for rec in sweep(25, ("L1", "L2", "L4", "L5")).records}
+        for n in range(1, 26, 2):
+            pop = 1 << (n - 1) // 2
+            half = pop * (n - 1) // 2
+            expected = {"L1": pop, "L2": half, "L4": pop * (n - 1), "L5": half}
+            for target, met in expected.items():
+                rec = by_key[(target, n)]
+                assert (rec.population, rec.hypotheses_met_count) == (pop, met), (target, n)
+                assert rec.failure_count == 0
+
     def test_theorem1_and_delta_sweep_small(self):
         report = sweep(8, ("theorem1", "delta"))
         assert report.ok
@@ -458,7 +480,12 @@ class TestSweeps:
         monkeypatch.setattr(lemmalab, "packed_run_structure", recording)
         sweep(14, SEQUENCE_TARGETS)
         assert sorted(evaluated) == list(range(1, 15))
+        assert sum(len(evaluated[n]) for n in range(1, 13)) == 2142
         for n, masks in evaluated.items():
+            # Burnside: the identity fixes 2**n masks, negation none, reversal
+            # 2**ceil(n/2) and negated reversal 2**(n/2) at even n only
+            fixed = (1 << n) + (1 << (n + 1) // 2) + (0 if n % 2 else 1 << n // 2)
+            assert len(masks) == fixed // 4, n
             full = (1 << n) - 1
             covered = set()
             for x in masks:

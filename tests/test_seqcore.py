@@ -6,7 +6,7 @@ import random
 import pytest
 
 from runvec.cli import MAX_LENGTH
-from runvec.lemmalab import theorem1_residual
+from runvec.lemmalab import balanced_run_tuples, theorem1_residual
 from runvec.seqcore import (
     BinarySequence,
     ParseError,
@@ -33,6 +33,7 @@ from runvec.seqcore import (
     run_structure,
     run_vector,
     run_vector_of,
+    trusted_rle,
     u_k,
     unpack,
 )
@@ -584,6 +585,22 @@ class TestPackedForm:
             for bad in (-1, 1 << n, -(1 << n)):
                 with pytest.raises(ValueError, match="does not fit"):
                     unpack(bad, n)
+
+    def test_trusted_rle_equals_the_checked_encoding_to_15(self):
+        # the balanced sweep builds its encodings past the constructor's
+        # checks; what it builds must be indistinguishable from the checked ones
+        for n in range(1, 16, 2):
+            for runs in balanced_run_tuples(n):
+                got, want = trusted_rle(1, runs), RunLengthEncoding(1, runs)
+                assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+                assert pickle.dumps(got) == pickle.dumps(want), runs
+                assert pickle.loads(pickle.dumps(got)) == want, runs
+        # the checks it skips stay on every other route in
+        for runs in ((True,), (2, 0), (2.0,), ("2",), (2, 1.5)):
+            with pytest.raises(ValueError, match="positive integers"):
+                RunLengthEncoding(1, runs)
+            with pytest.raises(ValueError, match="positive integers"):
+                pickle.loads(pickle.dumps(trusted_rle(1, runs)))
 
     def test_multi_word_masks(self):
         s = seq("-" + "+" * 198 + "-")
