@@ -156,12 +156,7 @@ class BalancedProfile(Record):
     __slots__ = ("p", "nu", "q", "alpha", "s_nu_plus_1", "k0")
 
     def __init__(self, p: int, nu: int, q: int, alpha: int, s_nu_plus_1: int, k0: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "s_nu_plus_1", s_nu_plus_1)
-        object.__setattr__(self, "k0", k0)
+        self._assign(p, nu, q, alpha, s_nu_plus_1, k0)
 
 
 class Verdict(Record):
@@ -174,11 +169,7 @@ class Verdict(Record):
 
     def __init__(self, lemma_id: str, instance: str, hypotheses_met: bool,
                  conclusion_holds: bool | None, witness: dict | None = None):
-        object.__setattr__(self, "lemma_id", lemma_id)
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "hypotheses_met", hypotheses_met)
-        object.__setattr__(self, "conclusion_holds", conclusion_holds)
-        object.__setattr__(self, "witness", witness)
+        self._assign(lemma_id, instance, hypotheses_met, conclusion_holds, witness)
 
 
 class BarkerPredictions(Record):
@@ -190,10 +181,7 @@ class BarkerPredictions(Record):
     __slots__ = ("n", "c", "r", "r_tilde")
 
     def __init__(self, n: int, c: tuple[int, ...], r: tuple[int, ...], r_tilde: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "r_tilde", r_tilde)
+        self._assign(n, c, r, r_tilde)
 
 
 class SweepRecord(Record):
@@ -204,12 +192,7 @@ class SweepRecord(Record):
 
     def __init__(self, target: str, n: int, population: int, hypotheses_met_count: int,
                  failure_count: int, failures: tuple):
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "population", population)
-        object.__setattr__(self, "hypotheses_met_count", hypotheses_met_count)
-        object.__setattr__(self, "failure_count", failure_count)
-        object.__setattr__(self, "failures", failures)
+        self._assign(target, n, population, hypotheses_met_count, failure_count, failures)
 
     def to_json(self) -> dict:
         return {
@@ -230,10 +213,7 @@ class SweepReport(Record):
 
     def __init__(self, n_max: int, targets: tuple[str, ...], records: tuple[SweepRecord, ...],
                  complete: bool):
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "complete", complete)
+        self._assign(n_max, targets, records, complete)
 
     @property
     def ok(self) -> bool:

@@ -65,10 +65,7 @@ class SearchSpec(Record):
             raise ValueError(f"bad length range [{n_min}, {n_max}]")
         if mode not in ("full", "skew"):
             raise ValueError(f"mode must be 'full' or 'skew', got {mode!r}")
-        object.__setattr__(self, "n_min", n_min)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "normalize", normalize)
+        self._assign(n_min, n_max, mode, normalize)
 
     def lengths(self) -> range:
         start = self.n_min if self.n_min % 2 == 1 else self.n_min + 1
@@ -83,11 +80,7 @@ class ClassificationReport(Record):
 
     def __init__(self, n_max: int, counts: dict, normalized_rles: dict, checks: tuple,
                  notes: tuple):
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "normalized_rles", normalized_rles)
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "notes", notes)
+        self._assign(n_max, counts, normalized_rles, checks, notes)
 
     def to_json(self) -> dict:
         return {
@@ -211,11 +204,6 @@ def enumerate_barker(spec: SearchSpec) -> list[BinarySequence]:
     if spec.normalize:
         out = canonical_representatives(out)
     return out
-
-
-def canonical_form(seq: BinarySequence) -> BinarySequence:
-    """Least of the four negation/reversal variants ('+' sorts first)."""
-    return unpack(packed_canonical(pack(seq), seq.n), seq.n)
 
 
 def canonical_representatives(seqs) -> list[BinarySequence]:

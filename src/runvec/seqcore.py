@@ -87,10 +87,15 @@ def _capped(rle: RunLengthEncoding, max_n: int | None) -> RunLengthEncoding:
 class Record:
     """Base of the package's immutable value types.
 
-    A subclass lists its fields in ``__slots__`` in constructor order
-    and sets them with ``object.__setattr__``, past the refusing
-    :meth:`__setattr__`; the types a sweep builds per instance bind it
-    to a local first, which builds them no slower than a dataclass.
+    A subclass lists its fields in ``__slots__`` in constructor order,
+    and its ``__init__`` passes them in that order to :meth:`_assign`,
+    which sets them past the refusing :meth:`__setattr__` and fails on
+    a miscount.  The per-mask and per-instance builders -- the
+    ``BinarySequence``, ``RunLengthEncoding``, ``RunStructure`` and
+    ``RunVector`` constructors, :func:`unpack` and :func:`trusted_rle` --
+    call ``object.__setattr__`` directly: ``_assign`` took a ``RunVector``
+    build from 0.46 to 1.26 us and a ``trusted_rle`` from 0.49 to 1.21 us
+    (``timeit``, 2 cores, Python 3.11.7).
     Records of the exact same type with equal fields are equal; hash
     and repr read the same fields.  Unpickling calls the constructor
     (:meth:`__reduce__`), since restoring slot state would assign.
@@ -101,6 +106,10 @@ class Record:
     """
 
     __slots__ = ()
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _items(self) -> tuple:
         return tuple([(f, getattr(self, f)) for f in self.__slots__])
@@ -137,8 +146,8 @@ class BinarySequence(Record):
         if not elems:
             raise ValueError("sequence length must be >= 1")
         for x in elems:
-            # bool is an int subclass, so True == 1 needs its own test
-            if (x != 1 and x != -1) or x is True or x is False:
+            # an exact type test, so bool, float, Fraction and Decimal are rejected
+            if type(x) is not int or (x != 1 and x != -1):
                 raise ValueError(f"sequence elements must be +1 or -1, got {x!r}")
         object.__setattr__(self, "elems", elems)
 
@@ -171,7 +180,7 @@ class RunLengthEncoding(Record):
 
     def __init__(self, start_sign: int, runs: tuple[int, ...]):
         runs = tuple(runs)
-        if (start_sign != 1 and start_sign != -1) or start_sign is True:
+        if type(start_sign) is not int or (start_sign != 1 and start_sign != -1):
             raise ValueError(f"start_sign must be +1 or -1, got {start_sign!r}")
         if not runs:
             raise ValueError("an encoding needs at least one run")

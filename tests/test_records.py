@@ -103,6 +103,12 @@ class TestRecordSemantics:
         a = RECORDS[name][0]()
         assert repr(a).startswith(f"{name}(")
 
+    def test_slot_order_is_constructor_order(self, name):
+        # Record._assign and Record.__reduce__ both pair slots with
+        # constructor arguments by position
+        a = RECORDS[name][0]()
+        assert _fields(a) == type(a).__slots__
+
 
 def _fields(record) -> tuple[str, ...]:
     """The constructor parameters of a record, in order."""

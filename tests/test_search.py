@@ -10,7 +10,6 @@ from runvec.search import (
     SEARCH_LIMIT,
     SearchSpec,
     brute_force_barker,
-    canonical_form,
     canonical_representatives,
     classify_odd_barker,
     counts_csv,
@@ -54,11 +53,9 @@ class TestEnumerate:
     def test_n13_skew_example(self):
         found = enumerate_barker(SearchSpec(13, 13, "skew"))
         assert len(found) == 4
-        reps = {canonical_form(s).elems for s in found}
-        assert len(reps) == 1
-        assert {encode_rle(canonical_form(s)).runs for s in found} == {
-            (5, 2, 2, 1, 1, 1, 1)
-        }
+        canon = [canonical_representatives([s])[0] for s in found]
+        assert len({c.elems for c in canon}) == 1
+        assert {encode_rle(c).runs for c in canon} == {(5, 2, 2, 1, 1, 1, 1)}
 
     def test_skew_15_to_17_empty(self):
         assert enumerate_barker(SearchSpec(15, 17, "skew")) == []
@@ -235,16 +232,16 @@ class TestClassification:
 class TestCanonicalization:
     def test_canonical_form_is_least_variant(self):
         seq = BinarySequence.from_text("--+")
-        assert canonical_form(seq).to_text() == "++-"
+        assert [s.to_text() for s in canonical_representatives([seq])] == ["++-"]
         seq = BinarySequence.from_text("+-+-++--+++++")
-        assert canonical_form(seq).to_text() == "+++++--++-+-+"
+        assert [s.to_text() for s in canonical_representatives([seq])] == ["+++++--++-+-+"]
 
     def test_canonical_form_matches_oracle_exhaustive_to_12(self):
         seqs = [BinarySequence(elems) for n in range(1, 13) for elems in all_sign_tuples(n)]
         expect = set()
         for s in seqs:
             want = BinarySequence(brute_canonical(s.elems))
-            assert canonical_form(s) == want
+            assert canonical_representatives([s]) == [want]
             expect.add((s.n, want.to_text()))
         random.Random(1212).shuffle(seqs)
         reps = canonical_representatives(seqs)

@@ -2,6 +2,8 @@
 
 import pickle
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -129,15 +131,20 @@ class TestTextFormats:
             RunLengthEncoding(1, ())
 
     def test_bool_element_rejected(self):
-        # bool is an int subclass and True == 1, but it is not a sign
+        # bool is an int subclass and True == 1, but it is not a sign; nor
+        # is any other number equal to +1 or -1
         with pytest.raises(ValueError):
             BinarySequence((True, -1))
         with pytest.raises(ValueError):
             BinarySequence((1, False))
+        for bad in (1.0, Fraction(1), Decimal(-1)):
+            with pytest.raises(ValueError):
+                BinarySequence((1, bad, -1))
 
     def test_bool_start_sign_rejected(self):
-        with pytest.raises(ValueError):
-            RunLengthEncoding(True, (2,))
+        for bad in (True, 1.0, Fraction(1), Decimal(-1)):
+            with pytest.raises(ValueError):
+                RunLengthEncoding(bad, (2,))
 
     def test_bool_run_length_rejected(self):
         with pytest.raises(ValueError):
