@@ -21,8 +21,8 @@ the usage and help lines to stdout and exits 0.
 
 The import ends with ``gc.freeze()``: the modules live as long as the
 process, so later collections stop rescanning them in whichever command
-crosses a threshold, and pool workers forked after it leave those pages
-shared.
+crosses a threshold, and the children a sweep forks after it leave those
+pages shared.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .lemmalab import SWEEP_LIMITS, SWEEP_TARGETS, sweep
+from .lemmalab import SWEEP_TARGETS, sweep
 from .search import SearchSpec, classify_odd_barker, counts_csv, enumerate_barker
 from .seqcore import (
     BinarySequence,
@@ -146,16 +146,7 @@ def _parse_targets(text: str) -> tuple[str, ...]:
 
 
 def _cmd_verify(args) -> int:
-    targets = _parse_targets(args.targets)
-    for target in targets:
-        cap = SWEEP_LIMITS[target]
-        if args.max_n > cap:
-            print(
-                f"error: target {target} limited to n <= {cap}, requested {args.max_n}",
-                file=sys.stderr,
-            )
-            return 2
-    report = sweep(args.max_n, targets, workers=args.workers)
+    report = sweep(args.max_n, _parse_targets(args.targets), workers=args.workers)
     if args.json:
         print(_dumps(report.to_json()))
     else:

@@ -131,8 +131,8 @@ SWEEP_TARGETS = SEQUENCE_TARGETS + LEMMA_IDS + ("p-odd",)
 
 BALANCED_ENUM_LIMIT = 29
 
-#: Largest n accepted per sweep target; requests beyond these clamp the
-#: sweep and flag the report incomplete.
+#: Largest n accepted per sweep target; :func:`sweep` refuses a request
+#: beyond the limit of any target it names.
 SWEEP_LIMITS = {
     "theorem1": 18,
     "delta": 18,
@@ -206,14 +206,15 @@ class SweepRecord(Record):
 
 
 class SweepReport(Record):
-    """Every record of one sweep; ``complete`` is False when a target
-    was clamped to its limit."""
+    """Every record of one sweep.  ``complete`` is always True: a sweep
+    refuses any length above a requested target's limit."""
 
-    __slots__ = ("n_max", "targets", "records", "complete")
+    __slots__ = ("n_max", "targets", "records")
 
-    def __init__(self, n_max: int, targets: tuple[str, ...], records: tuple[SweepRecord, ...],
-                 complete: bool):
-        self._assign(n_max, targets, records, complete)
+    complete = True
+
+    def __init__(self, n_max: int, targets: tuple[str, ...], records: tuple[SweepRecord, ...]):
+        self._assign(n_max, targets, records)
 
     @property
     def ok(self) -> bool:
@@ -825,8 +826,9 @@ def _run_shares(shares) -> list[SweepRecord]:
 def sweep(n_max: int, targets, workers: int = 1) -> SweepReport:
     """Run the selected verifiers over their full populations up to n_max.
 
-    Unknown targets raise ValueError.  A target whose configured limit
-    is below ``n_max`` is clamped and the report is flagged incomplete.
+    Raises ValueError before any work starts: for ``n_max`` below 1,
+    then for an unknown target, then for the first target, in the
+    caller's order, whose :data:`SWEEP_LIMITS` entry is below ``n_max``.
     The record list is sorted by (target, n) and does not depend on the
     worker count.
     """
@@ -838,16 +840,16 @@ def sweep(n_max: int, targets, workers: int = 1) -> SweepReport:
             raise ValueError(
                 f"unknown sweep target {target!r}; expected one of {SWEEP_TARGETS}"
             )
+    for target in wanted:
+        cap = SWEEP_LIMITS[target]
+        if n_max > cap:
+            raise ValueError(f"target {target} limited to n <= {cap}, requested {n_max}")
     ordered = tuple(t for t in SWEEP_TARGETS if t in wanted)
     by_length = {}
-    complete = True
     for target in ordered:
-        top = min(n_max, SWEEP_LIMITS[target])
-        if top < n_max:
-            complete = False
         sweep_length = _sweep_sequences if target in SEQUENCE_TARGETS else _sweep_balanced
         step = 1 if target in ("theorem1", "delta") else 2
-        for n in range(1, top + 1, step):
+        for n in range(1, n_max + 1, step):
             by_length.setdefault((sweep_length, n), []).append(target)
     # longest first, each to the share with the smallest population so
     # far, so no share ends on one long unit
@@ -866,4 +868,4 @@ def sweep(n_max: int, targets, workers: int = 1) -> SweepReport:
     records = _run_share(units) if size == 1 else _run_shares(shares)
     rank = {target: i for i, target in enumerate(ordered)}
     records.sort(key=lambda rec: (rank[rec.target], rec.n))
-    return SweepReport(n_max, ordered, tuple(records), complete)
+    return SweepReport(n_max, ordered, tuple(records))

@@ -241,11 +241,8 @@ def classify_odd_barker(n_max: int) -> ClassificationReport:
     for n in range(1, n_max + 1, 2):
         found = find_barker_sequences(n, "skew")
         counts[n] = len(found)
-        if n == 1:
-            if found:
-                notes.append(
-                    "n=1 excluded from the classification: its encoding has first run 1"
-                )
+        if n == 1:  # "+" and "-": a length-1 sequence has no off-peak shift
+            notes.append("n=1 excluded from the classification: its encoding has first run 1")
             continue
         reps = set()
         for seq in found:

@@ -217,3 +217,18 @@ def brute_parse_encoding(text, max_n=None):
     if max_n is not None and sum(runs) > max_n:
         return ("ValueError", f"sequence length limited to n <= {max_n}, got {sum(runs)}")
     return ("ok", (1 if text[0] == "+" else -1, tuple(runs)))
+
+
+def derived_barker_profile(n, even_sign=None):
+    """(C, R, R~) at shifts 1..n-1 of a Barker sequence of odd length n,
+    derived without a sequence in three steps: C_k = 0 at odd k and
+    ``even_sign`` at even k (+1 when n = 1 mod 4, else -1, by default),
+    with C_0 = n and C_n = 0; R_k = -(C_{k+1} - 2 C_k + C_{k-1}) / 2,
+    Theorem 1; and R~ = (-1)**gamma times R reversed, gamma = (n+1)/2."""
+    if even_sign is None:
+        even_sign = 1 if n % 4 == 1 else -1
+    c = [n] + [0 if k % 2 else even_sign for k in range(1, n)] + [0]
+    r = [-(c[k + 1] - 2 * c[k] + c[k - 1]) // 2 for k in range(1, n)]
+    gamma = (n + 1) // 2
+    r_tilde = [(-1) ** gamma * v for v in reversed(r)]
+    return tuple(c[1:n]), tuple(r), tuple(r_tilde)

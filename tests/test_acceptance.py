@@ -36,6 +36,8 @@ from runvec.seqcore import (
     run_vector,
 )
 
+from oracles import derived_barker_profile
+
 FIVE_RLES = (
     (2, 1),
     (3, 1, 1),
@@ -149,12 +151,19 @@ def test_criterion_06_barker_profile_predictions():
         rv = run_vector(seq)
         if tuple(c[1: seq.n]) == pred.c and rv.r == pred.r and rv.r_tilde == pred.r_tilde:
             exact += 1
-    ok = spots_ok and exact == len(FIVE_RLES)
+    # every odd length: the profile derived from C by Theorem 1 in oracles
+    lengths = range(3, 202, 2)
+    derived = 0
+    for n in lengths:
+        pred = barker_predictions(n)
+        derived += derived_barker_profile(n) == (pred.c, pred.r, pred.r_tilde)
+    ok = spots_ok and exact == len(FIVE_RLES) and derived == len(lengths)
     _report(
         6,
         ok,
         f"predicted C/R/R~ profiles exact on all {exact}/5 known odd Barker "
-        f"encodings (n=3,5,7,11,13), spot values verified",
+        f"encodings (n=3,5,7,11,13), equal to the Theorem 1 derivation at "
+        f"{derived}/{len(lengths)} odd n in 3..201, spot values verified",
     )
 
 

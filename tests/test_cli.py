@@ -318,6 +318,11 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--targets", "L1", "--max-n", "31")
         assert code == 2 and out == ""
         assert err == "error: target L1 limited to n <= 29, requested 31\n"
+        code, out, err = run_cli(
+            capsys, "verify", "--targets", "L1,theorem1", "--max-n", "20", "--json"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: target theorem1 limited to n <= 18, requested 20\n"
 
 
 class TestSearch:

@@ -46,6 +46,7 @@ from oracles import (
     brute_signs,
     brute_u,
     compositions,
+    derived_barker_profile,
 )
 
 FIVE_BARKER_RLES = [
@@ -267,6 +268,17 @@ class TestBarkerPredictions:
         assert pred.r[0] == -3
         assert pred.r_tilde[5] == -3
 
+    def test_flipped_mod4_sign_breaks_the_derivation(self):
+        # negative control for criterion 6: 13 = 1 mod 4 takes +1 at even
+        # shifts, and the derivation from -1 must not reproduce the
+        # predictions
+        pred = barker_predictions(13)
+        predicted = (pred.c, pred.r, pred.r_tilde)
+        assert derived_barker_profile(13) == predicted
+        flipped = derived_barker_profile(13, even_sign=-1)
+        assert flipped != predicted
+        assert flipped[0] != pred.c and flipped[1] != pred.r and flipped[2] != pred.r_tilde
+
     def test_n1_empty(self):
         pred = barker_predictions(1)
         assert pred.c == () and pred.r == () and pred.r_tilde == ()
@@ -368,6 +380,9 @@ class TestSweeps:
     def test_unknown_target(self):
         with pytest.raises(ValueError, match="unknown sweep target"):
             sweep(5, ("theorem2",))
+        # names are checked before the caps
+        with pytest.raises(ValueError, match=r"^unknown sweep target 'bogus'"):
+            sweep(99, ("theorem1", "bogus"))
 
     def test_failure_witnesses_decode_the_failing_masks(self, monkeypatch):
         # No sweep fails on correct code, so corrupt the last reflected
@@ -512,13 +527,39 @@ class TestSweeps:
             assert joint.records == tuple(rec for report in alone for rec in report.records)
             assert joint.complete and all(report.complete for report in alone)
 
-    def test_limit_clamps_and_flags_incomplete(self, monkeypatch):
+    def test_limit_refuses_beyond_the_cap(self, monkeypatch):
         monkeypatch.setitem(SWEEP_LIMITS, "theorem1", 6)
-        report = sweep(8, ("theorem1",))
-        assert not report.complete
-        assert max(rec.n for rec in report.records) == 6
+        with pytest.raises(ValueError, match=r"^target theorem1 limited to n <= 6, requested 7$"):
+            sweep(7, ("theorem1",))
         full = sweep(6, ("theorem1",))
         assert full.complete and full.ok
+        assert max(rec.n for rec in full.records) == 6
+
+    def test_over_cap_target_is_refused_among_others(self):
+        with pytest.raises(ValueError) as info:
+            sweep(20, ("L1", "theorem1"))
+        assert str(info.value) == "target theorem1 limited to n <= 18, requested 20"
+
+    def test_first_over_cap_target_in_the_callers_order_is_named(self):
+        with pytest.raises(ValueError) as info:
+            sweep(19, ("delta", "theorem1"))
+        assert str(info.value) == "target delta limited to n <= 18, requested 19"
+        with pytest.raises(ValueError) as info:
+            sweep(19, ("theorem1", "delta"))
+        assert str(info.value) == "target theorem1 limited to n <= 18, requested 19"
+
+    def test_refused_sweep_forks_nothing(self, monkeypatch):
+        forks = []
+
+        def recording_fork():
+            forks.append(None)
+            raise OSError("fork called")
+
+        _usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(lemmalab.os, "fork", recording_fork)
+        with pytest.raises(ValueError, match=r"^target theorem1 limited to n <= 18"):
+            sweep(99, ("theorem1",), workers=2)
+        assert forks == []
 
     def test_worker_determinism(self):
         serial = sweep(9, ("theorem1", "L1", "L5"), workers=1)

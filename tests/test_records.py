@@ -50,8 +50,8 @@ RECORDS = {
         lambda: SweepRecord("L1", 7, 4, 4, 0, ()),
     ),
     "SweepReport": (
-        lambda: SweepReport(5, ("L1",), (SweepRecord("L1", 5, 2, 2, 0, ()),), True),
-        lambda: SweepReport(5, ("L1",), (), True),
+        lambda: SweepReport(5, ("L1",), (SweepRecord("L1", 5, 2, 2, 0, ()),)),
+        lambda: SweepReport(5, ("L1",), ()),
     ),
     "SearchSpec": (lambda: SearchSpec(3, 13), lambda: SearchSpec(3, 13, "skew")),
     "ClassificationReport": (lambda: classify_odd_barker(5), lambda: classify_odd_barker(3)),
@@ -158,7 +158,7 @@ class TestPickleWithWitnesses:
     def test_sweep_report_with_failures(self):
         witnesses = ({"instance": "+,2,1,1", "param": 2, "k": 2, "mu": 1},) * 2
         record = SweepRecord("L2", 5, 4, 9, 2, witnesses)
-        report = SweepReport(5, ("L2",), (record,), False)
+        report = SweepReport(5, ("L2",), (record,))
         back = pickle.loads(pickle.dumps(report))
         assert back == report and back.records[0].failures == witnesses
         assert back.ok is False and back.to_json() == report.to_json()
@@ -175,9 +175,7 @@ class TestConstructors:
             lemma_id="L1", instance="+,1", hypotheses_met=True, conclusion_holds=True, witness=None
         )
         assert SearchSpec(1, 3) == SearchSpec(n_min=1, n_max=3, mode="full", normalize=False)
-        assert SweepReport(1, (), (), True) == SweepReport(
-            n_max=1, targets=(), records=(), complete=True
-        )
+        assert SweepReport(1, (), ()) == SweepReport(n_max=1, targets=(), records=())
         assert BarkerPredictions(n=1, c=(), r=(), r_tilde=()) == barker_predictions(1)
         report = ClassificationReport(
             n_max=1, counts={1: 2}, normalized_rles={}, checks=(), notes=()
