@@ -232,3 +232,39 @@ def derived_barker_profile(n, even_sign=None):
     gamma = (n + 1) // 2
     r_tilde = [(-1) ** gamma * v for v in reversed(r)]
     return tuple(c[1:n]), tuple(r), tuple(r_tilde)
+
+
+def brute_step_tables(n):
+    """Per outside-in step j = 1..(n+1)/2, which places positions j and
+    n+1-j (1-based), a dict over every shift k in 1..n-1 of
+    (new, still_open): ``new`` lists the index pairs (i, i+k), i < i+k,
+    that are both placed after step j but were not both placed before
+    it, and ``still_open`` counts the pairs (i, i+k) not both placed
+    after step j.  Built by scanning every pair at every step."""
+    placed = set()
+    out = []
+    for j in range(1, (n + 1) // 2 + 1):
+        before = set(placed)
+        placed |= {j, n + 1 - j}
+        table = {}
+        for k in range(1, n):
+            pairs = [(i, i + k) for i in range(1, n - k + 1)]
+            both = [p for p in pairs if p[0] in placed and p[1] in placed]
+            new = [p for p in both if not (p[0] in before and p[1] in before)]
+            table[k] = (new, len(pairs) - len(both))
+        out.append(table)
+    return out
+
+
+def brute_admissible_range(n, k, threshold):
+    """(lo, hi): the least and the greatest value in [-threshold, threshold]
+    of the parity of n - k that a final C_k may take (lo > hi when the
+    interval holds none).  At threshold 1, odd n and even k, C_{n-k} has
+    odd parity, hence is 0, and C_k + C_{n-k} = n (mod 4) leaves the one
+    value C_k = n (mod 4) in {+1, -1}."""
+    if threshold == 1 and n % 2 and k % 2 == 0:
+        v = 1 if n % 4 == 1 else -1
+        return v, v
+    hi = threshold if (threshold - (n - k)) % 2 == 0 else threshold - 1
+    lo = -threshold if (threshold + (n - k)) % 2 == 0 else -threshold + 1
+    return lo, hi

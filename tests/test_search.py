@@ -20,10 +20,12 @@ from runvec.seqcore import BinarySequence, all_sequences, encode_rle, is_barker
 
 from oracles import (
     all_sign_tuples,
+    brute_admissible_range,
     brute_aperiodic,
     brute_canonical,
     brute_is_barker,
     brute_is_skew_symmetric,
+    brute_step_tables,
 )
 
 FIVE = {(2, 1), (3, 1, 1), (3, 2, 1, 1), (3, 3, 1, 2, 1, 1), (5, 2, 2, 1, 1, 1, 1)}
@@ -152,6 +154,103 @@ class TestSoundness:
         assert loose == expect
 
 
+def table_mismatches(n, threshold, skew, steps):
+    """Where the DFS step tables differ from the oracle's: per step, the
+    checked shifts (descending, even only in skew mode), each check's
+    partner pairs and its bounds [lo - open, hi + open]."""
+    wrong = []
+    for j, (table, step) in enumerate(zip(brute_step_tables(n), steps, strict=True), 1):
+        left, right, _, checks = step
+        if (left, right) != (j, n + 1 - j):
+            wrong.append((j, "pair", left, right))
+        expect = [k for k in range(n - 1, 0, -1) if table[k][0] and not (skew and k % 2)]
+        if [check[0] for check in checks] != expect:
+            wrong.append((j, "shifts", [check[0] for check in checks], expect))
+            continue
+        for k, lower, upper, l1, l2, r1, r2 in checks:
+            new, still_open = table[k]
+            got = sorted(
+                [(l1, left)] * (l1 > 0)
+                + [(left, l2)] * (l2 > 0)
+                + [(right, r1)] * (r1 > 0)
+                + [(r2, right)] * (r2 > 0)
+            )
+            lo, hi = brute_admissible_range(n, k, threshold)
+            if got != new or (lower, upper) != (lo - still_open, hi + still_open):
+                wrong.append((j, k, got, new, lower, upper))
+    return wrong
+
+
+class TestStepTables:
+    # the DFS tables against a first-principles scan of every pair
+
+    def test_skew_mode_matches_oracle_to_45(self):
+        for n in range(1, 46, 2):
+            assert table_mismatches(n, 1, True, search._step_tables(n, 1, True)) == [], n
+
+    def test_full_mode_matches_oracle_to_25(self):
+        for n in range(1, 26):
+            assert table_mismatches(n, 1, False, search._step_tables(n, 1, False)) == [], n
+
+    def test_every_threshold_matches_oracle_to_14(self):
+        for n in range(1, 15):
+            for threshold in range(4):
+                for skew in (False, True)[: 1 + n % 2]:
+                    steps = search._step_tables(n, threshold, skew)
+                    assert table_mismatches(n, threshold, skew, steps) == [], (n, threshold, skew)
+
+    def test_oracle_rejects_a_table_without_shift_1(self):
+        # negative control: at the odd lengths 15..25 this table keeps the
+        # hits and the surviving-node counts, so only the oracle sees it
+        for n in range(2, 26):
+            steps = [
+                (left, right, pairs, [check for check in checks if check[0] != 1])
+                for left, right, pairs, checks in search._step_tables(n, 1, False)
+            ]
+            assert table_mismatches(n, 1, False, steps) != [], n
+
+
+# surviving nodes per odd length at threshold 1, the same in both modes
+SURVIVORS = {
+    1: 2, 3: 4, 5: 6, 7: 8, 9: 10, 11: 14, 13: 18, 15: 22, 17: 24, 19: 32, 21: 44, 23: 52,
+    25: 62, 27: 70, 29: 96, 31: 102, 33: 130, 35: 138, 37: 168, 39: 178, 41: 222, 43: 238,
+    45: 300,
+}
+
+
+class TestPruningStrength:
+    # a surviving node is a placement of j pairs that passes every check,
+    # j = 0 being the empty placement; a wrong bound or shift range moves
+    # these counts at lengths where it changes no hit
+
+    def test_surviving_nodes_per_length(self):
+        for mode, top in (("skew", 45), ("full", 25)):
+            for n in range(1, top + 1, 2):
+                _, survivors = search._dfs(n, 1, mode == "skew")
+                assert survivors[0] == 1
+                assert sum(survivors) == SURVIVORS[n], (mode, n)
+        # the totals of skew 1..45 and 15..45, full 1..25 and 15..25
+        assert sum(SURVIVORS.values()) == 1940
+        assert sum(SURVIVORS[n] for n in range(15, 46, 2)) == 1878
+        assert sum(SURVIVORS[n] for n in range(1, 26, 2)) == 298
+        assert sum(SURVIVORS[n] for n in range(15, 26, 2)) == 236
+
+    def test_per_step_at_the_top_lengths(self):
+        hits, survivors = search._dfs(45, 1, True)
+        assert survivors == [
+            1, 1, 2, 2, 4, 4, 6, 6, 12, 10, 16, 14, 24, 24, 36, 26, 42, 28, 28, 10, 4, 0, 0, 0
+        ]
+        assert hits == []
+        hits, survivors = search._dfs(25, 1, False)
+        assert survivors == [1, 1, 2, 2, 4, 4, 6, 6, 12, 8, 12, 4, 0, 0]
+        assert hits == []
+
+    def test_last_entry_counts_the_hits(self):
+        for n, skew in ((13, True), (13, False), (7, False), (4, False)):
+            hits, survivors = search._dfs(n, 1, skew)
+            assert survivors[-1] == len(hits) > 0
+
+
 class TestRuntimeGuards:
     # negative controls: each guard fires when the code before it is wrong
 
@@ -159,7 +258,11 @@ class TestRuntimeGuards:
     def test_search_rejects_a_bad_candidate(self, monkeypatch, mode):
         dfs = search._dfs
         # mask 0 is the all-'+' sequence, C_1 = 6 at n = 7
-        monkeypatch.setattr(search, "_dfs", lambda n, threshold, skew: dfs(n, threshold, skew) + [0])
+        def bad(n, threshold, skew):
+            hits, survivors = dfs(n, threshold, skew)
+            return hits + [0], survivors
+
+        monkeypatch.setattr(search, "_dfs", bad)
         with pytest.raises(RuntimeError, match="pruned search emitted a bad candidate"):
             find_barker_sequences(7, mode)
 
