@@ -63,7 +63,13 @@ instances, one per negation pair.  Each tuple becomes an encoding through
 check: the enumeration reads the runs off masks, so they are positive
 ints by construction.  Each tuple's run structure and balancedness are
 built once, its run vector, its tables indexed by k (boundary rank and
-signs) and its balanced profile on first use.  The
+signs) and its balanced profile on first use.  The run vector may come
+from the tuple's reversal instead: reversing the runs keeps the tuple
+balanced (it swaps ``s_set`` and ``t_set``) and leaves the run vector
+unchanged (see above), and the reversed tuple is in the population,
+since the runs do not depend on the sign.  So the sweep builds the run
+vector at most once per reversal pair, for whichever member a target
+first reads it on, and hands it to the other member.  The
 targets reach their evaluators through one table that
 :func:`check_lemma` also uses.  An evaluator takes an instance and a
 domain of parameter values and tests the hypotheses and the conclusion
@@ -327,15 +333,22 @@ class _Instance:
     verifier reads, up front; the run vector, the tables indexed by k
     and the balanced profile on first read, kept in slots.  The sweep's
     encodings come from :func:`~runvec.seqcore.trusted_rle`, unchecked:
-    :func:`balanced_run_tuples` makes tuples of positive ints only."""
+    :func:`balanced_run_tuples` makes tuples of positive ints only.
+
+    ``rv``, when given, is the run vector of the reversed runs, which the
+    sweep built for the reversal pair's first member: reversing the runs
+    swaps ``s`` and ``t``, which :func:`~runvec.seqcore.run_vector_of`
+    treats alike (module docstring), so that vector is this encoding's
+    own."""
 
     __slots__ = ("rle", "rs", "balanced", "_rv", "_tables", "_profile")
 
-    def __init__(self, rle: RunLengthEncoding):
+    def __init__(self, rle: RunLengthEncoding, rv: RunVector | None = None):
         self.rle = rle
         self.rs = run_structure(rle)
         self.balanced = is_balanced(self.rs)
-        self._rv = self._tables = self._profile = None
+        self._rv = rv
+        self._tables = self._profile = None
 
     @property
     def rv(self) -> RunVector:
@@ -723,7 +736,11 @@ def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
 
 def _sweep_balanced(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
     """The balanced-encoding targets at odd length n over every balanced
-    run tuple; each tuple's state is built once for all of them."""
+    run tuple; each tuple's state is built once for all of them, and its
+    run vector is the one its reversal left, if any (see :class:`_Instance`).
+    The tuples are still visited in sorted order, so every record is that
+    of a sweep without sharing.
+    """
     # every balanced tuple of length n has gamma = (n+1)//2 runs; L6 needs mu < gamma
     domains = {None: (None,), "k": range(1, n), "mu": range(1, (n + 1) // 2)}
     checks = [  # (evaluator, domain, failures) per target, looked up once per length
@@ -731,8 +748,12 @@ def _sweep_balanced(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
     ]
     met = [0] * len(checks)
     population = balanced_run_tuples(n)
+    # a tuple's reversal -> the run vector the tuple built, for the reversal
+    # to take; at most one entry per reversal pair
+    awaited = {}
     for runs in population:
-        inst = _Instance(trusted_rle(1, runs))
+        rv = awaited.pop(runs, None)
+        inst = _Instance(trusted_rle(1, runs), rv)
         for i, (evaluate, domain, found) in enumerate(checks):
             met_count, failed = evaluate(inst, domain)
             met[i] += met_count
@@ -742,6 +763,8 @@ def _sweep_balanced(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
                     entry["param"] = param
                 entry.update(witness)
                 found.append(entry)
+        if rv is None and inst._rv is not None:
+            awaited[runs[::-1]] = inst._rv
     return [
         SweepRecord(target, n, len(population), count, len(found), tuple(found[:_MAX_WITNESSES]))
         for target, count, (_, _, found) in zip(targets, met, checks)

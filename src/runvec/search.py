@@ -169,6 +169,10 @@ def _dfs(n, threshold, skew):
     surviving nodes per step: entry j counts the placements of j pairs
     that pass every check, so entry 0 is 1 (the empty placement) and
     entry m the number of hits.
+
+    The recursive ``place`` refers to itself through its closure; that
+    reference is dropped when the search ends, so the step tables are
+    freed on return instead of left as cyclic garbage for the collector.
     """
     steps = _step_tables(n, threshold, skew)
     m = len(steps)
@@ -194,7 +198,10 @@ def _dfs(n, threshold, skew):
             else:
                 place(step + 1, c, mask | bits)
 
-    place(0, [0] * n, 0)
+    try:
+        place(0, [0] * n, 0)
+    finally:
+        del place
     return out, survivors
 
 

@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import gc
 import hashlib
 import io
 import itertools
@@ -14,6 +15,7 @@ import pytest
 
 from runvec import cli
 from runvec.cli import MAX_LENGTH, main
+from runvec.search import classify_odd_barker, find_barker_sequences
 
 from oracles import (
     all_sign_tuples,
@@ -784,3 +786,51 @@ class TestDeterminism:
             assert code == 0
             out += reply
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _cyclic_garbage(call):
+    """Objects that only the cycle collector frees, left by ``call``."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestNoCyclicGarbage:
+    # what a search or a command builds is freed by reference counting on
+    # return: garbage left for the collector moves a collection, and its
+    # cost, into whatever runs next.  Forked sweeps are out of scope: the
+    # first one imports pickle, which leaves cycles of its own
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: [find_barker_sequences(n, "skew") for n in range(1, 38, 2)],
+            lambda: [find_barker_sequences(n, "full") for n in range(1, 20)],
+            lambda: classify_odd_barker(21),
+        ],
+        ids=["skew-to-37", "full-to-19", "classify-21"],
+    )
+    def test_search(self, call):
+        assert _cyclic_garbage(call) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--targets", "theorem1,delta,prop-skew", "--max-n", "12", "--json"),
+            ("verify", "--targets", "L1,L2,L3,L4,L5,L6,L7,L7n,p-odd", "--max-n", "21", "--json"),
+            ("classify", "--max-n", "21", "--json"),
+            ("search", "--mode", "skew", "--min-n", "1", "--max-n", "37", "--json"),
+            ("search", "--mode", "full", "--min-n", "1", "--max-n", "19", "--json"),
+            ("analyze", "--json", "--", "+++--+-"),
+            ("rle", "--json", "+,3,2,1,1"),
+        ],
+    )
+    def test_command(self, capsys, argv):
+        codes = []
+        workers = ("--workers", "1") if argv[0] in ("verify", "search", "classify") else ()
+        assert _cyclic_garbage(lambda: codes.append(run_cli(capsys, *argv, *workers)[0])) == 0
+        assert codes == [0]

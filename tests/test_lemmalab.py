@@ -29,7 +29,10 @@ from runvec.seqcore import (
     aperiodic_autocorrelations,
     boundary_rank_interval,
     decode_rle,
+    run_structure,
     run_vector,
+    run_vector_of,
+    trusted_rle,
 )
 
 
@@ -744,6 +747,46 @@ class TestBalancedRunTuples:
     def test_even_rejected(self):
         with pytest.raises(ValueError):
             balanced_run_tuples(4)
+
+
+class TestReversalSharing:
+    # the balanced sweep builds a run vector for one member of a reversal
+    # pair and hands it to the other; these check the facts that rests on
+    # over the population it is used on, and count the vectors it builds
+
+    def test_population_is_closed_under_reversal_to_21(self):
+        for n in range(1, 22, 2):
+            population = set(balanced_run_tuples(n))
+            assert {runs[::-1] for runs in population} == population
+            palindromes = [runs for runs in population if runs == runs[::-1]]
+            assert palindromes == ([(1,)] if n == 1 else [])
+
+    def test_run_vector_equals_its_reversals_to_21(self):
+        for n in range(1, 22, 2):
+            for runs in balanced_run_tuples(n):
+                forward = run_vector_of(run_structure(trusted_rle(1, runs)))
+                backward = run_vector_of(run_structure(trusted_rle(1, runs[::-1])))
+                assert forward == backward, runs
+
+    @pytest.mark.parametrize(
+        "targets,calls",
+        [
+            (LEMMA_IDS + ("p-odd",), 1024),  # one per reversal pair, of 2 047 tuples
+            (("L2", "L3", "L6", "p-odd"), 0),  # none reads the run vector
+            (("L7",), 112),  # read only where the hypotheses hold
+        ],
+    )
+    def test_sweep_builds_one_run_vector_per_reversal_pair(self, monkeypatch, targets, calls):
+        real, built = lemmalab.run_vector_of, []
+
+        def counting(rs):
+            built.append(rs.n)
+            return real(rs)
+
+        monkeypatch.setattr(lemmalab, "run_vector_of", counting)
+        report = sweep(21, targets, workers=1)
+        assert report.ok
+        assert len(built) == calls
 
 
 # ---------------------------------------------------------------------------
