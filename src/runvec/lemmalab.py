@@ -55,13 +55,23 @@ The sweep therefore evaluates the least mask of each orbit only
 (:func:`~runvec.seqcore.packed_canonical`); at n <= 12 that is 2 142
 of the 8 190 masks.
 
-Balanced run tuples are generated by mirroring the free half of a
-skew-symmetric sequence with a '+' centre: negation preserves the tuple,
-so each odd length ``n`` yields exactly ``2**((n+1)//2 - 1)`` distinct
-instances, one per negation pair.  Each tuple becomes an encoding through
-:func:`~runvec.seqcore.trusted_rle`, which skips the constructor's run
-check: the enumeration reads the runs off masks, so they are positive
-ints by construction.  Each tuple's run structure and balancedness are
+Balanced run tuples are grown by outer pairs.  Every odd Barker
+sequence is skew-symmetric (Turyn & Storer, Proc. AMS 12, 1961), the
+skew-symmetric sequences are the balanced ones, and negation keeps the
+runs, so one tuple stands for a negation pair.  Around the centre c of a
+skew-symmetric sequence of length ``n = 2c - 1``,
+``a_{c+d} = (-1)**d * a_{c-d}``: the new ends satisfy
+``a_n = (-1)**(c+1) * a_1`` and the old ones ``a_{n-1} = (-1)**c * a_2``,
+so exactly one end run grows and a run of 1 starts at the other.  Each
+tuple ``(r_1, ..., r_gamma)`` at ``n - 2`` has exactly two children at
+n, ``(r_1 + 1, r_2, ..., r_gamma, 1)`` and
+``(1, r_1, ..., r_{gamma-1}, r_gamma + 1)``; the first starts with a run
+above 1 and the second with a run of 1, and each gives back its parent,
+so the ``2**((n+1)//2 - 1)`` tuples at n are distinct.  Each tuple
+becomes an encoding through :func:`~runvec.seqcore.trusted_rle`, which
+skips the constructor's run check: the enumeration starts from ``(1,)``
+and only adds 1 to runs or appends runs of 1, so they are positive ints
+by construction.  Each tuple's run structure and balancedness are
 built once, its run vector, its tables indexed by k (boundary rank and
 signs) and its balanced profile on first use.  The run vector may come
 from the tuple's reversal instead: reversing the runs keeps the tuple
@@ -108,17 +118,13 @@ from .seqcore import (
     RunVector,
     aperiodic_autocorrelations,
     decode_rle,
-    decode_text,
     f_eval,
     is_balanced,
     packed_autocorrelations,
     packed_canonical,
     packed_orbit,
-    packed_reversal,
     packed_run_structure,
-    packed_runs,
     packed_skew_symmetric,
-    parse_sequence,
     run_structure,
     run_vector,
     run_vector_of,
@@ -570,14 +576,28 @@ def _eval_l7n(inst: _Instance, _):
     return 1, [(None, {"k0": k0, "window": window, "values": [c[j] for j in window]})]
 
 
+def _packed_of(rle: RunLengthEncoding) -> int:
+    """The packed form of the sequence ``rle`` describes (layout of
+    :mod:`runvec.seqcore`: the first element in the top bit, 1 for -1):
+    one shift per run, and one or of ones per run whose sign is -1, that
+    is every other run, from the first when the start sign is -1."""
+    x, negative = 0, rle.start_sign < 0
+    for r in rle.runs:
+        x <<= r
+        if negative:
+            x |= (1 << r) - 1
+        negative = not negative
+    return x
+
+
 def _eval_p_odd(inst: _Instance, _):
     rle = inst.rle
     n = rle.n
     if not (n % 2 == 1 and rle.runs[0] > 1):
         return 0, []
-    x = parse_sequence(decode_text(rle))
-    if not all(-1 <= c <= 1 for c in packed_autocorrelations(x, n)):
-        return 0, []
+    for c in packed_autocorrelations(_packed_of(rle), n):
+        if not -1 <= c <= 1:
+            return 0, []
     if n <= 3:
         return 1, []
     profile = inst.profile
@@ -657,26 +677,33 @@ def check_p_odd(rle: RunLengthEncoding) -> Verdict:
 def balanced_run_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     """All balanced run tuples summing to odd ``n``, sorted.
 
-    Enumerates the skew-symmetric sequences with a '+' centre as masks
-    (m free elements from the centre rightwards), one per negation pair,
-    since a negated sequence has the same run tuple.  The ``2**(m-1)``
-    run tuples read off them must all differ.
+    Grown from the tuples at ``n - 2`` by their outer pairs.  Around the
+    centre c of a skew-symmetric sequence of length ``n = 2c - 1``,
+    ``a_{c+d} = (-1)**d * a_{c-d}``, so the new ends satisfy
+    ``a_n = (-1)**(c+1) * a_1`` and the old ones ``a_{n-1} = (-1)**c * a_2``.
+    Either ``a_1 = a_2`` and ``a_n = -a_{n-1}``, or ``a_1 = -a_2`` and
+    ``a_n = a_{n-1}``: exactly one end run grows and a run of 1 starts at
+    the other, giving the children ``(r_1 + 1, ..., r_gamma, 1)`` and
+    ``(1, r_1, ..., r_gamma + 1)`` of each tuple at ``n - 2``.  A negated
+    sequence has the same run tuple, so one tuple stands for a negation
+    pair, and the ``2**((n+1)//2 - 1)`` tuples must all differ.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 1, got {n}")
     if n > BALANCED_ENUM_LIMIT:
         raise ValueError(f"balanced enumeration limited to n <= {BALANCED_ENUM_LIMIT}")
-    m = (n + 1) // 2
-    flip_odd = int("10" * m, 2) & ((1 << m) - 1)
-    seen = set()
-    for bits in range(0, 1 << m, 2):
-        # bit j of ``bits`` is element m+j; element m-j mirrors it, negated
-        # for odd j, and the centre element m is bit m-1 of the mask
-        right = packed_reversal(bits, m)
-        seen.add(packed_runs(((bits ^ flip_odd) << (m - 1)) | right, n))
-    if len(seen) != 1 << (m - 1):
-        raise RuntimeError(f"balanced enumeration produced {len(seen)} tuples for n={n}")
-    return tuple(sorted(seen))
+    if n == 1:
+        return ((1,),)
+    parents = balanced_run_tuples(n - 2)
+    # sorted parents give sorted children, those starting with 1 first, so
+    # the sort below finds a single run
+    grown = [(1, *runs[:-1], runs[-1] + 1) for runs in parents]
+    grown += [(runs[0] + 1, *runs[1:], 1) for runs in parents]
+    distinct = len(set(grown))
+    if distinct != 1 << (n - 1) // 2:
+        raise RuntimeError(f"balanced enumeration produced {distinct} tuples for n={n}")
+    grown.sort()
+    return tuple(grown)
 
 
 # ---------------------------------------------------------------------------

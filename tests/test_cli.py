@@ -802,8 +802,9 @@ def _cyclic_garbage(call):
 class TestNoCyclicGarbage:
     # what a search or a command builds is freed by reference counting on
     # return: garbage left for the collector moves a collection, and its
-    # cost, into whatever runs next.  Forked sweeps are out of scope: the
-    # first one imports pickle, which leaves cycles of its own
+    # cost, into whatever runs next.  A forked sweep imports pickle on
+    # first use, and that import leaves cycles of its own, so its test
+    # imports pickle before counting
 
     @pytest.mark.parametrize(
         "call",
@@ -833,4 +834,13 @@ class TestNoCyclicGarbage:
         codes = []
         workers = ("--workers", "1") if argv[0] in ("verify", "search", "classify") else ()
         assert _cyclic_garbage(lambda: codes.append(run_cli(capsys, *argv, *workers)[0])) == 0
+        assert codes == [0]
+
+    def test_forked_sweep(self, capsys):
+        import pickle  # before counting, see above
+
+        argv = ("verify", "--targets", "L1,L2,L3,L4,L5,L6,L7,L7n,p-odd", "--max-n", "13",
+                "--json", "--workers", "2")
+        codes = []
+        assert _cyclic_garbage(lambda: codes.append(run_cli(capsys, *argv)[0])) == 0
         assert codes == [0]

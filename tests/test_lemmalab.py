@@ -29,6 +29,9 @@ from runvec.seqcore import (
     aperiodic_autocorrelations,
     boundary_rank_interval,
     decode_rle,
+    decode_text,
+    packed_runs,
+    parse_sequence,
     run_structure,
     run_vector,
     run_vector_of,
@@ -734,9 +737,16 @@ class TestBalancedRunTuples:
         for n in range(1, 18, 2):
             assert len(balanced_run_tuples(n)) == 1 << ((n + 1) // 2 - 1)
 
-    def test_equals_the_composition_filter_to_15(self):
-        for n in range(1, 16, 2):
+    def test_equals_the_composition_filter_to_17(self):
+        for n in range(1, 18, 2):
             assert balanced_run_tuples(n) == tuple(brute_balanced_tuples(n))
+
+    def test_is_cached(self):
+        # the benchmark reads cache_info(), and each length grows from the
+        # cached one two below
+        before = balanced_run_tuples.cache_info()
+        assert balanced_run_tuples(9) is balanced_run_tuples(9)
+        assert balanced_run_tuples.cache_info().hits > before.hits
 
     def test_every_tuple_is_balanced_to_11(self):
         for n in range(1, 12, 2):
@@ -747,6 +757,19 @@ class TestBalancedRunTuples:
     def test_even_rejected(self):
         with pytest.raises(ValueError):
             balanced_run_tuples(4)
+
+
+class TestPackedOf:
+    # p-odd builds its mask from the encoding; C does not change under
+    # negation, so only this comparison sees a mask of the negated sequence
+    def test_equals_the_parsed_text_to_12(self):
+        for n in range(1, 13):
+            for runs in compositions(n):
+                for sign in (1, -1):
+                    rle = RunLengthEncoding(sign, runs)
+                    x = lemmalab._packed_of(rle)
+                    assert x == parse_sequence(decode_text(rle)), (sign, runs)
+                    assert packed_runs(x, n) == runs
 
 
 class TestReversalSharing:
