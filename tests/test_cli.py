@@ -309,7 +309,23 @@ class TestVerify:
 
     def test_unknown_target_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--targets", "nope", "--max-n", "5")
-        assert code == 2 and out == "" and "unknown verify target" in err
+        assert code == 2 and out == ""
+        assert err == (
+            "error: unknown sweep target 'nope'; choose from theorem1, delta, prop-skew, "
+            "L1, L2, L3, L4, L5, L6, L7, L7n, p-odd\n"
+        )
+        code, out, err = run_cli(capsys, "verify", "--targets", " , ,", "--max-n", "5")
+        assert code == 2 and out == ""
+        assert err == "error: no sweep targets given\n"
+
+    def test_target_names_are_case_folded(self, capsys):
+        folded = run_cli(capsys, "verify", "--targets", " l1,P-ODD ,Theorem1,l7N", "--max-n", "7")
+        plain = run_cli(capsys, "verify", "--targets", "L1,p-odd,theorem1,L7n", "--max-n", "7")
+        assert folded == plain and plain[0] == 0
+        code, out, _ = run_cli(
+            capsys, "verify", "--targets", "PROP-SKEW,l6", "--max-n", "5", "--json"
+        )
+        assert code == 0 and json.loads(out)["targets"] == ["prop-skew", "L6"]
 
     def test_over_limit_exit_2(self, capsys):
         code, out, err = run_cli(
@@ -393,7 +409,12 @@ class TestClassify:
     def test_over_limit_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "classify", "--max-n", "47")
         assert code == 2 and out == ""
-        assert err == "error: classification limited to n <= 45, requested 47\n"
+        assert err == "error: skew-mode search limited to n <= 45, requested 47\n"
+
+    def test_below_one_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "--max-n", "0")
+        assert code == 2 and out == ""
+        assert err == "error: bad length range [1, 0]\n"
 
 
 class TestWorkersFlag:
@@ -715,6 +736,10 @@ class TestDeterminism:
                 ("search", "--mode", "skew", "--min-n", "1", "--max-n", "45", "--normalize",
                  "--json"),
                 "3ca496e8f05280d8e0d77d06944b65c0e2593d06352eaaee1d5be2cddf0aa9b2",
+            ),
+            (
+                ("classify", "--max-n", "45"),
+                "3f41a8ea10532bccc806fb3903aaddc7bdb18665ac3701be6fe2db015e0b69df",
             ),
         ],
     )

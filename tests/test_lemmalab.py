@@ -29,9 +29,6 @@ from runvec.seqcore import (
     aperiodic_autocorrelations,
     boundary_rank_interval,
     decode_rle,
-    decode_text,
-    packed_runs,
-    parse_sequence,
     run_structure,
     run_vector,
     run_vector_of,
@@ -324,6 +321,18 @@ class TestCheckPOdd:
         assert not check_p_odd(rle((1, 2))).hypotheses_met  # p = 1
         assert not check_p_odd(rle((2, 2))).hypotheses_met  # not Barker, even-ish
 
+    def test_is_check_lemma_p_odd(self):
+        # one entry per verdict: check_p_odd is check_lemma under the sweep's id
+        instances = [rle(runs) for n in range(1, 16, 2) for runs in balanced_run_tuples(n)]
+        instances += [
+            rle(runs, sign) for n in range(1, 11) for runs in compositions(n) for sign in (1, -1)
+        ]
+        assert len(instances) == 255 + 2 * 1023
+        for instance in instances:
+            verdict = check_p_odd(instance)
+            assert verdict == check_lemma("p-odd", instance)
+            assert verdict.lemma_id == "p-odd"
+
 
 def _usable_cpus(monkeypatch, count):
     """Let the sweep see ``count`` CPUs in this process's affinity mask."""
@@ -389,6 +398,21 @@ class TestSweeps:
         # names are checked before the caps
         with pytest.raises(ValueError, match=r"^unknown sweep target 'bogus'"):
             sweep(99, ("theorem1", "bogus"))
+
+    def test_empty_and_unknown_lists_are_refused_before_any_fork(self, monkeypatch):
+        def fork():
+            raise AssertionError("the sweep forked before checking its request")
+
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(ValueError, match=r"^n_max must be >= 1$"):
+            sweep(0, (), workers=2)
+        with pytest.raises(ValueError, match=r"^no sweep targets given$"):
+            sweep(5, (), workers=2)
+        # names are case-sensitive here; the CLI maps its spellings first
+        message = "unknown sweep target 'l1'; choose from " + ", ".join(SWEEP_TARGETS)
+        with pytest.raises(ValueError) as exc:
+            sweep(5, ("l1",), workers=2)
+        assert str(exc.value) == message
 
     def test_failure_witnesses_decode_the_failing_masks(self, monkeypatch):
         # No sweep fails on correct code, so corrupt the last reflected
@@ -759,19 +783,6 @@ class TestBalancedRunTuples:
             balanced_run_tuples(4)
 
 
-class TestPackedOf:
-    # p-odd builds its mask from the encoding; C does not change under
-    # negation, so only this comparison sees a mask of the negated sequence
-    def test_equals_the_parsed_text_to_12(self):
-        for n in range(1, 13):
-            for runs in compositions(n):
-                for sign in (1, -1):
-                    rle = RunLengthEncoding(sign, runs)
-                    x = lemmalab._packed_of(rle)
-                    assert x == parse_sequence(decode_text(rle)), (sign, runs)
-                    assert packed_runs(x, n) == runs
-
-
 class TestReversalSharing:
     # the balanced sweep builds a run vector for one member of a reversal
     # pair and hands it to the other; these check the facts that rests on
@@ -1033,7 +1044,8 @@ class TestMutantControls:
         assert balanced_profile(instance).k0 == 8
         c = [0] * 12
         c[j] = 3  # the only |C_j| >= 3
-        monkeypatch.setattr(lemmalab, "aperiodic_autocorrelations", lambda seq: tuple(c))
+        # the packed kernel yields C_1..C_{n-1}; L7n adds C_0 = n and C_n = 0
+        monkeypatch.setattr(lemmalab, "packed_autocorrelations", lambda x, n: iter(c[1:n]))
         verdict = check_lemma("L7n", instance)
         assert verdict.hypotheses_met
         assert verdict.conclusion_holds is holds

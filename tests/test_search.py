@@ -330,6 +330,27 @@ class TestClassification:
     def test_limit(self):
         with pytest.raises(ValueError, match="limited to"):
             classify_odd_barker(SEARCH_LIMIT + 2)
+        # the range and the cap are the search's own checks
+        message = r"^skew-mode search limited to n <= 45, requested 47$"
+        with pytest.raises(ValueError, match=message):
+            classify_odd_barker(47)
+        with pytest.raises(ValueError, match=r"^bad length range \[1, 0\]$"):
+            classify_odd_barker(0)
+
+    def test_counts_the_hits_of_one_search(self, monkeypatch):
+        specs = []
+
+        def hits(spec):
+            specs.append(spec)
+            return [BinarySequence.from_text(t) for t in ("+", "-", "++-", "+--", "-++", "--+")]
+
+        monkeypatch.setattr(search, "enumerate_barker", hits)
+        report = classify_odd_barker(7)
+        assert specs == [SearchSpec(1, 7, "skew")]
+        # every hit counts once, and a length without hits counts 0
+        assert report.counts == {1: 2, 3: 4, 5: 0, 7: 0}
+        assert [rle.to_text() for rle in report.normalized_rles[3]] == ["+,2,1"]
+        assert list(report.normalized_rles) == [3]
 
 
 class TestCanonicalization:

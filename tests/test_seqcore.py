@@ -16,12 +16,14 @@ from runvec.seqcore import (
     all_sequences,
     aperiodic_autocorrelations,
     decode_rle,
+    decode_text,
     encode_rle,
     f_eval,
     is_balanced,
     is_barker,
     is_skew_symmetric,
     pack,
+    pack_rle,
     packed_autocorrelations,
     packed_canonical,
     packed_correlation_vectors,
@@ -31,6 +33,7 @@ from runvec.seqcore import (
     packed_run_structure,
     packed_runs,
     packed_skew_symmetric,
+    parse_sequence,
     periodic_autocorrelations,
     run_structure,
     run_vector,
@@ -621,6 +624,20 @@ class TestPackedForm:
         shifts = packed_autocorrelations(pack(seq("++++")), 4)
         assert next(shifts) == 3
         assert list(shifts) == [2, 1]
+
+
+class TestPackRle:
+    # p-odd and L7n build their masks from the encoding; C does not change
+    # under negation, so only this comparison sees a mask of the negated sequence
+    def test_equals_the_parsed_text_to_12(self):
+        for n in range(1, 13):
+            for runs in compositions(n):
+                for sign in (1, -1):
+                    rle = RunLengthEncoding(sign, runs)
+                    x = pack_rle(rle)
+                    assert x == parse_sequence(decode_text(rle)), (sign, runs)
+                    assert packed_runs(x, n) == runs
+                    assert packed_rle(x, n) == rle
 
 
 class TestEnumerationAndJson:
