@@ -15,9 +15,9 @@ work is one length of one population with every requested target of
 that population: each instance's shared state is built once and every
 target is evaluated on it.  Sequences are swept as packed masks (see
 :mod:`runvec.seqcore`): C comes from the lazy packed loop, the run vector
-from the runs read off the mask (never from C), and sequences are
-decoded only for the delta oracle, which is computed on the elements,
-and for failure witnesses.
+from the prefix sums of the runs read off the mask (never from C), the
+run structure only for prop-skew, and sequences are decoded only for
+the delta oracle, which is computed on the elements, and for witnesses.
 
 One mask is evaluated per orbit of {identity, negation, reversal,
 negation after reversal}: every sequence target reads only quantities
@@ -51,9 +51,9 @@ For reversal:
 * swapping ``s_set`` and ``t_set`` keeps them a partition or not, so
   balancedness is equal.
 
-The sweep therefore evaluates the least mask of each orbit only
-(:func:`~runvec.seqcore.packed_canonical`); at n <= 12 that is 2 142
-of the 8 190 masks.
+The sweep therefore evaluates the least mask of each orbit only, by
+the rule of :func:`~runvec.seqcore.packed_canonical` read off one
+``packed_reversal`` per mask; at n <= 12 that is 2 142 of the 8 190 masks.
 
 Balanced run tuples are grown by outer pairs.  Every odd Barker
 sequence is skew-symmetric (Turyn & Storer, Proc. AMS 12, 1961), the
@@ -110,20 +110,25 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from itertools import accumulate, repeat
 
 from .seqcore import (
     BinarySequence,
     Record,
     RunLengthEncoding,
     RunVector,
+    _reflected_product,
+    _run_vector_of_sums,
+    _signed_digits,
+    _structure_of,
     aperiodic_autocorrelations,
     f_eval,
     is_balanced,
     pack_rle,
     packed_autocorrelations,
-    packed_canonical,
     packed_orbit,
-    packed_run_structure,
+    packed_reversal,
+    packed_runs,
     packed_skew_symmetric,
     run_structure,
     run_vector,
@@ -265,21 +270,24 @@ def theorem1_residual(seq: BinarySequence) -> tuple[int, ...]:
 def delta_autocorrelations(seq: BinarySequence) -> tuple[int, ...]:
     """Autocorrelations of the difference sequence; slot ``k-1`` holds shift k.
 
-    The difference sequence takes consecutive differences with zero
-    padding on both ends, so it vanishes except at the sign changes and
-    at the two ends; the sums run over pairs of its nonzero terms.
-    Independent oracle for the run vector: half of the value at shift k
-    equals the reflected run-vector entry at ``k``, and the value equals
-    the negated second difference of the plain autocorrelations.
+    The difference sequence ``d_i = a_i - a_{i-1}``, ``i = 1..n+1``, with
+    ``a_0 = a_{n+1} = 0``, has the ends ``a_1`` and ``-a_n`` and otherwise
+    terms 0 or +-2.  Independent oracle for the run vector: half of the
+    value at shift k equals the reflected run-vector entry at ``k``, and
+    the value equals the negated second difference of the plain
+    autocorrelations.  Digit ``n - k`` of the product of
+    ``sum_i d_{i+1} y**i`` and its reversal is ``delta_k``, ``0 <= k <= n``;
+    its ``n + 1 - k`` products are at least -4 (-2 at the ends), and
+    adjacent nonzero interior terms differ in sign, so ``delta_1 <= 4`` and
+    ``-4(n - k) <= delta_k <= 4(n - 2)``: 8-bit slots hold n <= 33, 16-bit
+    ones n <= 8193, 32-bit ones n <= 2**29 + 1, as ``delta_1 = -4(n - 1)``
+    for the alternating sequence.
     """
     n = seq.n
-    a = (0,) + seq.elems + (0,)  # a[i] = element i, with a_0 = a_{n+1} = 0
-    support = [(i, a[i] - a[i - 1]) for i in range(1, n + 2) if a[i] != a[i - 1]]
-    out = [0] * (n + 1)
-    for p, (i, di) in enumerate(support):
-        for j, dj in support[p + 1 :]:
-            out[j - i] += di * dj
-    return tuple(out[1:n])
+    a = (0, *seq.elems, 0)  # a[i] = element i, with a_0 = a_{n+1} = 0
+    width = 1 if n <= 33 else 2 if n <= 8193 else 4
+    lifted = bytes([2 + ai - before for ai, before in zip(a[1:], a)])  # d_i + 2
+    return _signed_digits(_reflected_product(lifted, 2, width), n, width)[:0:-1]
 
 
 def delta_autocorrelation(seq: BinarySequence, k: int) -> int:
@@ -623,8 +631,8 @@ def check_lemma(
     """Evaluate one verifier, of ``LEMMA_IDS`` or ``"p-odd"``, on one encoding.
 
     ``k`` is required for L2-L5 and must lie in [1, n-1]; ``mu`` is
-    required for L6 and must lie in [1, gamma].  Parameters outside
-    those ranges raise ValueError; in-range parameters that merely
+    required for L6 and must lie in [1, gamma], and the others take
+    neither.  Other parameters raise ValueError; in-range ones that merely
     violate a lemma's hypotheses yield ``hypotheses_met=False``, and a
     failed conclusion carries the sweep's witness for the value.
     """
@@ -632,6 +640,9 @@ def check_lemma(
         ids = tuple(_BALANCED_CHECKS)
         raise ValueError(f"unknown lemma_id {lemma_id!r}; expected one of {ids}")
     evaluate, name = _BALANCED_CHECKS[lemma_id]
+    for other, value in (("k", k), ("mu", mu)):
+        if value is not None and other != name:
+            raise ValueError(f"{lemma_id} takes no parameter {other}")
     domain = (None,)
     if name is not None:
         param = k if name == "k" else mu
@@ -697,7 +708,7 @@ def balanced_run_tuples(n: int) -> tuple[tuple[int, ...], ...]:
 
 def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
     """The sequence targets at length n over every mask; each evaluated
-    mask's C, run structure and run vector are built once for all of them.
+    mask's runs, C and run vector are built once for all of them.
 
     One mask is evaluated per orbit of negation and reversal, its least.
     The verdict, and every witness field but the instance, stand for
@@ -707,16 +718,18 @@ def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
     """
     theorem1, delta, skew = (t in targets for t in SEQUENCE_TARGETS)
     failures = {target: [] for target in targets}
-    for x in range(1 << (n - 1)):
-        if packed_canonical(x, n) != x:
+    full, half = (1 << n) - 1, 1 << (n - 1)
+    for x, y in zip(range(half), map(packed_reversal, range(half), repeat(n))):
+        if x > y or x > y ^ full:
             continue
-        rs = packed_run_structure(x, n)
+        runs = packed_runs(x, n)
         if theorem1 or delta:
             c = (n, *packed_autocorrelations(x, n), 0)
-            r = run_vector_of(rs).r
+            r = _run_vector_of_sums(accumulate(runs), accumulate(reversed(runs)), n).r
             from_c = tuple([2 * at - before - after for before, at, after in zip(c, c[1:], c[2:])])
             from_r = tuple([2 * rk for rk in r])
-        if theorem1 and from_c != from_r:
+            agree = from_c == from_r
+        if theorem1 and not agree:
             residual = _second_difference_residual(c, r)
             k, value = next((k, v) for k, v in enumerate(residual, start=1) if v)
             witness = {"k": k, "residual": value}
@@ -724,13 +737,13 @@ def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
         if delta:
             # the oracle is a literal computation on the elements themselves
             deltas = delta_autocorrelations(unpack(x, n))
-            if deltas != from_c or deltas != from_r:
+            if not agree or deltas != from_c:
                 i = next(i for i, d in enumerate(deltas) if d != from_c[i] or d != from_r[i])
                 witness = {"k": i + 1, "delta": deltas[i], "r_k": r[i]}
                 failures["delta"] += [(m, witness) for m in packed_orbit(x, n)]
         if skew:
             skew_symmetric = packed_skew_symmetric(x, n)
-            balanced = is_balanced(rs)
+            balanced = is_balanced(_structure_of(runs))
             if skew_symmetric != balanced:
                 witness = {"skew_symmetric": skew_symmetric, "balanced": balanced}
                 failures["prop-skew"] += [(m, witness) for m in packed_orbit(x, n)]

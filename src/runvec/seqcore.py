@@ -31,21 +31,22 @@ byte-table ``translate`` of the mask's bytes; the orbit of both
 :func:`packed_canonical`.  Slots ``i`` and ``i+k`` differ exactly where
 ``x ^ (x >> k)`` has a set bit below ``n-k``, so
 ``C_k = (n-k) - 2*popcount((x ^ (x >> k)) & mask)``.  C at the short
-lengths of the sweeps and searches, the run lengths, the run structure
-(:func:`packed_run_structure`) and the predicates are all computed on
-this form, and :func:`unpack` turns a mask into a sequence without
-re-checking the elements it makes.
+lengths of the sweeps and searches, the run lengths
+(:func:`packed_runs`) and the predicates are all computed on this form,
+and :func:`unpack` turns a mask into a sequence without re-checking the
+elements it makes.
 
-Products: both autocorrelation vectors and the run vector are each read
-off one big-integer multiplication (Kronecker substitution): two
-polynomials with small integer coefficients are packed into fixed-width
-byte slots of two integers, multiplied once, and the signed slots of the
-product are decoded by :func:`_signed_digits`.  For C the factors are
-the sequence and its reversal (:func:`packed_correlation_vectors`, which
-folds the periodic vector out of the same product); for the run vector
-they come from the forward and the reverse interior boundaries of the
-run structure alone (:func:`run_vector_of`), never from C.  Each
-docstring derives its slot widths.
+Products: both autocorrelation vectors, the run vector and the delta
+oracle of :mod:`runvec.lemmalab` are each read off one big-integer
+multiplication (Kronecker substitution): two polynomials with small
+integer coefficients are packed into fixed-width byte slots of two
+integers, multiplied once, and the signed slots of the product are
+decoded by :func:`_signed_digits`.  For C and the delta oracle the
+factors are the sequence, or its difference sequence, and its reversal
+(:func:`_reflected_product`; :func:`packed_correlation_vectors` folds
+the periodic vector out of the same product); for the run vector they
+come from the boundary prefix sums alone (:func:`_run_vector_of_sums`),
+never from C.  Each docstring derives its slot widths.
 
 Every operation is a pure function of its inputs; no operation mutates
 a value after construction, so values are safe to share across threads.
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from struct import unpack_from
 
 
@@ -497,6 +498,20 @@ def _signed_digits(value: int, count: int, width: int) -> tuple[int, ...]:
     return unpack_from(f"<{count}{_INT_CODES[width]}", digits.to_bytes(width * count, "little"))
 
 
+def _reflected_product(lifted: bytes, lift: int, width: int) -> int:
+    """``A * R`` for ``A = sum_i v_i y**i``, ``y = 2**(8*width)``, and its
+    reversal ``R``, where byte i of ``lifted`` is ``v_i + lift``: in the low
+    byte of each slot the bytes read little-endian are ``A + O``, and read
+    big-endian, shifted down by ``8*width - 8`` bits, ``R + O``, ``O``
+    holding ``lift`` in every slot."""
+    slots = bytearray(width * len(lifted))
+    slots[::width] = lifted
+    offset = int.from_bytes((bytes([lift]) + bytes(width - 1)) * len(lifted), "little")
+    return (int.from_bytes(slots, "little") - offset) * (
+        (int.from_bytes(slots, "big") >> 8 * width - 8) - offset
+    )
+
+
 _LIFTED = bytes.maketrans(b"01", b"\x02\x00")  # a bit of a mask -> a_i + 1
 
 
@@ -509,11 +524,8 @@ def packed_correlation_vectors(x: int, n: int) -> tuple[tuple[int, ...], tuple[i
     ``R = sum_i a_{n-1-i} y**i``, coefficient ``n-1+k`` of ``A*R`` is
     ``sum_i a_{i+k} * a_i = C_k``, and so is coefficient ``n-1-k``
     (``0 <= k < n``).  Both factors are packed with ``w`` bits per
-    coefficient, ``y = 2**w`` (Kronecker substitution), from one byte
-    string with ``a_i + 1`` (2 or 0) in the low byte of slot i: read
-    little-endian it is ``A + O``, read big-endian and shifted down by
-    ``w - 8`` bits it is ``R + O``, where ``O`` has 1 in every slot.
-    The product ``A*R = sum_m d_m y**m`` then takes one multiplication.
+    coefficient, ``y = 2**w``, by :func:`_reflected_product` from
+    ``a_i + 1`` (2 or 0), and ``A*R = sum_m d_m y**m`` is one product.
 
     Splitting: every ``|d_m| <= n < y/2``, and the top digit of the low
     half ``L = sum_{m<n} d_m y**m`` is ``d_{n-1} = C_0 = n >= 1``, so
@@ -533,12 +545,7 @@ def packed_correlation_vectors(x: int, n: int) -> tuple[tuple[int, ...], tuple[i
     n = 128 and n = 32768.
     """
     width = 1 if n <= 127 else 2 if n <= 32767 else 4
-    slots = bytearray(width * n)
-    slots[::width] = format(x, f"0{n}b").encode().translate(_LIFTED)
-    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * n, "little")
-    product = (int.from_bytes(slots, "little") - ones) * (
-        (int.from_bytes(slots, "big") >> 8 * width - 8) - ones
-    )
+    product = _reflected_product(format(x, f"0{n}b").encode().translate(_LIFTED), 1, width)
     low, high = product & ((1 << 8 * width * n) - 1), product >> 8 * width * n
     return (
         (n, *_signed_digits(high, n - 1, width), 0),
@@ -602,12 +609,6 @@ def run_structure(rle: RunLengthEncoding) -> RunStructure:
     return _structure_of(rle.runs)
 
 
-def packed_run_structure(x: int, n: int) -> RunStructure:
-    """:func:`run_structure` of the packed length-n sequence ``x``, built
-    straight from :func:`packed_runs` with no encoding in between."""
-    return _structure_of(packed_runs(x, n))
-
-
 def _boundary_sign(prefix: tuple[int, ...], k: int) -> int:
     """``(-1)**j`` when ``k`` is the j-th interior boundary of the
     increasing prefix sums ``prefix`` (the 0-based slot ``j - 1``), else 0."""
@@ -647,7 +648,13 @@ def u_k(rs: RunStructure, k: int) -> int:
 
 
 def run_vector_of(rs: RunStructure) -> RunVector:
-    """Run vector of the sequence behind a run structure.
+    """Run vector of the sequence behind a run structure (:func:`_run_vector_of_sums`)."""
+    return _run_vector_of_sums(rs.s, rs.t, rs.n)
+
+
+def _run_vector_of_sums(s: Iterable[int], t: Iterable[int], n: int) -> RunVector:
+    """Run vector of the length-n sequence whose run structure ``rs`` has
+    the prefix sums ``s`` and ``t``, each iterated once.
 
     Entry k of the untransformed vector is ``f_eval(rs, k)[2] +
     2 * u_k(rs, k)``: with 0-based ranks and ``sigma_j = -(-1)**j``,
@@ -682,30 +689,25 @@ def run_vector_of(rs: RunStructure) -> RunVector:
     plus 2 in the low byte of its slot (3 for the constant 1, 4 for an
     odd rank's +2, 0 for an even rank's -2, 2 elsewhere), minus the
     integer with 2 in every slot: O(n), with no quadratic shift-and-add.
-    The reflected vector re-reads the untransformed one backwards with
-    the parity sign of the number of runs.
+    The last sums, ``n``, mark slot n, which no digit read depends on; ``r``
+    re-reads ``r_tilde`` backwards, negated when gamma is odd (mark 4).
     """
-    n, gamma = rs.n, rs.gamma
     if n < 2:
         return RunVector((), ())
     width = 1 if n <= 64 else 2 if n <= 16384 else 4
-    twos = (b"\x02" + bytes(width - 1)) * n
-    forward = bytearray(twos)
-    reverse = bytearray(twos)
+    twos = (b"\x02" + bytes(width - 1)) * (n + 1)
+    forward, reverse = bytearray(twos), bytearray(twos)
     forward[0] = reverse[0] = 3
-    s, t = rs.s, rs.t
-    for j in range(gamma - 1):
-        forward[s[j] * width] = reverse[t[j] * width] = 4 if j & 1 else 0
+    mark = 0  # 0 - 2 at an even rank, 4 - 2 at an odd one
+    for p, q in zip(s, t):
+        forward[p * width] = reverse[q * width] = mark
+        mark ^= 4
     offset = int.from_bytes(twos, "little")
     product = (int.from_bytes(forward, "little") - offset) * (
         int.from_bytes(reverse, "little") - offset
     )
     r_tilde = _signed_digits(product >> 8 * width + 1, n - 1, width)
-    if gamma & 1:
-        r = tuple([-v for v in reversed(r_tilde)])
-    else:
-        r = r_tilde[::-1]
-    return RunVector(r_tilde, r)
+    return RunVector(r_tilde, tuple([-v for v in reversed(r_tilde)]) if mark else r_tilde[::-1])
 
 
 def run_vector(seq: BinarySequence) -> RunVector:

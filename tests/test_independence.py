@@ -25,7 +25,7 @@ C_KERNELS = (
     "aperiodic_autocorrelations",
     "periodic_autocorrelations",
 )
-RUN_KERNELS = ("run_vector_of", "run_structure", "packed_run_structure")
+RUN_KERNELS = ("run_vector_of", "_run_vector_of_sums", "run_structure", "_structure_of")
 BALANCED_WITHOUT_C = ("L1", "L2", "L3", "L4", "L5", "L6", "L7")
 
 
@@ -119,6 +119,14 @@ class TestDeltaWithoutRunStructure:
             second = tuple([2 * at - before - after for before, at, after in zip(c, c[1:], c[2:])])
             assert lemmalab.delta_autocorrelations(seq) == second
         assert calls == []
+
+    def test_the_wires_trip_the_theorem1_sweep(self, monkeypatch):
+        # the sweep's run vector goes through the wired kernel, so the
+        # delta oracle's run above shows that it does not
+        calls = _trip(monkeypatch, RUN_KERNELS)
+        with pytest.raises(Tripped):
+            lemmalab.sweep(5, ("theorem1",), workers=1)
+        assert calls == ["_run_vector_of_sums"]
 
 
 class TestOracleImports:

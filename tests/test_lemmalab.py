@@ -40,6 +40,7 @@ from oracles import (
     all_sign_tuples,
     brute_aperiodic,
     brute_balanced_tuples,
+    brute_canonical,
     brute_delta_autocorrelation,
     brute_is_balanced,
     brute_is_skew_symmetric,
@@ -95,13 +96,35 @@ class TestDeltaAutocorrelation:
             with pytest.raises(ValueError):
                 delta_autocorrelation(s, bad)
 
-    def test_vector_matches_brute_to_10(self):
-        for n in range(1, 11):
+    def test_vector_matches_brute_to_12(self):
+        for n in range(1, 13):
             for elems in all_sign_tuples(n):
                 deltas = delta_autocorrelations(BinarySequence(elems))
                 assert deltas == tuple(
                     brute_delta_autocorrelation(elems, k) for k in range(1, n)
                 )
+
+    @pytest.mark.parametrize("n", [33, 34])
+    def test_matches_brute_at_the_8_bit_switch(self, n):
+        # the last length of 8-bit slots and the first of 16-bit ones
+        rng = random.Random(n)
+        for _ in range(20):
+            elems = tuple(rng.choice((1, -1)) for _ in range(n))
+            deltas = delta_autocorrelations(BinarySequence(elems))
+            assert deltas == tuple(brute_delta_autocorrelation(elems, k) for k in range(1, n))
+
+    def test_closed_forms_at_every_slot_width(self):
+        # the product reads 8-bit slots to n = 33, 16-bit ones to 8193 and
+        # 32-bit ones beyond.  The constant sequence has delta_k = 0; the
+        # alternating one has d = (1, -2, 2, ..., +-1), so
+        # delta_k = (-1)**k * 4(n - k), whose delta_1 = -4(n - 1) overflows
+        # the narrower slot one length past each switch
+        for n in (*range(1, 40), 8192, 8193, 8194, 8195, 10_000):
+            constant = BinarySequence((1,) * n)
+            assert delta_autocorrelations(constant) == (0,) * (n - 1), n
+            alternating = BinarySequence(tuple([(-1) ** i for i in range(n)]))
+            want = tuple([(-1) ** k * 4 * (n - k) for k in range(1, n)])
+            assert delta_autocorrelations(alternating) == want, n
 
     def test_both_identities_to_10(self):
         # half the delta value is the reflected run-vector entry, and the
@@ -255,6 +278,19 @@ class TestCheckLemma:
             check_lemma("L6", instance)
         with pytest.raises(ValueError, match="out of range"):
             check_lemma("L6", instance, mu=5)
+
+    def test_parameters_the_verifier_does_not_take(self):
+        instance = rle((3, 2, 1, 1))
+        with pytest.raises(ValueError, match=r"^L1 takes no parameter k$"):
+            check_lemma("L1", instance, k=99)
+        with pytest.raises(ValueError, match=r"^p-odd takes no parameter mu$"):
+            check_lemma("p-odd", instance, mu=-4)
+        with pytest.raises(ValueError, match=r"^L2 takes no parameter mu$"):
+            check_lemma("L2", instance, k=3, mu=-7)
+        # in range for the other verifier is refused too
+        with pytest.raises(ValueError, match=r"^L6 takes no parameter k$"):
+            check_lemma("L6", instance, k=1, mu=1)
+        assert check_lemma("L1", instance, k=None, mu=None).conclusion_holds
 
 
 class TestBarkerPredictions:
@@ -418,15 +454,16 @@ class TestSweeps:
         # No sweep fails on correct code, so corrupt the last reflected
         # run-vector entry of every three-run instance and compare the
         # sweep's witnesses with a loop over plain tuples.
-        real = lemmalab.run_vector_of
+        real = lemmalab._run_vector_of_sums
 
-        def corrupted(rs):
-            rv = real(rs)
-            if rs.gamma != 3:
+        def corrupted(s, t, n):
+            s, t = tuple(s), tuple(t)
+            rv = real(s, t, n)
+            if len(s) != 3:
                 return rv
             return RunVector(rv.r_tilde, rv.r[:-1] + (rv.r[-1] + 1,))
 
-        monkeypatch.setattr(lemmalab, "run_vector_of", corrupted)
+        monkeypatch.setattr(lemmalab, "_run_vector_of_sums", corrupted)
         report = sweep(6, ("theorem1", "delta"))
         assert not report.ok
         by_key = {(rec.target, rec.n): rec for rec in report.records}
@@ -455,21 +492,53 @@ class TestSweeps:
                 assert list(rec.failures) == failures[:10]
         assert by_key[("theorem1", 6)].failure_count == 20  # 2 * C(5, 2) > 10
 
+    def test_one_corrupted_delta_slot_is_its_witness(self, monkeypatch):
+        # Add one to the product's coefficient n - k, which holds delta_k,
+        # for one sequence only, the least of its orbit: the delta sweep
+        # must report shift k with that value for each orbit member, and
+        # nothing else.
+        n, k = 9, 3
+        rep = brute_canonical((1, -1, -1, 1, 1, 1, -1, 1, -1))
+        negated = tuple(-x for x in rep)
+        orbit = sorted({rep, negated, rep[::-1], negated[::-1]}, key=lambda e: [-x for x in e])
+        assert len(orbit) == 4 and orbit[0] == rep
+        target = bytes([2 + b - a for a, b in zip((0, *rep), (*rep, 0))])  # d_i + 2
+        real = lemmalab._reflected_product
+
+        def corrupted(lifted, lift, width):
+            product = real(lifted, lift, width)
+            if lifted == target:
+                product += 1 << 8 * width * (n - k)
+            return product
+
+        monkeypatch.setattr(lemmalab, "_reflected_product", corrupted)
+        report = sweep(n, ("delta",))
+        assert [rec.failure_count for rec in report.records] == [0] * (n - 1) + [4]
+        c = brute_aperiodic(rep)
+        witness = {
+            "k": k,
+            "delta": brute_delta_autocorrelation(rep, k) + 1,
+            "r_k": -(c[k + 1] - 2 * c[k] + c[k - 1]) // 2,
+        }
+        texts = ["".join("+" if x == 1 else "-" for x in e) for e in orbit]
+        assert list(report.records[-1].failures) == [{"instance": t, **witness} for t in texts]
+
     def test_orbit_witnesses_are_listed_by_ascending_mask(self, monkeypatch):
         # Corrupt the last reflected run-vector entry of every four-run
         # instance and flip balancedness of every three-run one: both are
         # the same on each member of a negation-reversal orbit.  Compare
         # the sweep's counts and clipped witnesses with an ascending loop
         # over plain tuples.
-        real_rv, real_balanced = lemmalab.run_vector_of, lemmalab.is_balanced
+        real_rv, real_balanced = lemmalab._run_vector_of_sums, lemmalab.is_balanced
 
-        def corrupted_rv(rs):
-            rv = real_rv(rs)
-            if rs.gamma != 4:
+        def corrupted_rv(s, t, n):
+            s, t = tuple(s), tuple(t)
+            rv = real_rv(s, t, n)
+            if len(s) != 4:
                 return rv
             return RunVector(rv.r_tilde, rv.r[:-1] + (rv.r[-1] + 1,))
 
-        monkeypatch.setattr(lemmalab, "run_vector_of", corrupted_rv)
+        monkeypatch.setattr(lemmalab, "_run_vector_of_sums", corrupted_rv)
         monkeypatch.setattr(lemmalab, "is_balanced", lambda rs: real_balanced(rs) != (rs.gamma == 3))
         report = sweep(9, SEQUENCE_TARGETS)
         by_key = {(rec.target, rec.n): rec for rec in report.records}
@@ -514,15 +583,16 @@ class TestSweeps:
 
     def test_sweep_evaluates_each_orbit_exactly_once(self, monkeypatch):
         # no output can show a skipped orbit, since correct code never
-        # fails, so record the masks the sweep evaluates instead
-        real = lemmalab.packed_run_structure
+        # fails, so record the masks the sweep evaluates instead: it reads
+        # the runs of each evaluated mask once
+        real = lemmalab.packed_runs
         evaluated = {}
 
         def recording(x, n):
             evaluated.setdefault(n, []).append(x)
             return real(x, n)
 
-        monkeypatch.setattr(lemmalab, "packed_run_structure", recording)
+        monkeypatch.setattr(lemmalab, "packed_runs", recording)
         sweep(14, SEQUENCE_TARGETS)
         assert sorted(evaluated) == list(range(1, 15))
         assert sum(len(evaluated[n]) for n in range(1, 13)) == 2142

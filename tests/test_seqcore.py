@@ -4,6 +4,7 @@ import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -13,6 +14,8 @@ from runvec.seqcore import (
     BinarySequence,
     ParseError,
     RunLengthEncoding,
+    _run_vector_of_sums,
+    _structure_of,
     all_sequences,
     aperiodic_autocorrelations,
     decode_rle,
@@ -30,7 +33,6 @@ from runvec.seqcore import (
     packed_orbit,
     packed_reversal,
     packed_rle,
-    packed_run_structure,
     packed_runs,
     packed_skew_symmetric,
     parse_sequence,
@@ -417,12 +419,16 @@ class TestRunVector:
         assert run_vector(seq("+")).r_tilde == ()
 
     def test_matches_oracle_every_composition_to_12(self):
-        # the big-integer product against f_s + f_t + 2u read off the oracle
+        # the big-integer product against f_s + f_t + 2u read off the oracle;
+        # the sequence sweep hands the kernel its prefix sums lazily
         for n in range(1, 13):
             for runs in compositions(n):
                 expected = brute_run_vector(runs)
                 for sign in (1, -1):
-                    assert run_vector_of(run_structure(rle(sign, runs))).r_tilde == expected
+                    rv = run_vector_of(run_structure(rle(sign, runs)))
+                    assert rv.r_tilde == expected
+                    lazy = _run_vector_of_sums(accumulate(runs), accumulate(reversed(runs)), n)
+                    assert lazy == rv
 
     def test_matches_componentwise_definition(self):
         # the big-integer product must agree with f + 2u entry by entry
@@ -461,6 +467,7 @@ class TestRunVectorSlotWidths:
         for n in (*range(2, 70), *range(8190, 8195), MAX_LENGTH, *range(16382, 16387)):
             rv = run_vector_of(run_structure(rle(1, (1,) * n)))
             assert rv.r_tilde == tuple([(-1) ** k * 2 * k for k in range(1, n)]), n
+            assert _run_vector_of_sums(iter(range(1, n + 1)), iter(range(1, n + 1)), n) == rv
             sign_gamma = -1 if n % 2 else 1
             assert rv.r == tuple([sign_gamma * v for v in reversed(rv.r_tilde)]), n
 
@@ -571,10 +578,11 @@ class TestPackedForm:
         if n % 2 and n > 1:
             assert packed_skew_symmetric(skew, n) and not packed_skew_symmetric(skew ^ top, n)
 
-    def test_packed_run_structure_matches_both_routes_to_12(self):
+    def test_structure_of_packed_runs_matches_both_routes_to_12(self):
+        # the sequence sweep's prop-skew route to a run structure
         for n in range(1, 13):
             for x, elems in enumerate(all_sign_tuples(n)):
-                rs = packed_run_structure(x, n)
+                rs = _structure_of(packed_runs(x, n))
                 assert rs == run_structure(packed_rle(x, n)), (n, x)
                 s, t, s_set, t_set = brute_prefix_structure(brute_runs(elems))
                 assert (rs.s, rs.t, rs.s_set, rs.t_set) == (s, t, s_set, t_set), (n, x)
