@@ -80,8 +80,8 @@ unchanged (see above), and the reversed tuple is in the population,
 since the runs do not depend on the sign.  So the sweep builds the run
 vector at most once per reversal pair, for whichever member a target
 first reads it on, and hands it to the other member.  The
-targets reach their evaluators through one table that
-:func:`check_lemma` also uses.  An evaluator takes an instance and a
+targets reach their evaluators through one table and one balance gate
+that :func:`check_lemma` also uses.  An evaluator takes an instance and a
 domain of parameter values and tests the hypotheses and the conclusion
 at each value itself: the sweep calls it once per tuple with every
 value that can meet the hypotheses (k in 1..n-1 for L2-L5, mu in
@@ -252,11 +252,12 @@ def _sign_pow(e: int) -> int:
     return -1 if e & 1 else 1
 
 
-def _second_difference_residual(c, r) -> tuple[int, ...]:
-    """``C_{k+1} - 2*C_k + C_{k-1} + 2*R_k`` for k = 1..n-1, slot k-1."""
-    return tuple(
-        [before - 2 * at + after + 2 * rk for before, at, after, rk in zip(c, c[1:], c[2:], r)]
-    )
+def _exact_int(name: str, value) -> None:
+    """Refuse, with ValueError, a ``value`` that is not exactly an int: an
+    exact type test, as for sequence elements, so bool, float and str are
+    refused too."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def theorem1_residual(seq: BinarySequence) -> tuple[int, ...]:
@@ -264,7 +265,8 @@ def theorem1_residual(seq: BinarySequence) -> tuple[int, ...]:
     run vector; slot ``k-1`` holds ``C_{k+1} - 2*C_k + C_{k-1} + 2*R_k``.
     An all-zero vector certifies the identity on this sequence.
     """
-    return _second_difference_residual(aperiodic_autocorrelations(seq), run_vector(seq).r)
+    c, r = aperiodic_autocorrelations(seq), run_vector(seq).r
+    return tuple([c[k + 1] - 2 * c[k] + c[k - 1] + 2 * r[k - 1] for k in range(1, seq.n)])
 
 
 def delta_autocorrelations(seq: BinarySequence) -> tuple[int, ...]:
@@ -292,6 +294,7 @@ def delta_autocorrelations(seq: BinarySequence) -> tuple[int, ...]:
 
 def delta_autocorrelation(seq: BinarySequence, k: int) -> int:
     """Entry ``k`` of :func:`delta_autocorrelations`, 1 <= k <= n-1."""
+    _exact_int("k", k)
     n = seq.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
@@ -314,6 +317,7 @@ def balanced_profile(rle: RunLengthEncoding) -> BalancedProfile:
 def barker_predictions(n: int) -> BarkerPredictions:
     """Predicted C, reflected and untransformed run-vector entries for a
     Barker sequence of odd length ``n`` (empty tuples for ``n = 1``)."""
+    _exact_int("n", n)
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 1, got {n}")
     m = (n + 1) // 2
@@ -337,7 +341,16 @@ def barker_predictions(n: int) -> BarkerPredictions:
 # values whose conclusion failed, in iteration order).  The parameterised
 # ones read per-instance state inside the loop: the rank and sign tables,
 # indexed by k, and the run vector.  check_lemma and the sweep harness
-# both reach them through _BALANCED_CHECKS.
+# both reach them through _BALANCED_CHECKS and _evaluate, which holds the
+# one balance gate, so an evaluator of a lemma that assumes a balanced
+# encoding only ever sees balanced ones.
+#
+# Notation of the statements: s, t are the boundary prefix sums from each
+# end and S, T their interior sets; f_s(k), f_t(k) are the boundary signs,
+# (-1)**j at the j-th interior boundary of s (t) and 0 elsewhere, and
+# f = f_s + f_t; mu is the rank with s_{mu-1} < k <= s_mu; k is "doubled"
+# when k is even and k/2 is in S; u_k is as in runvec.seqcore.u_k, and
+# r~_k = f(k) + 2*u_k.
 # ---------------------------------------------------------------------------
 
 
@@ -372,7 +385,7 @@ class _Instance:
 
     @property
     def tables(self) -> tuple[list[int], list[int], list[int]]:
-        """``(rank, f_s, f_t)``, each a list with one slot per k = 0..n."""
+        """``(rank, f, f_t)``, each a list with one slot per k = 0..n."""
         if self._tables is None:
             self._tables = self._build_tables()
         return self._tables
@@ -386,19 +399,24 @@ class _Instance:
     def _build_tables(self) -> tuple[list[int], list[int], list[int]]:
         """Slot k of ``rank`` holds :func:`~runvec.seqcore.boundary_rank_interval`
         of k, the mu with ``s_{mu-1} < k <= s_mu``, for ``1 <= k <= n``;
-        slot k of ``f_s`` (``f_t``) holds the forward (reverse) sign of
+        slot k of ``f_t`` holds the reverse sign of
         :func:`~runvec.seqcore.f_eval` at k, ``(-1)**mu`` at the mu-th
-        interior boundary of ``s`` (``t``) and 0 elsewhere.  One pass over
-        the boundaries instead of a bisection or lookup per k."""
+        interior boundary of ``t`` and 0 elsewhere, and slot k of ``f``
+        the sum of the forward sign, read the same way off ``s``, and the
+        reverse one: ``f_eval(rs, k)[2]``.  One pass over the boundaries
+        instead of a bisection or lookup per k; the forward sign alone is
+        ``f[k] - f_t[k]``."""
         s, t, gamma, n = self.rs.s, self.rs.t, self.rs.gamma, self.rs.n
-        rank, f_s, f_t = [0], [0] * (n + 1), [0] * (n + 1)
+        rank, f, f_t = [0], [0] * (n + 1), [0] * (n + 1)
         before, sign = 0, -1
         for mu, boundary, reverse in zip(range(1, gamma), s, t):
             rank += [mu] * (boundary - before)
-            f_s[boundary] = f_t[reverse] = sign
+            f[boundary] += sign
+            f[reverse] += sign
+            f_t[reverse] = sign
             before, sign = boundary, -sign
         rank += [gamma] * (n - before)
-        return rank, f_s, f_t
+        return rank, f, f_t
 
     def _build_profile(self) -> BalancedProfile:
         """:func:`balanced_profile` of the encoding, read off this state."""
@@ -432,6 +450,8 @@ class _Instance:
 
 
 def _eval_l1(inst: _Instance, _):
+    """L1: an encoding is balanced exactly when every r~_k, 1 <= k <= n-1,
+    is odd.  It does not assume a balanced encoding: it is about them."""
     balanced = inst.balanced
     r_tilde = inst.rv.r_tilde
     if balanced == all(map((1).__and__, r_tilde)):
@@ -441,59 +461,48 @@ def _eval_l1(inst: _Instance, _):
 
 
 def _eval_l2(inst: _Instance, ks):
-    if not inst.balanced:
-        return 0, []
+    """L2: if k is not in S, then f(k) = f_t(k) = (-1)**(k+mu+1)."""
     s_set = inst.rs.s_set
-    rank, f_s, f_t = inst.tables
+    rank, f, f_t = inst.tables
     met, failed = 0, []
     for k in ks:
         if k in s_set:
             continue
         met += 1
         mu = rank[k]
-        ft = f_t[k]
-        f = f_s[k] + ft
         want = 1 if (k + mu) & 1 else -1
-        if not f == ft == want:
-            failed.append((k, {"k": k, "mu": mu, "f": f, "f_t": ft, "expected": want}))
+        if not f[k] == f_t[k] == want:
+            failed.append((k, {"k": k, "mu": mu, "f": f[k], "f_t": f_t[k], "expected": want}))
     return met, failed
 
 
 def _eval_l3(inst: _Instance, ks):
-    if not inst.balanced:
-        return 0, []
+    """L3: if k is in S and k is odd, then f(k-1) = -f(k) when k > 1, and
+    f(k+1) = f(k) when k+1 is in T.  A failed first part is the witness."""
     s_set, t_set = inst.rs.s_set, inst.rs.t_set
-    _, f_s, f_t = inst.tables
+    _, f, _ = inst.tables
     met, failed = 0, []
     for k in ks:
         if not (k in s_set and k & 1):
             continue
         met += 1
-        f_at = f_s[k] + f_t[k]
-        if k > 1:
-            f_before = f_s[k - 1] + f_t[k - 1]
-            if f_before != -f_at:
-                failed.append((k, {"k": k, "part": "before", "f": f_at, "f_before": f_before}))
-                continue
-        if (k + 1) in t_set:
-            # literal: k + 1 in t_set is not in s_set when balanced, so f_s[k + 1] = 0
-            f_after = f_s[k + 1] + f_t[k + 1]
-            if f_after != f_at:
-                failed.append((k, {"k": k, "part": "after", "f": f_at, "f_after": f_after}))
+        if k > 1 and f[k - 1] != -f[k]:
+            failed.append((k, {"k": k, "part": "before", "f": f[k], "f_before": f[k - 1]}))
+        elif (k + 1) in t_set and f[k + 1] != f[k]:
+            failed.append((k, {"k": k, "part": "after", "f": f[k], "f_after": f[k + 1]}))
     return met, failed
 
 
 def _eval_l4(inst: _Instance, ks):
-    if not inst.balanced:
-        return 0, []
+    """L4: for every k, u_k = mu (mod 2) exactly when k is doubled."""
     s_set, r_tilde = inst.rs.s_set, inst.rv.r_tilde
-    rank, f_s, f_t = inst.tables
+    rank, f, _ = inst.tables
     met, failed = 0, []
     for k in ks:
         met += 1
         mu = rank[k]
         # r~_k = f(k) + 2*u_k, read off the run vector the instance already holds
-        u = (r_tilde[k - 1] - f_s[k] - f_t[k]) >> 1
+        u = (r_tilde[k - 1] - f[k]) >> 1
         parity_match = not (u - mu) & 1
         doubled = not k & 1 and (k >> 1) in s_set
         if parity_match != doubled:
@@ -502,8 +511,7 @@ def _eval_l4(inst: _Instance, ks):
 
 
 def _eval_l5(inst: _Instance, ks):
-    if not inst.balanced:
-        return 0, []
+    """L5: if k is in S, then r~_k = 1 (mod 4) exactly when k is doubled."""
     s_set, r_tilde = inst.rs.s_set, inst.rv.r_tilde
     met, failed = 0, []
     for k in ks:
@@ -518,8 +526,8 @@ def _eval_l5(inst: _Instance, ks):
 
 
 def _eval_l6(inst: _Instance, mus):
-    if not inst.balanced:
-        return 0, []
+    """L6: if mu < gamma and the runs 1..mu-1 are all >= 2, then the width
+    w = s_mu - mu is below gamma and the last w runs are all <= 2."""
     runs, s = inst.rle.runs, inst.rs.s
     gamma = len(runs)
     # mu meets the hypotheses when mu < gamma and the mu - 1 runs before it
@@ -543,22 +551,33 @@ def _eval_l6(inst: _Instance, mus):
     return met, failed
 
 
-def _l7_hypotheses(inst: _Instance):
-    """Profile of an instance meeting the pair-bound hypotheses, else None."""
-    rle, rs = inst.rle, inst.rs
-    if not inst.balanced or rle.runs[0] < 3:
-        return None
+def _pivot_fault(inst: _Instance) -> str | None:
+    """The first pivot fact of :class:`BalancedProfile` that a balanced
+    encoding with first run > 1 breaks: ``"ii"`` when s_{nu+1} is even,
+    ``"iii"`` when alpha = 1 and s_{nu+1} + 1 is not in T, else None.
+    L7 assumes both facts and p-odd asserts them, as its parts ii and iii."""
     profile = inst.profile
-    if profile.p % 2 == 0 or profile.s_nu_plus_1 % 2 == 0:
+    if not profile.s_nu_plus_1 & 1:
+        return "ii"
+    if profile.alpha == 1 and (profile.s_nu_plus_1 + 1) not in inst.rs.t_set:
+        return "iii"
+    return None
+
+
+def _l7_hypotheses(inst: _Instance):
+    """Profile of a balanced instance meeting the pair-bound hypotheses:
+    p >= 3 odd, neither pivot fact broken (:func:`_pivot_fault`) and
+    k0 < n, since the pair bound asserts nothing at or beyond n; else None."""
+    p = inst.rle.runs[0]
+    if p < 3 or not p & 1 or _pivot_fault(inst) or inst.profile.k0 >= inst.rs.n:
         return None
-    if profile.alpha == 1 and (profile.s_nu_plus_1 + 1) not in rs.t_set:
-        return None
-    if profile.k0 >= rs.n:
-        return None  # the pair bound asserts nothing at or beyond n
-    return profile
+    return inst.profile
 
 
 def _eval_l7(inst: _Instance, _):
+    """L7: if p >= 3 is odd, s_{nu+1} is odd, alpha = 1 implies s_{nu+1} + 1
+    is in T, and k0 < n, then |r~_{k0} + r~_{k0-1}| >= 2 (profile fields
+    as in :class:`BalancedProfile`, p the first run)."""
     profile = _l7_hypotheses(inst)
     if profile is None:
         return 0, []
@@ -570,6 +589,9 @@ def _eval_l7(inst: _Instance, _):
 
 
 def _eval_l7n(inst: _Instance, _):
+    """L7n: under L7's hypotheses and its conclusion, some |C_j| >= 3 with
+    j in n-k0-1..n-k0+2 and 0 <= j <= n (C_0 = n, C_n = 0), so the
+    encoding is not Barker."""
     profile = _l7_hypotheses(inst)
     if profile is None:
         return 0, []
@@ -585,6 +607,11 @@ def _eval_l7n(inst: _Instance, _):
 
 
 def _eval_p_odd(inst: _Instance, _):
+    """p-odd: for a Barker encoding (every |C_k| <= 1, 1 <= k <= n-1) of odd
+    length n whose first run p exceeds 1, (i) p is odd when n > 3, and when
+    n > 5 (ii) s_{nu+1} is odd, (iii) alpha = 1 implies s_{nu+1} + 1 is in T
+    and (iv) n <= k0 + 1.  The first failed part is the witness.  It does
+    not assume a balanced encoding: an odd Barker sequence is one."""
     rle = inst.rle
     n = rle.n
     if not (n % 2 == 1 and rle.runs[0] > 1):
@@ -598,28 +625,40 @@ def _eval_p_odd(inst: _Instance, _):
     if profile.p % 2 == 0:
         return 1, [(None, {"part": "i", "p": profile.p})]
     if n > 5:
-        if profile.s_nu_plus_1 % 2 == 0:
-            return 1, [(None, {"part": "ii", "s_nu_plus_1": profile.s_nu_plus_1})]
-        if profile.alpha == 1 and (profile.s_nu_plus_1 + 1) not in inst.rs.t_set:
-            return 1, [(None, {"part": "iii", "s_nu_plus_1": profile.s_nu_plus_1})]
+        part = _pivot_fault(inst)
+        if part is not None:
+            return 1, [(None, {"part": part, "s_nu_plus_1": profile.s_nu_plus_1})]
         bound = profile.k0 + 1
         if n > bound:
             return 1, [(None, {"part": "iv", "n": n, "bound": bound})]
     return 1, []
 
 
-#: Balanced-encoding target -> (evaluator, parameter name or None).
+#: Balanced-encoding target -> (evaluator, parameter name or None, whether
+#: the lemma assumes a balanced encoding).
 _BALANCED_CHECKS = {
-    "L1": (_eval_l1, None),
-    "L2": (_eval_l2, "k"),
-    "L3": (_eval_l3, "k"),
-    "L4": (_eval_l4, "k"),
-    "L5": (_eval_l5, "k"),
-    "L6": (_eval_l6, "mu"),
-    "L7": (_eval_l7, None),
-    "L7n": (_eval_l7n, None),
-    "p-odd": (_eval_p_odd, None),
+    "L1": (_eval_l1, None, False),
+    "L2": (_eval_l2, "k", True),
+    "L3": (_eval_l3, "k", True),
+    "L4": (_eval_l4, "k", True),
+    "L5": (_eval_l5, "k", True),
+    "L6": (_eval_l6, "mu", True),
+    "L7": (_eval_l7, None, True),
+    "L7n": (_eval_l7n, None, True),
+    "p-odd": (_eval_p_odd, None, False),
 }
+
+
+def _evaluate(inst: _Instance, checks) -> list[tuple[int, list]]:
+    """``(met count, failures)`` of each ``(evaluator, domain,
+    assumes_balanced)`` in ``checks`` on one encoding: the one balance
+    gate, so a lemma that assumes a balanced encoding meets no hypothesis
+    on any other."""
+    balanced = inst.balanced
+    return [
+        evaluate(inst, domain) if balanced or not assumes_balanced else (0, [])
+        for evaluate, domain, assumes_balanced in checks
+    ]
 
 
 def check_lemma(
@@ -632,14 +671,17 @@ def check_lemma(
 
     ``k`` is required for L2-L5 and must lie in [1, n-1]; ``mu`` is
     required for L6 and must lie in [1, gamma], and the others take
-    neither.  Other parameters raise ValueError; in-range ones that merely
-    violate a lemma's hypotheses yield ``hypotheses_met=False``, and a
-    failed conclusion carries the sweep's witness for the value.
+    neither.  Other parameters, and ones that are not exactly an int,
+    raise ValueError; in-range ones that merely violate a lemma's
+    hypotheses yield ``hypotheses_met=False``, as does an unbalanced
+    encoding for a lemma that assumes a balanced one (all but L1 and
+    p-odd), and a failed conclusion carries the sweep's witness for the
+    value.
     """
     if lemma_id not in _BALANCED_CHECKS:
         ids = tuple(_BALANCED_CHECKS)
         raise ValueError(f"unknown lemma_id {lemma_id!r}; expected one of {ids}")
-    evaluate, name = _BALANCED_CHECKS[lemma_id]
+    evaluate, name, assumes_balanced = _BALANCED_CHECKS[lemma_id]
     for other, value in (("k", k), ("mu", mu)):
         if value is not None and other != name:
             raise ValueError(f"{lemma_id} takes no parameter {other}")
@@ -648,11 +690,12 @@ def check_lemma(
         param = k if name == "k" else mu
         if param is None:
             raise ValueError(f"{lemma_id} requires parameter {name}")
+        _exact_int(name, param)
         top = rle.n - 1 if name == "k" else rle.gamma
         if not 1 <= param <= top:
             raise ValueError(f"parameter out of range: {name} must be in [1, {top}]")
         domain = (param,)
-    met, failed = evaluate(_Instance(rle), domain)
+    [(met, failed)] = _evaluate(_Instance(rle), [(evaluate, domain, assumes_balanced)])
     if not met:
         return Verdict(lemma_id, rle.to_text(), False, None)
     if not failed:
@@ -668,7 +711,7 @@ def check_p_odd(rle: RunLengthEncoding) -> Verdict:
     return check_lemma("p-odd", rle)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 5.0 must miss, to be refused
 def balanced_run_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     """All balanced run tuples summing to odd ``n``, sorted.
 
@@ -683,6 +726,7 @@ def balanced_run_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     sequence has the same run tuple, so one tuple stands for a negation
     pair, and the ``2**((n+1)//2 - 1)`` tuples must all differ.
     """
+    _exact_int("n", n)
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 1, got {n}")
     if n > BALANCED_ENUM_LIMIT:
@@ -730,9 +774,9 @@ def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
             from_r = tuple([2 * rk for rk in r])
             agree = from_c == from_r
         if theorem1 and not agree:
-            residual = _second_difference_residual(c, r)
-            k, value = next((k, v) for k, v in enumerate(residual, start=1) if v)
-            witness = {"k": k, "residual": value}
+            # the residual C_{k+1} - 2*C_k + C_{k-1} + 2*R_k is from_r - from_c
+            k = next(k for k, (rk, ck) in enumerate(zip(from_r, from_c), start=1) if rk != ck)
+            witness = {"k": k, "residual": from_r[k - 1] - from_c[k - 1]}
             failures["theorem1"] += [(m, witness) for m in packed_orbit(x, n)]
         if delta:
             # the oracle is a literal computation on the elements themselves
@@ -767,10 +811,11 @@ def _sweep_balanced(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
     """
     # every balanced tuple of length n has gamma = (n+1)//2 runs; L6 needs mu < gamma
     domains = {None: (None,), "k": range(1, n), "mu": range(1, (n + 1) // 2)}
-    checks = [  # (evaluator, domain, failures) per target, looked up once per length
-        (evaluate, domains[name], []) for evaluate, name in map(_BALANCED_CHECKS.get, targets)
+    checks = [  # (evaluator, domain, assumes_balanced) per target, looked up once per length
+        (evaluate, domains[name], assumes)
+        for evaluate, name, assumes in map(_BALANCED_CHECKS.get, targets)
     ]
-    met = [0] * len(checks)
+    met, found = [0] * len(checks), [[] for _ in checks]
     population = balanced_run_tuples(n)
     # a tuple's reversal -> the run vector the tuple built, for the reversal
     # to take; at most one entry per reversal pair
@@ -778,20 +823,19 @@ def _sweep_balanced(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
     for runs in population:
         rv = awaited.pop(runs, None)
         inst = _Instance(trusted_rle(1, runs), rv)
-        for i, (evaluate, domain, found) in enumerate(checks):
-            met_count, failed = evaluate(inst, domain)
+        for i, (met_count, failed) in enumerate(_evaluate(inst, checks)):
             met[i] += met_count
             for param, witness in failed:
                 entry = {"instance": inst.rle.to_text()}
                 if param is not None:
                     entry["param"] = param
                 entry.update(witness)
-                found.append(entry)
+                found[i].append(entry)
         if rv is None and inst._rv is not None:
             awaited[runs[::-1]] = inst._rv
     return [
-        SweepRecord(target, n, len(population), count, len(found), tuple(found[:_MAX_WITNESSES]))
-        for target, count, (_, _, found) in zip(targets, met, checks)
+        SweepRecord(target, n, len(population), count, len(failed), tuple(failed[:_MAX_WITNESSES]))
+        for target, count, failed in zip(targets, met, found)
     ]
 
 
@@ -873,15 +917,20 @@ def _run_shares(shares) -> list[SweepRecord]:
 def sweep(n_max: int, targets, workers: int = 1) -> SweepReport:
     """Run the selected verifiers over their full populations up to n_max.
 
-    Raises ValueError before any work starts: for ``n_max`` below 1,
-    then for an empty target list, then for the first name, in the
+    Raises ValueError before any work starts: for ``n_max`` not exactly
+    an int, then below 1, for ``workers`` not exactly an int, then below
+    1, then for an empty target list, then for the first name, in the
     caller's order, that is not in :data:`SWEEP_TARGETS` (names are
     case-sensitive), then for the first target whose :data:`SWEEP_LIMITS`
     entry is below ``n_max``.  The record list is sorted by (target, n)
     and does not depend on the worker count.
     """
+    _exact_int("n_max", n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    _exact_int("workers", workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     wanted = list(targets)
     if not wanted:
         raise ValueError("no sweep targets given")

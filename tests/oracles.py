@@ -150,6 +150,54 @@ def brute_run_vector(runs):
     return tuple(f_s.get(k, 0) + f_t.get(k, 0) + 2 * _u(s, f_t, k) for k in range(1, sum(runs)))
 
 
+def brute_lemma(target, runs, param):
+    """(met, holds) of one of the lemmas L2-L6 on the run tuple ``runs``
+    at ``param``, k for L2-L5 and mu for L6, each statement read off the
+    plain tuples: ``met`` says whether its hypotheses hold and ``holds``
+    whether its conclusion does (None when ``met`` is False).  Every one
+    assumes a balanced tuple.  f = f_s + f_t, mu is the rank of k, and k
+    is doubled when it is even and k/2 is a forward interior boundary.
+    - L2: k not in S  =>  f(k) = f_t(k) = (-1)**(k+mu+1).
+    - L3: k in S, k odd  =>  f(k-1) = -f(k) if k > 1, f(k+1) = f(k) if k+1 in T.
+    - L4: u_k = mu (mod 2)  <=>  k doubled.
+    - L5: k in S  =>  (r~_k = 1 (mod 4)  <=>  k doubled).
+    - L6: mu < gamma, runs 1..mu-1 all >= 2  =>  w = s_mu - mu < gamma and
+      the last w runs all <= 2."""
+    if not brute_is_balanced(runs):
+        return False, None
+    gamma = len(runs)
+    s, _, s_set, t_set = brute_prefix_structure(runs)
+    if target == "L6":
+        mu = param
+        if not (mu < gamma and all(r >= 2 for r in runs[: mu - 1])):
+            return False, None
+        w = s[mu - 1] - mu
+        return True, w < gamma and all(r <= 2 for r in runs[gamma - w:])
+    k = param
+    f_s, f_t = brute_signs(runs)
+
+    def f(j):
+        return f_s.get(j, 0) + f_t.get(j, 0)
+
+    mu = brute_rank(runs, k)
+    doubled = k % 2 == 0 and k // 2 in s_set
+    if target == "L2":
+        if k in s_set:
+            return False, None
+        return True, f(k) == f_t.get(k, 0) == (-1) ** (k + mu + 1)
+    if target == "L3":
+        if not (k in s_set and k % 2 == 1):
+            return False, None
+        return True, (k == 1 or f(k - 1) == -f(k)) and (k + 1 not in t_set or f(k + 1) == f(k))
+    if target == "L4":
+        return True, ((brute_u(runs, k) - mu) % 2 == 0) == doubled
+    if target == "L5":
+        if k not in s_set:
+            return False, None
+        return True, (brute_run_vector(runs)[k - 1] % 4 == 1) == doubled
+    raise ValueError(f"no statement for {target!r}")
+
+
 def brute_parse_sequence(text, max_n=None):
     """The outcome of reading a '+'/'-' text character by character:
     ("ok", elements), ("ParseError", message, position) or

@@ -44,6 +44,7 @@ from oracles import (
     brute_delta_autocorrelation,
     brute_is_balanced,
     brute_is_skew_symmetric,
+    brute_lemma,
     brute_prefix_structure,
     brute_rank,
     brute_runs,
@@ -259,9 +260,9 @@ class TestCheckLemma:
     def test_sign_tables_match_the_oracle_on_every_balanced_tuple_to_15(self):
         for n in range(1, 16, 2):
             for runs in brute_balanced_tuples(n):
-                _, f_s, f_t = lemmalab._Instance(rle(runs)).tables
+                _, f, f_t = lemmalab._Instance(rle(runs)).tables
                 want_s, want_t = brute_signs(runs)
-                assert f_s == [want_s.get(k, 0) for k in range(n + 1)]
+                assert [v - w for v, w in zip(f, f_t)] == [want_s.get(k, 0) for k in range(n + 1)]
                 assert f_t == [want_t.get(k, 0) for k in range(n + 1)]
 
     def test_parameter_errors(self):
@@ -291,6 +292,91 @@ class TestCheckLemma:
         with pytest.raises(ValueError, match=r"^L6 takes no parameter k$"):
             check_lemma("L6", instance, k=1, mu=1)
         assert check_lemma("L1", instance, k=None, mu=None).conclusion_holds
+
+
+def lemma_disagreements(population):
+    """Every (target, runs, param, check_lemma's (met, holds), brute_lemma's)
+    where the two disagree, over L2-L6 on each run tuple of ``population``
+    at every parameter check_lemma takes (k in 1..n-1, mu in 1..gamma),
+    and the number of triples compared."""
+    compared, disagreements = 0, []
+    for runs in population:
+        instance = rle(runs)
+        for target in ("L2", "L3", "L4", "L5", "L6"):
+            name, top = ("mu", len(runs)) if target == "L6" else ("k", sum(runs) - 1)
+            for param in range(1, top + 1):
+                verdict = check_lemma(target, instance, **{name: param})
+                got = (verdict.hypotheses_met, verdict.conclusion_holds)
+                want = brute_lemma(target, runs, param)
+                compared += 1
+                if got != want:
+                    disagreements.append((target, runs, param, got, want))
+    return compared, disagreements
+
+
+class TestLemmaStatements:
+    """check_lemma against oracles.brute_lemma, which reads each statement
+    of L2-L6 off the plain tuples with no runvec code."""
+
+    def test_every_balanced_tuple_to_15(self):
+        population = [runs for n in range(1, 16, 2) for runs in brute_balanced_tuples(n)]
+        compared, disagreements = lemma_disagreements(population)
+        assert disagreements == []
+        assert compared == sum(4 * (sum(runs) - 1) + len(runs) for runs in population) == 14097
+
+    def test_every_composition_to_10(self):
+        # the unbalanced compositions pin each lemma's assumption of a
+        # balanced encoding: none of them may meet a hypothesis
+        population = [runs for n in range(1, 11) for runs in compositions(n)]
+        compared, disagreements = lemma_disagreements(population)
+        assert disagreements == []
+        assert compared == sum(4 * (sum(runs) - 1) + len(runs) for runs in population) == 37896
+
+
+class TestExactIntParameters:
+    """Integer parameters must be exactly int, as sequence elements are."""
+
+    def test_check_lemma_k_float(self):
+        with pytest.raises(ValueError, match=r"^k must be an int, got 2\.0$"):
+            check_lemma("L2", rle((3, 2, 1, 1)), k=2.0)
+
+    def test_check_lemma_mu_float(self):
+        with pytest.raises(ValueError, match=r"^mu must be an int, got 1\.0$"):
+            check_lemma("L6", rle((3, 2, 1, 1)), mu=1.0)
+
+    def test_check_lemma_k_bool(self):
+        with pytest.raises(ValueError, match=r"^k must be an int, got True$"):
+            check_lemma("L2", rle((3, 2, 1, 1)), k=True)
+
+    def test_sweep_n_max_float(self):
+        with pytest.raises(ValueError, match=r"^n_max must be an int, got 5\.0$"):
+            sweep(5.0, ("L1",))
+
+    def test_sweep_n_max_bool(self):
+        with pytest.raises(ValueError, match=r"^n_max must be an int, got True$"):
+            sweep(True, ("L1",))
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_sweep_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match=rf"^workers must be >= 1, got {workers}$"):
+            sweep(5, ("L1",), workers=workers)
+
+    def test_sweep_workers_str(self):
+        with pytest.raises(ValueError, match=r"^workers must be an int, got '2'$"):
+            sweep(5, ("L1",), workers="2")
+
+    def test_barker_predictions_float(self):
+        with pytest.raises(ValueError, match=r"^n must be an int, got 3\.0$"):
+            barker_predictions(3.0)
+
+    def test_balanced_run_tuples_float_even_after_the_int(self):
+        balanced_run_tuples(5)  # cached: a float equal to it must still miss
+        with pytest.raises(ValueError, match=r"^n must be an int, got 5\.0$"):
+            balanced_run_tuples(5.0)
+
+    def test_delta_autocorrelation_float(self):
+        with pytest.raises(ValueError, match=r"^k must be an int, got 2\.0$"):
+            delta_autocorrelation(BinarySequence.from_text("+++-"), 2.0)
 
 
 class TestBarkerPredictions:
@@ -906,17 +992,19 @@ def _negate_odd(table):
 
 
 def _corrupt_f_t(tables):
-    """The instance's f_t negated at odd boundaries: L2 fails at every odd
-    k outside S."""
-    rank, f_s, f_t = tables
-    return rank, f_s, _negate_odd(f_t)
+    """The instance's f_t negated at odd boundaries, and f = f_s + f_t with
+    it: L2 fails at every odd k outside S."""
+    rank, f, f_t = tables
+    wrong = _negate_odd(f_t)
+    return rank, [v - was + now for v, was, now in zip(f, f_t, wrong)], wrong
 
 
 def _corrupt_f_s(tables):
-    """The instance's f_s negated at odd boundaries: L3 fails at every odd
-    k in S but 1."""
-    rank, f_s, f_t = tables
-    return rank, _negate_odd(f_s), f_t
+    """The instance's f_s = f - f_t negated at odd boundaries, in f: L3
+    fails at every odd k in S but 1."""
+    rank, f, f_t = tables
+    f_s = [v - w for v, w in zip(f, f_t)]
+    return rank, [v + w for v, w in zip(_negate_odd(f_s), f_t)], f_t
 
 
 def _corrupt_s(rs):
@@ -1107,6 +1195,33 @@ class TestSweepMatchesCheckLemma:
 
 
 class TestMutantControls:
+    # p-odd reports the first pivot fact an instance breaks; with C patched
+    # to zeros every balanced tuple looks Barker, so the facts themselves
+    # decide.  (5,1,1,1,1) breaks both: s_2 = 6 is even, alpha = 1 and 7 is
+    # in S, so part ii must win
+    @pytest.mark.parametrize(
+        "runs,part,s_nu_plus_1",
+        [
+            ((5, 1, 1, 1, 1), "ii", 6),
+            ((3, 1, 3, 1, 1), "ii", 4),
+            ((3, 4, 1, 1, 2, 1, 1), "iii", 7),
+            ((3, 2, 1, 1), None, 5),
+        ],
+    )
+    def test_p_odd_reports_the_first_broken_pivot_fact(self, monkeypatch, runs, part,
+                                                       s_nu_plus_1):
+        instance = rle(runs)
+        assert balanced_profile(instance).s_nu_plus_1 == s_nu_plus_1
+        monkeypatch.setattr(lemmalab, "packed_autocorrelations", lambda x, n: iter([0] * (n - 1)))
+        verdict = check_lemma("p-odd", instance)
+        assert verdict.hypotheses_met
+        if part is None:
+            assert verdict.conclusion_holds and verdict.witness is None
+        else:
+            assert not verdict.conclusion_holds
+            assert verdict.witness == {"part": part, "s_nu_plus_1": s_nu_plus_1}
+            assert not check_lemma("L7", instance).hypotheses_met  # L7 assumes both facts
+
     # the L7n window is n-k0-1..n-k0+2; (3,2,2,2,1,1) has n = 11, k0 = 8
     @pytest.mark.parametrize("j,holds", [(1, False), (2, True), (5, True), (6, False)])
     def test_l7n_reads_exactly_its_window(self, monkeypatch, j, holds):
