@@ -5,7 +5,8 @@ stable key order and no timestamps, so identical invocations produce
 byte-identical reports.  Reports go to stdout, diagnostics to stderr.
 
 Exit codes: 0 on success with zero verifier failures, 1 on parse errors,
-verifier failures or output that cannot be written, 2 when a requested
+verifier failures, output that cannot be written or a ``RuntimeError``
+(such as a sweep process that ended without a result), 2 when a requested
 range or input length exceeds a resource limit, ``--workers`` is below
 1, an option value is invalid or the command line is malformed.
 
@@ -309,7 +310,7 @@ def main(argv=None) -> int:
         os.close(devnull)
         print("error: output closed before the report was written", file=sys.stderr)
         return 1
-    except ParseError as err:
+    except (ParseError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except ValueError as err:

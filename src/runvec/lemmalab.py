@@ -117,6 +117,7 @@ from .seqcore import (
     Record,
     RunLengthEncoding,
     RunVector,
+    _int_in,
     _reflected_product,
     _run_vector_of_sums,
     _signed_digits,
@@ -252,14 +253,6 @@ def _sign_pow(e: int) -> int:
     return -1 if e & 1 else 1
 
 
-def _exact_int(name: str, value) -> None:
-    """Refuse, with ValueError, a ``value`` that is not exactly an int: an
-    exact type test, as for sequence elements, so bool, float and str are
-    refused too."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-
-
 def theorem1_residual(seq: BinarySequence) -> tuple[int, ...]:
     """Second-difference residuals of the autocorrelations against the
     run vector; slot ``k-1`` holds ``C_{k+1} - 2*C_k + C_{k-1} + 2*R_k``.
@@ -294,11 +287,7 @@ def delta_autocorrelations(seq: BinarySequence) -> tuple[int, ...]:
 
 def delta_autocorrelation(seq: BinarySequence, k: int) -> int:
     """Entry ``k`` of :func:`delta_autocorrelations`, 1 <= k <= n-1."""
-    _exact_int("k", k)
-    n = seq.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    return delta_autocorrelations(seq)[k - 1]
+    return delta_autocorrelations(seq)[_int_in("k", k, 1, seq.n - 1) - 1]
 
 
 def balanced_profile(rle: RunLengthEncoding) -> BalancedProfile:
@@ -317,8 +306,7 @@ def balanced_profile(rle: RunLengthEncoding) -> BalancedProfile:
 def barker_predictions(n: int) -> BarkerPredictions:
     """Predicted C, reflected and untransformed run-vector entries for a
     Barker sequence of odd length ``n`` (empty tuples for ``n = 1``)."""
-    _exact_int("n", n)
-    if n < 1 or n % 2 == 0:
+    if _int_in("n", n) < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 1, got {n}")
     m = (n + 1) // 2
     even_lag = _sign_pow(m + 1)
@@ -690,11 +678,7 @@ def check_lemma(
         param = k if name == "k" else mu
         if param is None:
             raise ValueError(f"{lemma_id} requires parameter {name}")
-        _exact_int(name, param)
-        top = rle.n - 1 if name == "k" else rle.gamma
-        if not 1 <= param <= top:
-            raise ValueError(f"parameter out of range: {name} must be in [1, {top}]")
-        domain = (param,)
+        domain = (_int_in(name, param, 1, rle.n - 1 if name == "k" else rle.gamma),)
     [(met, failed)] = _evaluate(_Instance(rle), [(evaluate, domain, assumes_balanced)])
     if not met:
         return Verdict(lemma_id, rle.to_text(), False, None)
@@ -726,8 +710,7 @@ def balanced_run_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     sequence has the same run tuple, so one tuple stands for a negation
     pair, and the ``2**((n+1)//2 - 1)`` tuples must all differ.
     """
-    _exact_int("n", n)
-    if n < 1 or n % 2 == 0:
+    if _int_in("n", n) < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 1, got {n}")
     if n > BALANCED_ENUM_LIMIT:
         raise ValueError(f"balanced enumeration limited to n <= {BALANCED_ENUM_LIMIT}")
@@ -925,12 +908,8 @@ def sweep(n_max: int, targets, workers: int = 1) -> SweepReport:
     entry is below ``n_max``.  The record list is sorted by (target, n)
     and does not depend on the worker count.
     """
-    _exact_int("n_max", n_max)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    _exact_int("workers", workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _int_in("n_max", n_max, 1)
+    _int_in("workers", workers, 1)
     wanted = list(targets)
     if not wanted:
         raise ValueError("no sweep targets given")

@@ -44,6 +44,7 @@ from .seqcore import (
     BinarySequence,
     Record,
     RunLengthEncoding,
+    _int_in,
     pack,
     packed_autocorrelations,
     packed_canonical,
@@ -61,17 +62,22 @@ class SearchSpec(Record):
     """An inclusive odd-length range plus search mode.
 
     Lengths are odd in both modes (even-length search is out of scope);
-    even bounds are rounded inward.  ``normalize`` collapses the result
-    to one representative per negation/reversal orbit.
+    even bounds are rounded inward.  ``normalize``, exactly a bool,
+    collapses the result to one representative per negation/reversal
+    orbit.
     """
 
     __slots__ = ("n_min", "n_max", "mode", "normalize")
 
     def __init__(self, n_min: int, n_max: int, mode: str = "full", normalize: bool = False):
+        _int_in("n_min", n_min)
+        _int_in("n_max", n_max)
         if n_min < 1 or n_max < n_min:
             raise ValueError(f"bad length range [{n_min}, {n_max}]")
         if mode not in ("full", "skew"):
             raise ValueError(f"mode must be 'full' or 'skew', got {mode!r}")
+        if type(normalize) is not bool:
+            raise ValueError(f"normalize must be a bool, got {normalize!r}")
         self._assign(n_min, n_max, mode, normalize)
 
     def lengths(self) -> range:
@@ -212,10 +218,11 @@ def find_barker_sequences(n: int, mode: str = "full", threshold: int = 1) -> lis
     The full-mode engine accepts any n >= 1 (the unpruned-filter
     soundness check runs it on even lengths too); skew mode requires
     odd n.  The odd-lengths-only policy of the range search lives in
-    :func:`enumerate_barker`.
+    :func:`enumerate_barker`.  ``threshold`` bounds every off-peak
+    ``|C_k|`` and must be an int >= 0.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _int_in("n", n, 1)
+    _int_in("threshold", threshold, 0)
     if mode not in ("full", "skew"):
         raise ValueError(f"mode must be 'full' or 'skew', got {mode!r}")
     if mode == "skew" and n % 2 == 0:
@@ -257,11 +264,9 @@ def brute_force_barker(n: int) -> list[BinarySequence]:
     popcount per shift, stopping at the first shift whose sum exceeds 1
     in magnitude.  Reference oracle for prune soundness.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return [
         unpack(x, n)
-        for x in range(1 << n)
+        for x in range(1 << _int_in("n", n, 1))
         if all(-1 <= c <= 1 for c in packed_autocorrelations(x, n))
     ]
 

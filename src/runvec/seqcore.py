@@ -48,6 +48,17 @@ the periodic vector out of the same product); for the run vector they
 come from the boundary prefix sums alone (:func:`_run_vector_of_sums`),
 never from C.  Each docstring derives its slot widths.
 
+Integer arguments: each entry point that takes a length, shift, rank,
+count or cap from its caller (README lists them) passes it through one
+guard, :func:`_int_in`, which refuses with ``ValueError`` a value that
+is not exactly an ``int`` (bool, float and str included) or that lies
+outside the entry point's range, in one of three wordings:
+``<name> must be an int, got <repr>``, ``<name> must be in [lo, hi],
+got <v>`` and ``<name> must be >= lo, got <v>``.  The resource caps, the odd-length checks and
+the constructors' per-element loops keep their own wording, and the
+packed kernels, which run once per mask, state what they require and
+check nothing.
+
 Every operation is a pure function of its inputs; no operation mutates
 a value after construction, so values are safe to share across threads.
 """
@@ -55,7 +66,7 @@ a value after construction, so values are safe to share across threads.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, repeat
 from collections.abc import Iterable, Iterator
 from struct import unpack_from
 
@@ -72,6 +83,19 @@ class ParseError(ValueError):
 #: setting (640 is the least it accepts); an uncapped encoding whose runs
 #: are all this short is parsed in one pass.
 _INT_DIGITS = 640
+
+
+def _int_in(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """``value``, when it is exactly an int in ``[lo, hi]`` (``>= lo``
+    without ``hi``, any int without ``lo``); else ``ValueError`` in the
+    wording of the module docstring.  The package's one integer guard."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if hi is not None and not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    return value
 
 
 def _length_error(max_n: int, got) -> ValueError:
@@ -217,7 +241,7 @@ class RunLengthEncoding(Record):
         goes through the token loop, which raises the :class:`ParseError`
         of the first bad token.
         """
-        if max_n is not None and len(text) > 2 * max_n + 1:
+        if max_n is not None and len(text) > 2 * _int_in("max_n", max_n, 1) + 1:
             raise ValueError(
                 f"encoding text limited to {2 * max_n + 1} characters, got {len(text)}"
             )
@@ -304,9 +328,7 @@ class RunVector(Record):
 
     def tilde(self, k: int) -> int:
         """Entry k of the untransformed vector, 1 <= k <= n-1."""
-        if not 1 <= k <= len(self.r_tilde):
-            raise ValueError(f"k must be in [1, {len(self.r_tilde)}], got {k}")
-        return self.r_tilde[k - 1]
+        return self.r_tilde[_int_in("k", k, 1, len(self.r_tilde)) - 1]
 
 
 _BITS = str.maketrans("+-", "01")
@@ -323,16 +345,16 @@ _SIGNED = bytes.maketrans(b"01", b"\x01\xff")  # a bit of a mask -> its element 
 def unpack(x: int, n: int) -> BinarySequence:
     """The length-n sequence whose packed form is ``x``, ``0 <= x < 2**n``.
 
-    Both ranges are checked, the elements are not: each is read as a
-    signed byte from its translated bit, ``0`` to ``+1`` and ``1`` to
-    ``-1``, so it is +1 or -1 by construction, and the sequence is built
-    past the constructor's per-element check, which could never fail
-    here.  Every other construction of a :class:`BinarySequence`,
-    unpickling included, still runs the check.
+    Both arguments are checked, ``n >= 1`` and ``x`` for its type by
+    :func:`_int_in` and ``x`` for its range here; the elements are not:
+    each is read as a signed byte from its translated bit, ``0`` to
+    ``+1`` and ``1`` to ``-1``, so it is +1 or -1 by construction, and
+    the sequence is built past the constructor's per-element check,
+    which could never fail here.  Every other construction of a
+    :class:`BinarySequence`, unpickling included, still runs the check.
     """
-    if n < 1:
-        raise ValueError("sequence length must be >= 1")
-    if not 0 <= x < 1 << n:
+    _int_in("n", n, 1)
+    if not 0 <= _int_in("x", x) < 1 << n:
         raise ValueError(f"mask {x} does not fit in {n} bits")
     seq = object.__new__(BinarySequence)
     object.__setattr__(
@@ -401,7 +423,7 @@ def parse_sequence(text: str, max_n: int | None = None) -> int:
     other text is scanned again, for the :class:`ParseError` at its first
     other character.
     """
-    if max_n is not None and len(text) > max_n:
+    if max_n is not None and len(text) > _int_in("max_n", max_n, 1):
         raise _length_error(max_n, len(text))
     if text and not text.strip("+-"):
         return int(text.translate(_BITS), 2)
@@ -621,7 +643,8 @@ def f_eval(rs: RunStructure, k: int) -> tuple[int, int, int]:
     reverse sign, and their sum.  The forward (reverse) sign is
     ``(-1)**j`` when ``k`` is the j-th interior boundary of ``s`` (``t``),
     found by bisection, and zero off the boundary sets, so the function is
-    total over all of Z."""
+    total over every int k."""
+    _int_in("k", k)
     fs = _boundary_sign(rs.s, k)
     ft = _boundary_sign(rs.t, k)
     return fs, ft, fs + ft
@@ -634,8 +657,7 @@ def u_k(rs: RunStructure, k: int) -> int:
 
     Requires ``1 <= k <= n - 1``.
     """
-    if not 1 <= k <= rs.n - 1:
-        raise ValueError(f"k must be in [1, {rs.n - 1}], got {k}")
+    _int_in("k", k, 1, rs.n - 1)
     total = 0
     s, t = rs.s, rs.t
     for j in range(1, rs.gamma):
@@ -739,14 +761,10 @@ def is_barker(seq: BinarySequence) -> bool:
 
 def boundary_rank_interval(rs: RunStructure, k: int) -> int:
     """The unique index ``mu`` with ``s_{mu-1} < k <= s_mu`` for ``1 <= k <= n``."""
-    if not 1 <= k <= rs.n:
-        raise ValueError(f"k must be in [1, {rs.n}], got {k}")
-    return bisect_left(rs.s, k) + 1
+    return bisect_left(rs.s, _int_in("k", k, 1, rs.n)) + 1
 
 
 def all_sequences(n: int) -> Iterator[BinarySequence]:
-    """Every length-n sequence, lexicographically with '+' before '-'."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for x in range(1 << n):
-        yield unpack(x, n)
+    """Every length-n sequence, lexicographically with '+' before '-';
+    ``n`` is checked by this call, not at the first ``next()``."""
+    return map(unpack, range(1 << _int_in("n", n, 1)), repeat(n))

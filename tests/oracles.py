@@ -150,23 +150,100 @@ def brute_run_vector(runs):
     return tuple(f_s.get(k, 0) + f_t.get(k, 0) + 2 * _u(s, f_t, k) for k in range(1, sum(runs)))
 
 
+def brute_elements(runs):
+    """The '+'-first sequence with the run lengths ``runs``: the j-th run,
+    j = 1..gamma, repeats (-1)**(j-1)."""
+    out = []
+    for j, r in enumerate(runs, start=1):
+        out += [(-1) ** (j - 1)] * r
+    return tuple(out)
+
+
+def brute_profile(runs):
+    """(p, nu, q, alpha, s_{nu+1}, k0) of a balanced run tuple whose first
+    run exceeds 1, read off the plain tuple r_1..r_gamma: p = r_1, nu the
+    least j >= 1 with r_{j+1} not a multiple of p, q = r_{nu+1},
+    alpha = 1 when q = 1 (mod p) and 0 otherwise, s_{nu+1} = r_1 + ... +
+    r_{nu+1} and k0 = p + s_{nu+1} + alpha.  None when the tuple is
+    unbalanced or its first run is 1."""
+    if not brute_is_balanced(runs) or runs[0] == 1:
+        return None
+    r = (None,) + tuple(runs)  # r[j] is the j-th run, 1-based
+    p = r[1]
+    nu = min(j for j in range(1, len(runs)) if r[j + 1] % p != 0)
+    q = r[nu + 1]
+    alpha = 1 if q % p == 1 else 0
+    s_next = sum(r[1 : nu + 2])
+    return p, nu, q, alpha, s_next, p + s_next + alpha
+
+
+def _brute_p_odd(runs):
+    """(met, holds) of p-odd, which assumes no balanced tuple."""
+    n = sum(runs)
+    if n % 2 == 0 or runs[0] == 1 or not brute_is_barker(brute_elements(runs)):
+        return False, None
+    if n <= 3:
+        return True, True
+    profile = brute_profile(runs)
+    if profile is None:  # an odd Barker sequence is balanced: a broken calculus
+        return True, False
+    p, _, _, alpha, s_next, k0 = profile
+    _, _, _, t_set = brute_prefix_structure(runs)
+    if n <= 5:
+        return True, p % 2 == 1
+    return True, (
+        p % 2 == 1 and s_next % 2 == 1 and (alpha == 0 or s_next + 1 in t_set) and n <= k0 + 1
+    )
+
+
 def brute_lemma(target, runs, param):
-    """(met, holds) of one of the lemmas L2-L6 on the run tuple ``runs``
-    at ``param``, k for L2-L5 and mu for L6, each statement read off the
-    plain tuples: ``met`` says whether its hypotheses hold and ``holds``
-    whether its conclusion does (None when ``met`` is False).  Every one
-    assumes a balanced tuple.  f = f_s + f_t, mu is the rank of k, and k
-    is doubled when it is even and k/2 is a forward interior boundary.
+    """(met, holds) of one of the lemmas L2-L7n or p-odd on the run tuple
+    ``runs`` at ``param``, k for L2-L5, mu for L6 and None for the rest,
+    each statement read off the plain tuples: ``met`` says whether its
+    hypotheses hold and ``holds`` whether its conclusion does (None when
+    ``met`` is False).  All but p-odd assume a balanced tuple.
+    f = f_s + f_t, mu is the rank of k, k is doubled when it is even and
+    k/2 is a forward interior boundary, (p, nu, q, alpha, s_{nu+1}, k0)
+    is :func:`brute_profile`, r~ is :func:`brute_run_vector` and C is
+    :func:`brute_aperiodic` of :func:`brute_elements`, C_0 = n, C_n = 0.
     - L2: k not in S  =>  f(k) = f_t(k) = (-1)**(k+mu+1).
     - L3: k in S, k odd  =>  f(k-1) = -f(k) if k > 1, f(k+1) = f(k) if k+1 in T.
     - L4: u_k = mu (mod 2)  <=>  k doubled.
     - L5: k in S  =>  (r~_k = 1 (mod 4)  <=>  k doubled).
     - L6: mu < gamma, runs 1..mu-1 all >= 2  =>  w = s_mu - mu < gamma and
-      the last w runs all <= 2."""
+      the last w runs all <= 2.
+    - L7: p >= 3 odd, s_{nu+1} odd, (alpha = 1 => s_{nu+1} + 1 in T), k0 < n
+      =>  |r~_{k0} + r~_{k0-1}| >= 2.
+    - L7n: L7's hypotheses and its conclusion  =>  |C_j| >= 3 for some j
+      in n-k0-1..n-k0+2 with 0 <= j <= n.
+    - p-odd: n odd, r_1 > 1 and |C_k| <= 1 for 1 <= k <= n-1  =>  p odd
+      when n > 3, and when n > 5 also s_{nu+1} odd, (alpha = 1 =>
+      s_{nu+1} + 1 in T) and n <= k0 + 1."""
+    if target == "p-odd":
+        return _brute_p_odd(runs)
     if not brute_is_balanced(runs):
         return False, None
     gamma = len(runs)
     s, _, s_set, t_set = brute_prefix_structure(runs)
+    if target in ("L7", "L7n"):
+        profile = brute_profile(runs)
+        if profile is None:  # first run 1, so p < 3
+            return False, None
+        n = sum(runs)
+        p, _, _, alpha, s_next, k0 = profile
+        if not (
+            p >= 3 and p % 2 == 1 and s_next % 2 == 1
+            and (alpha == 0 or s_next + 1 in t_set) and k0 < n
+        ):
+            return False, None
+        r_tilde = brute_run_vector(runs)  # r~_k is r_tilde[k - 1]
+        pair_bound = abs(r_tilde[k0 - 1] + r_tilde[k0 - 2]) >= 2
+        if target == "L7":
+            return True, pair_bound
+        if not pair_bound:
+            return False, None
+        c = brute_aperiodic(brute_elements(runs))
+        return True, any(abs(c[j]) >= 3 for j in range(n - k0 - 1, n - k0 + 3) if 0 <= j <= n)
     if target == "L6":
         mu = param
         if not (mu < gamma and all(r >= 2 for r in runs[: mu - 1])):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from runvec import cli
+from runvec import cli, lemmalab
 from runvec.cli import MAX_LENGTH, main
 from runvec.search import classify_odd_barker, find_barker_sequences
 
@@ -440,6 +440,25 @@ class TestOutputErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_sweep_child_without_result_exit_1(self, capsys, monkeypatch):
+        # a forked sweep child that ends before it writes its result, as
+        # an out-of-memory kill ends it: one error line, no traceback
+        caller = os.getpid()
+        real = lemmalab._sweep_sequences
+
+        def dying(n, targets):
+            if os.getpid() != caller:
+                os._exit(9)
+            return real(n, targets)
+
+        monkeypatch.setattr(lemmalab.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(lemmalab, "_sweep_sequences", dying)
+        code, out, err = run_cli(
+            capsys, "verify", "--targets", "theorem1", "--max-n", "8", "--workers", "2"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: a sweep process ended without a result (exit status 9)\n"
 
     def test_broken_pipe_exit_1(self, capsys, monkeypatch, tmp_path):
         # a reader that went away: every write fails, and the descriptor

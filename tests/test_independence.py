@@ -17,7 +17,13 @@ import pytest
 from runvec import lemmalab, search, seqcore
 from runvec.seqcore import RunLengthEncoding, RunVector, run_structure, trusted_rle, unpack
 
-from oracles import brute_aperiodic, brute_run_vector, compositions
+from oracles import (
+    brute_aperiodic,
+    brute_run_vector,
+    brute_runs,
+    compositions,
+    derived_barker_profile,
+)
 
 C_KERNELS = (
     "packed_autocorrelations",
@@ -82,6 +88,49 @@ class TestRunVectorWithoutC:
             search._dfs(n, 1, False)
             if n % 2:
                 search._dfs(n, 1, True)
+
+
+def _sieve(run_vectors, predicted):
+    """The run tuples, keys of ``run_vectors``, whose r~ equals ``predicted``."""
+    return [runs for runs, r_tilde in run_vectors.items() if r_tilde == predicted]
+
+
+class TestBarkerSieve:
+    """The paper's route to "no odd Barker sequence above 13", from the run
+    vector alone.  An odd Barker sequence is skew-symmetric (Turyn &
+    Storer), hence balanced, and its r~ is the one
+    ``oracles.derived_barker_profile`` derives; conversely r~ fixes C
+    through Theorem 1.  So the balanced tuples whose r~ is that profile
+    are exactly the Barker encodings, and C is never computed."""
+
+    def test_only_the_barker_encodings_survive_to_29(self, monkeypatch):
+        # the unpruned filter runs before the C kernels are wired to trip
+        barker = {
+            n: sorted({brute_runs(seq.elems) for seq in search.brute_force_barker(n)})
+            for n in range(3, 14, 2)
+        }
+        calls = _trip(monkeypatch, C_KERNELS)
+        hits = {}
+        for n in range(3, lemmalab.BALANCED_ENUM_LIMIT + 1, 2):
+            run_vectors = {}
+            for runs in lemmalab.balanced_run_tuples(n):
+                rv = seqcore.run_vector_of(run_structure(trusted_rle(1, runs)))
+                if n <= 17:
+                    assert rv.r_tilde == brute_run_vector(runs), runs
+                run_vectors[runs] = rv.r_tilde
+            predicted = derived_barker_profile(n)[2]
+            hits[n] = _sieve(run_vectors, predicted)
+            if n == 13:
+                # negative control: with any one predicted entry flipped,
+                # the hits at 13 are lost
+                for i in range(n - 1):
+                    flipped = predicted[:i] + (-predicted[i],) + predicted[i + 1 :]
+                    assert _sieve(run_vectors, flipped) == [], i
+        assert calls == []
+        assert {n: hits[n] for n in barker} == barker
+        assert {n: len(found) for n, found in hits.items()} == {
+            n: 2 if n in (3, 5, 7, 11, 13) else 0 for n in range(3, 30, 2)
+        }
 
 
 def _run_vector_from_c(rs):

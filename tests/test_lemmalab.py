@@ -46,6 +46,7 @@ from oracles import (
     brute_is_skew_symmetric,
     brute_lemma,
     brute_prefix_structure,
+    brute_profile,
     brute_rank,
     brute_runs,
     brute_signs,
@@ -142,6 +143,19 @@ class TestDeltaAutocorrelation:
 
 
 class TestBalancedProfile:
+    def test_equals_the_oracle_on_every_balanced_tuple_to_15(self):
+        checked = 0
+        for n in range(1, 16, 2):
+            for runs in brute_balanced_tuples(n):
+                if runs[0] == 1:
+                    assert brute_profile(runs) is None
+                    continue
+                got, want = balanced_profile(rle(runs)), brute_profile(runs)
+                assert (got.p, got.nu, got.q, got.alpha, got.s_nu_plus_1, got.k0) == want, runs
+                checked += 1
+        assert checked == 127  # half the tuples at each n >= 3 start with a run above 1
+        assert brute_profile((2, 2)) is None and brute_profile((3, 3, 1)) is None
+
     def test_examples(self):
         p = balanced_profile(rle((3, 2, 1, 1)))
         assert (p.p, p.nu, p.q, p.alpha, p.s_nu_plus_1, p.k0) == (3, 1, 2, 0, 5, 8)
@@ -271,13 +285,13 @@ class TestCheckLemma:
             check_lemma("L9", instance)
         with pytest.raises(ValueError, match="requires parameter k"):
             check_lemma("L2", instance)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"^k must be in \[1, 6\], got 0$"):
             check_lemma("L4", instance, k=0)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"^k must be in \[1, 6\], got 7$"):
             check_lemma("L4", instance, k=7)
         with pytest.raises(ValueError, match="requires parameter mu"):
             check_lemma("L6", instance)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"^mu must be in \[1, 4\], got 5$"):
             check_lemma("L6", instance, mu=5)
 
     def test_parameters_the_verifier_does_not_take(self):
@@ -296,16 +310,22 @@ class TestCheckLemma:
 
 def lemma_disagreements(population):
     """Every (target, runs, param, check_lemma's (met, holds), brute_lemma's)
-    where the two disagree, over L2-L6 on each run tuple of ``population``
-    at every parameter check_lemma takes (k in 1..n-1, mu in 1..gamma),
-    and the number of triples compared."""
+    where the two disagree, over L2-L7n and p-odd on each run tuple of
+    ``population`` at every parameter check_lemma takes (k in 1..n-1 for
+    L2-L5, mu in 1..gamma for L6, none for L7, L7n and p-odd), and the
+    number of triples compared: 4 * (n - 1) + gamma + 3 per tuple."""
     compared, disagreements = 0, []
     for runs in population:
         instance = rle(runs)
-        for target in ("L2", "L3", "L4", "L5", "L6"):
-            name, top = ("mu", len(runs)) if target == "L6" else ("k", sum(runs) - 1)
-            for param in range(1, top + 1):
-                verdict = check_lemma(target, instance, **{name: param})
+        for target in ("L2", "L3", "L4", "L5", "L6", "L7", "L7n", "p-odd"):
+            if target in ("L7", "L7n", "p-odd"):
+                name, params = None, (None,)
+            elif target == "L6":
+                name, params = "mu", range(1, len(runs) + 1)
+            else:
+                name, params = "k", range(1, sum(runs))
+            for param in params:
+                verdict = check_lemma(target, instance, **({name: param} if name else {}))
                 got = (verdict.hypotheses_met, verdict.conclusion_holds)
                 want = brute_lemma(target, runs, param)
                 compared += 1
@@ -316,21 +336,32 @@ def lemma_disagreements(population):
 
 class TestLemmaStatements:
     """check_lemma against oracles.brute_lemma, which reads each statement
-    of L2-L6 off the plain tuples with no runvec code."""
+    of L2-L7n and p-odd off the plain tuples with no runvec code."""
 
     def test_every_balanced_tuple_to_15(self):
         population = [runs for n in range(1, 16, 2) for runs in brute_balanced_tuples(n)]
         compared, disagreements = lemma_disagreements(population)
         assert disagreements == []
-        assert compared == sum(4 * (sum(runs) - 1) + len(runs) for runs in population) == 14097
+        assert compared == sum(4 * (sum(runs) - 1) + len(runs) + 3 for runs in population) == 14862
 
     def test_every_composition_to_10(self):
         # the unbalanced compositions pin each lemma's assumption of a
-        # balanced encoding: none of them may meet a hypothesis
+        # balanced encoding: none of them but p-odd may meet a hypothesis
         population = [runs for n in range(1, 11) for runs in compositions(n)]
         compared, disagreements = lemma_disagreements(population)
         assert disagreements == []
-        assert compared == sum(4 * (sum(runs) - 1) + len(runs) for runs in population) == 37896
+        assert compared == sum(4 * (sum(runs) - 1) + len(runs) + 3 for runs in population) == 40965
+
+    def test_the_pivot_statements_are_met_and_hold(self):
+        # the comparison above would pass on two oracles that never meet a
+        # hypothesis; L7, L7n and p-odd must each be met, and hold, somewhere
+        population = [runs for n in range(1, 16, 2) for runs in brute_balanced_tuples(n)]
+        met = {
+            target: [runs for runs in population if brute_lemma(target, runs, None)[0]]
+            for target in ("L7", "L7n", "p-odd")
+        }
+        assert {t: len(found) for t, found in met.items()} == {"L7": 12, "L7n": 12, "p-odd": 5}
+        assert all(brute_lemma(t, runs, None)[1] for t, found in met.items() for runs in found)
 
 
 class TestExactIntParameters:
@@ -526,7 +557,7 @@ class TestSweeps:
             raise AssertionError("the sweep forked before checking its request")
 
         monkeypatch.setattr(os, "fork", fork)
-        with pytest.raises(ValueError, match=r"^n_max must be >= 1$"):
+        with pytest.raises(ValueError, match=r"^n_max must be >= 1, got 0$"):
             sweep(0, (), workers=2)
         with pytest.raises(ValueError, match=r"^no sweep targets given$"):
             sweep(5, (), workers=2)

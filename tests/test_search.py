@@ -40,6 +40,12 @@ class TestSearchSpec:
         with pytest.raises(ValueError):
             SearchSpec(3, 5, mode="both")
 
+    @pytest.mark.parametrize("normalize", ["no", 1, 0, None])
+    def test_normalize_must_be_a_bool(self, normalize):
+        with pytest.raises(ValueError) as exc:
+            SearchSpec(1, 5, normalize=normalize)
+        assert str(exc.value) == f"normalize must be a bool, got {normalize!r}"
+
     def test_lengths_round_inward_to_odd(self):
         assert list(SearchSpec(3, 9).lengths()) == [3, 5, 7, 9]
         assert list(SearchSpec(2, 8).lengths()) == [3, 5, 7]

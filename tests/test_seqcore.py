@@ -536,7 +536,7 @@ class TestPackedForm:
     @pytest.mark.parametrize("n", [0, -1])
     def test_unpack_rejects_lengths_below_one(self, n):
         # format(0, "00b") is "0", and 1 << -1 raises its own error
-        with pytest.raises(ValueError, match="^sequence length must be >= 1$"):
+        with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
             unpack(0, n)
 
     def test_reversal_and_orbit_exhaustive_to_10(self):
