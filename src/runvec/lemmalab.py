@@ -127,7 +127,6 @@ from .seqcore import (
     is_balanced,
     pack_rle,
     packed_autocorrelations,
-    packed_orbit,
     packed_reversal,
     packed_runs,
     packed_skew_symmetric,
@@ -213,14 +212,7 @@ class SweepRecord(Record):
         self._assign(target, n, population, hypotheses_met_count, failure_count, failures)
 
     def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "n": self.n,
-            "population": self.population,
-            "hypotheses_met_count": self.hypotheses_met_count,
-            "failure_count": self.failure_count,
-            "failures": list(self.failures),
-        }
+        return {**dict(self._items()), "failures": list(self.failures)}
 
 
 class SweepReport(Record):
@@ -246,11 +238,6 @@ class SweepReport(Record):
             "ok": self.ok,
             "records": [rec.to_json() for rec in self.records],
         }
-
-
-def _sign_pow(e: int) -> int:
-    """(-1)**e without leaving the integers."""
-    return -1 if e & 1 else 1
 
 
 def theorem1_residual(seq: BinarySequence) -> tuple[int, ...]:
@@ -309,14 +296,12 @@ def barker_predictions(n: int) -> BarkerPredictions:
     if _int_in("n", n) < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 1, got {n}")
     m = (n + 1) // 2
-    even_lag = _sign_pow(m + 1)
+    even_lag = (-1) ** (m + 1)
     first_r = -m if m % 2 else 1 - m
     last_tilde = m if m % 2 else 1 - m
     c = tuple(0 if k % 2 else even_lag for k in range(1, n))
-    r = tuple(first_r if k == 1 else _sign_pow(k + m + 1) for k in range(1, n))
-    r_tilde = tuple(
-        _sign_pow(k) if k <= n - 2 else last_tilde for k in range(1, n)
-    )
+    r = tuple(first_r if k == 1 else (-1) ** (k + m + 1) for k in range(1, n))
+    r_tilde = tuple((-1) ** k if k <= n - 2 else last_tilde for k in range(1, n))
     return BarkerPredictions(n=n, c=c, r=r, r_tilde=r_tilde)
 
 
@@ -439,7 +424,9 @@ class _Instance:
 
 def _eval_l1(inst: _Instance, _):
     """L1: an encoding is balanced exactly when every r~_k, 1 <= k <= n-1,
-    is odd.  It does not assume a balanced encoding: it is about them."""
+    is odd.  It does not assume a balanced encoding: it is about them.  The
+    sweep visits balanced tuples only, so it tests "balanced => every r~_k
+    odd"; the converse is tested by :func:`check_lemma` on unbalanced ones."""
     balanced = inst.balanced
     r_tilde = inst.rv.r_tilde
     if balanced == all(map((1).__and__, r_tilde)):
@@ -760,20 +747,20 @@ def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
             # the residual C_{k+1} - 2*C_k + C_{k-1} + 2*R_k is from_r - from_c
             k = next(k for k, (rk, ck) in enumerate(zip(from_r, from_c), start=1) if rk != ck)
             witness = {"k": k, "residual": from_r[k - 1] - from_c[k - 1]}
-            failures["theorem1"] += [(m, witness) for m in packed_orbit(x, n)]
+            failures["theorem1"] += [(m, witness) for m in {x, x ^ full, y, y ^ full}]
         if delta:
             # the oracle is a literal computation on the elements themselves
             deltas = delta_autocorrelations(unpack(x, n))
             if not agree or deltas != from_c:
                 i = next(i for i, d in enumerate(deltas) if d != from_c[i] or d != from_r[i])
                 witness = {"k": i + 1, "delta": deltas[i], "r_k": r[i]}
-                failures["delta"] += [(m, witness) for m in packed_orbit(x, n)]
+                failures["delta"] += [(m, witness) for m in {x, x ^ full, y, y ^ full}]
         if skew:
             skew_symmetric = packed_skew_symmetric(x, n)
             balanced = is_balanced(_structure_of(runs))
             if skew_symmetric != balanced:
                 witness = {"skew_symmetric": skew_symmetric, "balanced": balanced}
-                failures["prop-skew"] += [(m, witness) for m in packed_orbit(x, n)]
+                failures["prop-skew"] += [(m, witness) for m in {x, x ^ full, y, y ^ full}]
     population = 1 << n
     records = []
     for target, found in failures.items():

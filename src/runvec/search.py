@@ -52,10 +52,25 @@ from .seqcore import (
     unpack,
 )
 
-#: Longest length searched, in either mode; :func:`enumerate_barker` checks it.
-#: At n = 45 the search takes about 2 ms in full mode and 1.1 ms in skew mode
-#: (2-core VM, Python 3.11.7).
+#: Longest length searched in either mode, checked by :func:`enumerate_barker`
+#: and :func:`find_barker_sequences`: at n = 45 the search takes about 2 ms in
+#: full mode and 1.1 ms in skew mode (2-core VM, Python 3.11.7).
 SEARCH_LIMIT = 45
+
+#: Longest length searched at a threshold above 1, where n - 1 admits all 2**n
+#: sequences: threshold 17 at n = 18 returns 262 144 in 3.1 s and peaks at
+#: 88 MB resident (2-core VM, Python 3.11.7).
+LOOSE_THRESHOLD_LIMIT = 18
+
+#: Longest length :func:`brute_force_barker` filters: 2**20 masks in about
+#: 2.1 s (2-core VM, Python 3.11.7).
+BRUTE_FORCE_LIMIT = 20
+
+
+def _refuse_past(limit: int, n: int, what: str) -> None:
+    """``ValueError`` in the one wording of the search's caps when n > limit."""
+    if n > limit:
+        raise ValueError(f"{what} limited to n <= {limit}, requested {n}")
 
 
 class SearchSpec(Record):
@@ -219,7 +234,9 @@ def find_barker_sequences(n: int, mode: str = "full", threshold: int = 1) -> lis
     soundness check runs it on even lengths too); skew mode requires
     odd n.  The odd-lengths-only policy of the range search lives in
     :func:`enumerate_barker`.  ``threshold`` bounds every off-peak
-    ``|C_k|`` and must be an int >= 0.
+    ``|C_k|`` and must be an int >= 0.  Refused before any search: n above
+    :data:`SEARCH_LIMIT`, and n above :data:`LOOSE_THRESHOLD_LIMIT` at a
+    threshold above 1.
     """
     _int_in("n", n, 1)
     _int_in("threshold", threshold, 0)
@@ -227,6 +244,9 @@ def find_barker_sequences(n: int, mode: str = "full", threshold: int = 1) -> lis
         raise ValueError(f"mode must be 'full' or 'skew', got {mode!r}")
     if mode == "skew" and n % 2 == 0:
         raise ValueError("skew mode requires odd n")
+    _refuse_past(SEARCH_LIMIT, n, f"{mode}-mode search")
+    if threshold > 1:
+        _refuse_past(LOOSE_THRESHOLD_LIMIT, n, f"search at threshold {threshold}")
     raw, _ = _dfs(n, threshold, mode == "skew")
     full = (1 << n) - 1
     closed = sorted(raw + [x ^ full for x in raw])
@@ -240,10 +260,7 @@ def enumerate_barker(spec: SearchSpec) -> list[BinarySequence]:
     """All Barker sequences of odd length within the range, ordered by
     length and then lexicographically with '+' before '-' (skew mode is
     complete here: see the module docstring)."""
-    if spec.n_max > SEARCH_LIMIT:
-        raise ValueError(
-            f"{spec.mode}-mode search limited to n <= {SEARCH_LIMIT}, requested {spec.n_max}"
-        )
+    _refuse_past(SEARCH_LIMIT, spec.n_max, f"{spec.mode}-mode search")
     out = []
     for n in spec.lengths():
         out.extend(find_barker_sequences(n, spec.mode))
@@ -262,11 +279,13 @@ def brute_force_barker(n: int) -> list[BinarySequence]:
 
     Each mask goes through the packed kernel, one XOR, one mask and one
     popcount per shift, stopping at the first shift whose sum exceeds 1
-    in magnitude.  Reference oracle for prune soundness.
+    in magnitude.  Reference oracle for prune soundness; n above
+    :data:`BRUTE_FORCE_LIMIT` is refused.
     """
+    _refuse_past(BRUTE_FORCE_LIMIT, _int_in("n", n, 1), "unpruned filter")
     return [
         unpack(x, n)
-        for x in range(1 << _int_in("n", n, 1))
+        for x in range(1 << n)
         if all(-1 <= c <= 1 for c in packed_autocorrelations(x, n))
     ]
 

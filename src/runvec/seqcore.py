@@ -26,8 +26,9 @@ Packed form: a length-n sequence is also one integer ``x`` with bit
 the first element is the most significant bit and numeric order of the
 masks is lexicographic order with '+' before '-'.  Negation is
 ``x ^ (2**n - 1)``; reversal, :func:`packed_reversal`, is one
-byte-table ``translate`` of the mask's bytes; the orbit of both
-(:func:`packed_orbit`) is represented by its least mask,
+byte-table ``translate`` of the mask's bytes; the orbit of both, the
+masks ``x``, ``x ^ full``, ``y`` and ``y ^ full`` for ``full = 2**n - 1``
+and the reversal ``y``, is represented by its least mask,
 :func:`packed_canonical`.  Slots ``i`` and ``i+k`` differ exactly where
 ``x ^ (x >> k)`` has a set bit below ``n-k``, so
 ``C_k = (n-k) - 2*popcount((x ^ (x >> k)) & mask)``.  C at the short
@@ -52,9 +53,11 @@ Integer arguments: each entry point that takes a length, shift, rank,
 count or cap from its caller (README lists them) passes it through one
 guard, :func:`_int_in`, which refuses with ``ValueError`` a value that
 is not exactly an ``int`` (bool, float and str included) or that lies
-outside the entry point's range, in one of three wordings:
+outside the entry point's range, in one of four wordings:
 ``<name> must be an int, got <repr>``, ``<name> must be in [lo, hi],
-got <v>`` and ``<name> must be >= lo, got <v>``.  The resource caps, the odd-length checks and
+got <v>``, ``<name> must be >= lo, got <v>`` and, for a range with no
+member (``hi < lo``, such as a shift k at n = 1), ``no admissible value
+for <name>, got <v>``.  The resource caps, the odd-length checks and
 the constructors' per-element loops keep their own wording, and the
 packed kernels, which run once per mask, state what they require and
 check nothing.
@@ -92,6 +95,8 @@ def _int_in(name: str, value, lo: int | None = None, hi: int | None = None) -> i
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
     if hi is not None and not lo <= value <= hi:
+        if hi < lo:
+            raise ValueError(f"no admissible value for {name}, got {value}")
         raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
     if lo is not None and value < lo:
         raise ValueError(f"{name} must be >= {lo}, got {value}")
@@ -187,12 +192,6 @@ class BinarySequence(Record):
 
     def to_text(self) -> str:
         return "".join("+" if x == 1 else "-" for x in self.elems)
-
-    def negated(self) -> BinarySequence:
-        return BinarySequence(tuple(-x for x in self.elems))
-
-    def reversed(self) -> BinarySequence:
-        return BinarySequence(self.elems[::-1])
 
     def __str__(self) -> str:
         return self.to_text()
@@ -400,15 +399,9 @@ def packed_reversal(x: int, n: int) -> int:
     )
 
 
-def packed_orbit(x: int, n: int) -> set[int]:
-    """The masks of ``x``, its negation, its reversal and both."""
-    full, y = (1 << n) - 1, packed_reversal(x, n)
-    return {x, x ^ full, y, y ^ full}
-
-
 def packed_canonical(x: int, n: int) -> int:
-    """The least mask of :func:`packed_orbit`, the orbit's representative,
-    taken over the four masks without building the set."""
+    """The least of the masks of ``x``, its negation, its reversal and
+    both: the representative of the orbit (module docstring)."""
     full, y = (1 << n) - 1, packed_reversal(x, n)
     return min(x, x ^ full, y, y ^ full)
 

@@ -540,6 +540,90 @@ class TestArgvCorners:
             assert len([line for line in got[2].splitlines() if "error:" in line]) == 1
 
 
+USAGE = {
+    "": "usage: runvec {analyze,rle,verify,search,classify} [-h]",
+    "analyze": "usage: runvec analyze [-h] [sequence] [--rle RLE] [--json]",
+    "rle": "usage: runvec rle [-h] input [--json]",
+    "verify": "usage: runvec verify [-h] --targets TARGETS --max-n MAX-N [--workers WORKERS]"
+              " [--json]",
+    "search": "usage: runvec search [-h] [--min-n MIN-N] --max-n MAX-N [--mode MODE] [--normalize]"
+              " [--workers WORKERS] [--json]",
+}
+
+
+def usage_error(command, message):
+    """The stderr of a malformed command line: the usage line, then the error."""
+    return f"{USAGE[command]}\nrunvec {command}".rstrip() + f": error: {message}\n"
+
+
+#: Edge command lines with their exit code and their whole stderr, whose
+#: first line is the usage line of a malformed command line and the one
+#: error line of any other refusal.
+EDGE_ARGVS = [
+    # the caps: each sweep target's, the search's in both modes, classify's
+    # and the text length
+    (("verify", "--targets", "theorem1", "--max-n", "19"), 2,
+     "error: target theorem1 limited to n <= 18, requested 19\n"),
+    (("verify", "--targets", "delta,L1", "--max-n", "19"), 2,
+     "error: target delta limited to n <= 18, requested 19\n"),
+    (("verify", "--targets", "prop-skew", "--max-n", "20"), 2,
+     "error: target prop-skew limited to n <= 19, requested 20\n"),
+    (("verify", "--targets", "L7", "--max-n", "31"), 2,
+     "error: target L7 limited to n <= 29, requested 31\n"),
+    (("search", "--max-n", "47"), 2, "error: full-mode search limited to n <= 45, requested 47\n"),
+    (("search", "--mode", "skew", "--max-n", "47"), 2,
+     "error: skew-mode search limited to n <= 45, requested 47\n"),
+    (("classify", "--max-n", "47"), 2,
+     "error: skew-mode search limited to n <= 45, requested 47\n"),
+    (("analyze", "+" * (MAX_LENGTH + 1)), 2,
+     "error: sequence length limited to n <= 10000, got 10001\n"),
+    (("rle", "+,10001"), 2, "error: sequence length limited to n <= 10000, got 10001\n"),
+    # bad integers
+    (("search", "--max-n", "x"), 2,
+     usage_error("search", "argument --max-n: invalid int value: 'x'")),
+    (("search", "--max-n", "2.0"), 2,
+     usage_error("search", "argument --max-n: invalid int value: '2.0'")),
+    (("verify", "--targets", "L1", "--max-n", "0"), 2, "error: n_max must be >= 1, got 0\n"),
+    (("classify", "--max-n", "-1"), 2, "error: bad length range [1, -1]\n"),
+    (("search", "--min-n", "7", "--max-n", "5"), 2, "error: bad length range [7, 5]\n"),
+    (("verify", "--targets", "L1", "--max-n", "5", "--workers", "0"), 2,
+     "error: --workers must be >= 1, got 0\n"),
+    # a leading '-': a text is read as written, anything else is an option
+    (("analyze", "-++"), 0, ""),
+    (("rle", "-,2,1"), 0, ""),
+    (("analyze", "-x"), 2, usage_error("analyze", "unrecognized arguments: -x")),
+    # --rle= and other malformed texts are parse errors
+    (("analyze", "--rle="), 1, "error: empty run-length encoding at position 0\n"),
+    (("analyze", "--rle=+,0"), 1, "error: expected a positive run length, got '0' at position 2\n"),
+    (("analyze", "+-*"), 1, "error: expected '+' or '-', got '*' at position 2\n"),
+    # missing arguments and values
+    (("rle",), 2, usage_error("rle", "the following arguments are required: input")),
+    (("verify", "--max-n", "5"), 2,
+     usage_error("verify", "the following arguments are required: --targets")),
+    (("search", "--max-n"), 2, usage_error("search", "argument --max-n: expected one argument")),
+    (("verify", "--targets", "", "--max-n", "5"), 2, "error: no sweep targets given\n"),
+    (("verify", "--targets", "bogus", "--max-n", "5"), 2,
+     "error: unknown sweep target 'bogus'; choose from theorem1, delta, prop-skew, "
+     "L1, L2, L3, L4, L5, L6, L7, L7n, p-odd\n"),
+    # the command: unknown, missing, and an ambiguous option prefix
+    (("frobnicate",), 2, usage_error("", "argument command: invalid choice: 'frobnicate'")),
+    ((), 2, usage_error("", "the following arguments are required: command")),
+    (("search", "--m", "5"), 2,
+     usage_error("search", "ambiguous option: --m could match --min-n, --max-n, --mode")),
+]
+
+
+class TestEdgeArgvs:
+    @pytest.mark.parametrize(
+        "argv,code,stderr", EDGE_ARGVS, ids=[" ".join(argv)[:40] for argv, _, _ in EDGE_ARGVS]
+    )
+    def test_exit_code_and_stderr(self, capsys, argv, code, stderr):
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, err) == (code, stderr)
+        assert "Traceback" not in err
+        assert (out != "") == (code == 0)
+
+
 class TestSharedParser:
     """``main`` calls in one process share no argument state."""
 

@@ -195,13 +195,24 @@ class TestCheckLemma:
         verdict = check_lemma("L1", rle((2, 2)))
         assert verdict.hypotheses_met and verdict.conclusion_holds
 
-    def test_l1_holds_on_every_encoding_to_10(self):
+    def test_l1_holds_on_every_encoding_to_14(self):
         # unbalanced encodings too: the parity test must catch an even
         # entry whatever its residue mod 4, such as the -2 of (1, 1)
-        for n in range(1, 11):
+        for n in range(1, 15):
             for runs in compositions(n):
                 verdict = check_lemma("L1", rle(runs))
                 assert verdict.hypotheses_met and verdict.conclusion_holds, runs
+
+    def test_l1_fails_on_an_unbalanced_encoding_with_all_odd_entries(self, monkeypatch):
+        # negative control for the converse, "every r~_k odd => balanced",
+        # which the sweep never exercises: it visits balanced tuples only
+        def all_odd(rs):
+            return RunVector((1,) * (rs.n - 1), (1,) * (rs.n - 1))
+
+        monkeypatch.setattr(lemmalab, "run_vector_of", all_odd)
+        verdict = check_lemma("L1", rle((2, 2)))
+        assert verdict.hypotheses_met and verdict.conclusion_holds is False
+        assert verdict.witness == {"balanced": False, "first_even_entry_k": None}
 
     def test_l5_example(self):
         verdict = check_lemma("L5", rle((3, 2, 1, 1)), k=6)

@@ -73,8 +73,9 @@ class TestEnumerate:
             message = f"^{mode}-mode search limited to n <= 45, requested 47$"
             with pytest.raises(ValueError, match=message):
                 enumerate_barker(SearchSpec(3, SEARCH_LIMIT + 2, mode))
-            # past the cap the one-length engine still runs, and finds nothing
-            assert find_barker_sequences(47, mode) == []
+            # the one-length engine refuses the same length in the same words
+            with pytest.raises(ValueError, match=message):
+                find_barker_sequences(47, mode)
 
     def test_normalize_collapses_orbits(self):
         found = enumerate_barker(SearchSpec(3, 7, "full", normalize=True))
@@ -87,6 +88,35 @@ class TestEnumerate:
     def test_skew_rejects_even_length(self):
         with pytest.raises(ValueError, match="odd"):
             find_barker_sequences(4, "skew")
+
+
+class TestExponentialCaps:
+    @pytest.mark.parametrize(
+        "n,mode,threshold,message",
+        [
+            (2001, "full", 10**6, "full-mode search limited to n <= 45, requested 2001"),
+            (201, "full", 1, "full-mode search limited to n <= 45, requested 201"),
+            (47, "skew", 0, "skew-mode search limited to n <= 45, requested 47"),
+            (19, "full", 2, "search at threshold 2 limited to n <= 18, requested 19"),
+            (45, "skew", 44, "search at threshold 44 limited to n <= 18, requested 45"),
+        ],
+    )
+    def test_search_refuses_before_building_step_tables(
+        self, monkeypatch, n, mode, threshold, message
+    ):
+        def never(*args):
+            raise AssertionError("step tables built for a refused request")
+
+        monkeypatch.setattr(search, "_step_tables", never)
+        with pytest.raises(ValueError) as exc:
+            find_barker_sequences(n, mode, threshold)
+        assert str(exc.value) == message
+
+    def test_loose_threshold_admitted_up_to_its_limit(self):
+        assert search.LOOSE_THRESHOLD_LIMIT == 18
+        assert len(find_barker_sequences(18, "full", 3)) == 2728
+        # a threshold of 0 or 1 keeps the search's own limit
+        assert find_barker_sequences(SEARCH_LIMIT, "full", 0) == []
 
 
 class TestSoundness:
@@ -117,15 +147,15 @@ class TestSoundness:
         for n in range(1, 13):
             for seq in all_sequences(n):
                 value = is_barker(seq)
-                assert is_barker(seq.negated()) == value
-                assert is_barker(seq.reversed()) == value
+                assert is_barker(BinarySequence(tuple(-v for v in seq.elems))) == value
+                assert is_barker(BinarySequence(seq.elems[::-1])) == value
         rng = random.Random(11213)
         for _ in range(10_000):
             n = rng.randint(1, 64)
             seq = BinarySequence(tuple(rng.choice((1, -1)) for _ in range(n)))
             value = is_barker(seq)
-            assert is_barker(seq.negated()) == value
-            assert is_barker(seq.reversed()) == value
+            assert is_barker(BinarySequence(tuple(-v for v in seq.elems))) == value
+            assert is_barker(BinarySequence(seq.elems[::-1])) == value
 
     def test_every_threshold_matches_literal_filter_to_14(self):
         # full mode is the literal filter at each threshold; skew mode is

@@ -30,7 +30,6 @@ from runvec.seqcore import (
     packed_autocorrelations,
     packed_canonical,
     packed_correlation_vectors,
-    packed_orbit,
     packed_reversal,
     packed_rle,
     packed_runs,
@@ -545,9 +544,9 @@ class TestPackedForm:
                 reversed_ = BinarySequence(elems[::-1])
                 negated = BinarySequence(tuple(-v for v in elems))
                 assert unpack(packed_reversal(x, n), n) == reversed_
-                orbit = {BinarySequence(elems), reversed_, negated, negated.reversed()}
-                assert {unpack(m, n) for m in packed_orbit(x, n)} == orbit
-                assert packed_canonical(x, n) == min(packed_orbit(x, n))
+                orbit = {BinarySequence(elems), reversed_, negated,
+                         BinarySequence(tuple(-v for v in elems[::-1]))}
+                assert packed_canonical(x, n) == min(map(pack, orbit))
 
     @pytest.mark.parametrize("n", [*range(1, 81), 255, 256, 257, 10_000])
     def test_reversal_canonical_and_skew_on_seeded_random_masks(self, n):

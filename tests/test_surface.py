@@ -119,16 +119,23 @@ def int_type_tests(source: str) -> list[int]:
 BARKER7 = RunLengthEncoding(1, (3, 2, 1, 1))  # n = 7, gamma = 4
 RS7 = run_structure(BARKER7)
 SEQ7 = BinarySequence.from_text("+++--+-")
+ONE, SEQ1 = RunLengthEncoding(1, (1,)), BinarySequence((1,))  # n = 1: no shift k exists
 
 #: Every guarded entry point: (id, the call with the integer argument
 #: replaced by ``v``, the argument's name, values besides 2.0, True and
 #: "2" to refuse as non-ints, {int outside the range: its message}).
-#: f_eval is total over the ints, so it has no range case.
+#: f_eval is total over the ints, so it has no range case.  The rows
+#: ending in "@n=1" have an empty range, and those of the exponential
+#: searches a cap.
 GUARDED = [
     ("RunVector.tilde", run_vector(SEQ7).tilde, "k", (),
      {0: "k must be in [1, 6], got 0", 7: "k must be in [1, 6], got 7"}),
+    ("RunVector.tilde@n=1", run_vector(SEQ1).tilde, "k", (),
+     {1: "no admissible value for k, got 1"}),
     ("u_k", lambda v: u_k(RS7, v), "k", (),
      {0: "k must be in [1, 6], got 0", 7: "k must be in [1, 6], got 7"}),
+    ("u_k@n=1", lambda v: u_k(run_structure(ONE), v), "k", (),
+     {1: "no admissible value for k, got 1"}),
     ("boundary_rank_interval", lambda v: boundary_rank_interval(RS7, v), "k", (2.5,),
      {0: "k must be in [1, 7], got 0", 8: "k must be in [1, 7], got 8"}),
     ("unpack.n", lambda v: unpack(0, v), "n", (), {0: "n must be >= 1, got 0"}),
@@ -142,6 +149,8 @@ GUARDED = [
      "max_n", (), {-1: "max_n must be >= 1, got -1"}),
     ("check_lemma.k", lambda v: check_lemma("L2", BARKER7, k=v), "k", (),
      {0: "k must be in [1, 6], got 0", 7: "k must be in [1, 6], got 7"}),
+    ("check_lemma.k@n=1", lambda v: check_lemma("L2", ONE, k=v), "k", (),
+     {1: "no admissible value for k, got 1"}),
     ("check_lemma.mu", lambda v: check_lemma("L6", BARKER7, mu=v), "mu", (),
      {0: "mu must be in [1, 4], got 0", 5: "mu must be in [1, 4], got 5"}),
     ("sweep.n_max", lambda v: sweep(v, ("L1",)), "n_max", (), {0: "n_max must be >= 1, got 0"}),
@@ -152,12 +161,18 @@ GUARDED = [
      {-1: "n must be odd and >= 1, got -1", 31: "balanced enumeration limited to n <= 29"}),
     ("delta_autocorrelation", lambda v: delta_autocorrelation(SEQ7, v), "k", (),
      {0: "k must be in [1, 6], got 0", 7: "k must be in [1, 6], got 7"}),
+    ("delta_autocorrelation@n=1", lambda v: delta_autocorrelation(SEQ1, v), "k", (),
+     {1: "no admissible value for k, got 1"}),
     ("SearchSpec.n_min", lambda v: SearchSpec(v, 5), "n_min", (), {0: "bad length range [0, 5]"}),
     ("SearchSpec.n_max", lambda v: SearchSpec(1, v), "n_max", (), {0: "bad length range [1, 0]"}),
-    ("find_barker_sequences.n", find_barker_sequences, "n", (), {0: "n must be >= 1, got 0"}),
+    ("find_barker_sequences.n", find_barker_sequences, "n", (),
+     {0: "n must be >= 1, got 0", 46: "full-mode search limited to n <= 45, requested 46"}),
     ("find_barker_sequences.threshold", lambda v: find_barker_sequences(13, threshold=v),
      "threshold", (1.5,), {-1: "threshold must be >= 0, got -1"}),
-    ("brute_force_barker", brute_force_barker, "n", (), {0: "n must be >= 1, got 0"}),
+    ("find_barker_sequences.loose", lambda v: find_barker_sequences(v, threshold=2), "n", (),
+     {19: "search at threshold 2 limited to n <= 18, requested 19"}),
+    ("brute_force_barker", brute_force_barker, "n", (),
+     {0: "n must be >= 1, got 0", 21: "unpruned filter limited to n <= 20, requested 21"}),
     ("classify_odd_barker", classify_odd_barker, "n_max", (), {0: "bad length range [1, 0]"}),
 ]
 
