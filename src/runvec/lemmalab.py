@@ -13,47 +13,32 @@ populations -- every sequence of a length, or every balanced run tuple
 of an odd length -- and aggregates per-length records.  Its unit of
 work is one length of one population with every requested target of
 that population: each instance's shared state is built once and every
-target is evaluated on it.  Sequences are swept as packed masks (see
-:mod:`runvec.seqcore`): C comes from the lazy packed loop, the run vector
-from the prefix sums of the runs read off the mask (never from C), the
-run structure only for prop-skew, and sequences are decoded only for
-the delta oracle, which is computed on the elements, and for witnesses.
+target is evaluated on it.
 
-One mask is evaluated per orbit of {identity, negation, reversal,
-negation after reversal}: every sequence target reads only quantities
-that negation, ``x -> x ^ (2**n - 1)``, and reversal, ``x -> y`` with
-``y = packed_reversal(x, n)``, leave unchanged, so each verdict also
-stands for ``~x``, ``y`` and ``~y``.  For negation, read off the code:
+Sequences are swept as bit planes (bit-slicing, Biham, FSE 1997): one
+int holds one bit per mask of the population of all ``2**n`` masks (see
+:mod:`runvec.seqcore`), and a quantity of up to b bits is a counter of
+b planes.  The element plane ``E_i`` marks the masks whose slot i holds
+-1.  Each route to Theorem 1 keeps its own planes:
 
-* within n bits, ``~x ^ (~x >> 1)`` differs from ``x ^ (x >> 1)`` only
-  in bit n-1, which :func:`~runvec.seqcore.packed_runs` forces on, so
-  the runs, and with them the run structure, the run vector and
-  balancedness, are equal;
-* ``(~x ^ (~x >> k)) & mask`` equals ``(x ^ (x >> k)) & mask`` for
-  every k >= 1, so C is equal;
-* the delta oracle multiplies pairs of differences, and negation flips
-  the sign of each difference, so every product is equal;
-* negation preserves skew-symmetry, since both slots of a mirrored
-  pair change sign.
+* C: the counter ``D_k`` adds the planes ``E_i ^ E_{i+k}``, so
+  ``C_k = (n-k) - 2*D_k`` and, with ``D_0 = D_n = 0``, Theorem 1,
+  ``C_{k+1} - 2*C_k + C_{k-1} = -2*R_k``, holds exactly where
+  ``D_{k+1} + D_{k-1} - 2*D_k = R_k``;
+* the runs: the boundary planes ``B_p = E_{p-1} ^ E_p`` alone, never C.
+  The rank parities are running XORs of the boundaries from each end;
+  r~_k counts the single terms at ``s_j = k`` and ``t_i = k`` and the
+  pairs with ``s_j + t_i = k`` in a positive and a negative counter, and
+  ``R_k = r~_{n-k}``, negated where ``a_1 = a_n``;
+* delta: the difference sequence built from the elements, whose
+  ``delta_k`` must equal ``2*R_k`` and ``2*(D_{k+1} + D_{k-1} - 2*D_k)``;
+* prop-skew: the skew plane, ``a_{m+d} = (-1)**d * a_{m-d}`` around the
+  centre slot m, against the balanced plane, the AND over
+  ``q <= n/2`` of ``B_q ^ B_{n-q}``.
 
-For reversal:
-
-* the runs are reversed, which swaps ``s`` and ``t``, and
-  :func:`~runvec.seqcore.run_vector_of` treats both alike (it
-  multiplies ``(1 + 2A)(1 + 2B)``, where ``A`` and ``B`` carry the ranks'
-  signs at the boundaries of ``s`` and ``t``), so ``r`` and ``r_tilde``
-  are equal;
-* ``C_k`` sums ``a_i * a_{i+k}`` over all i, which reversal permutes;
-* the difference sequence is reversed and negated, so the pairs at
-  distance k, and their products, are the same;
-* reversal preserves skew-symmetry, since it maps each mirrored pair to
-  itself;
-* swapping ``s_set`` and ``t_set`` keeps them a partition or not, so
-  balancedness is equal.
-
-The sweep therefore evaluates the least mask of each orbit only, by
-the rule of :func:`~runvec.seqcore.packed_canonical` read off one
-``packed_reversal`` per mask; at n <= 12 that is 2 142 of the 8 190 masks.
+Each target ORs the masks it fails on into one failure plane, so its
+failure count is a popcount and its witnesses, in ascending mask order,
+are the lowest set bits, each field read off the planes at that bit.
 
 Balanced run tuples are grown by outer pairs.  Every odd Barker
 sequence is skew-symmetric (Turyn & Storer, Proc. AMS 12, 1961), the
@@ -76,7 +61,9 @@ built once, its run vector, its tables indexed by k (boundary rank and
 signs) and its balanced profile on first use.  The run vector may come
 from the tuple's reversal instead: reversing the runs keeps the tuple
 balanced (it swaps ``s_set`` and ``t_set``) and leaves the run vector
-unchanged (see above), and the reversed tuple is in the population,
+unchanged (it swaps ``s`` and ``t``, the two factors of the product
+:func:`~runvec.seqcore.run_vector_of` reads), and the reversed tuple is
+in the population,
 since the runs do not depend on the sign.  So the sweep builds the run
 vector at most once per reversal pair, for whichever member a target
 first reads it on, and hands it to the other member.  The
@@ -109,27 +96,32 @@ forks.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
-from itertools import accumulate, repeat
+from functools import lru_cache, reduce
+from itertools import zip_longest
+from operator import or_
 
 from .seqcore import (
     BinarySequence,
     Record,
     RunLengthEncoding,
     RunVector,
+    _add_signed,
+    _counter_sum,
+    _element_planes,
     _int_in,
+    _plane_balanced,
+    _plane_distances,
+    _plane_run_vector,
+    _plane_skew_symmetric,
     _reflected_product,
-    _run_vector_of_sums,
+    _signed_at,
+    _signed_differ,
     _signed_digits,
-    _structure_of,
     aperiodic_autocorrelations,
     f_eval,
     is_balanced,
     pack_rle,
     packed_autocorrelations,
-    packed_reversal,
-    packed_runs,
-    packed_skew_symmetric,
     run_structure,
     run_vector,
     run_vector_of,
@@ -277,6 +269,31 @@ def delta_autocorrelation(seq: BinarySequence, k: int) -> int:
     return delta_autocorrelations(seq)[_int_in("k", k, 1, seq.n - 1) - 1]
 
 
+def _plane_delta(planes: tuple[int, ...]) -> list[tuple[list[int], list[int]]]:
+    """:func:`delta_autocorrelations` over the population of the element
+    ``planes``: slot ``k-1`` holds the signed counter pair of ``delta_k``.
+
+    The difference sequence is built from the elements: ``d_1 = a_1``,
+    ``d_{n+1} = -a_n``, and for ``2 <= i <= n``, ``d_i = 2*a_i`` where
+    ``a_i != a_{i-1}`` and 0 elsewhere.  So ``delta_k``, the sum of
+    ``d_i * d_{i+k}``, has a term of 2 with ``d_1`` and one with
+    ``d_{n+1}``, and one of 4 for each pair of interior differences
+    ``k`` apart; each is minus where the two elements it multiplies
+    differ in sign, ``-a_n`` counting for ``d_{n+1}``.
+    """
+    n = len(planes)
+    nonzero = [a ^ b for a, b in zip(planes, planes[1:])]  # nonzero[i-2]: d_i != 0
+    deltas = []
+    for k in range(1, n):
+        counters = ([], [])
+        for i, j in zip(range(2, n + 1 - k), range(2 + k, n + 1)):
+            _add_signed(counters, nonzero[i - 2] & nonzero[j - 2], planes[i - 1] ^ planes[j - 1], 2)
+        _add_signed(counters, nonzero[k - 1], planes[0] ^ planes[k], 1)
+        _add_signed(counters, nonzero[n - k - 1], ~(planes[n - k] ^ planes[n - 1]), 1)
+        deltas.append(counters)
+    return deltas
+
+
 def balanced_profile(rle: RunLengthEncoding) -> BalancedProfile:
     """Leading-run profile of a balanced encoding; requires first run > 1.
 
@@ -338,8 +355,8 @@ class _Instance:
     ``rv``, when given, is the run vector of the reversed runs, which the
     sweep built for the reversal pair's first member: reversing the runs
     swaps ``s`` and ``t``, which :func:`~runvec.seqcore.run_vector_of`
-    treats alike (module docstring), so that vector is this encoding's
-    own."""
+    treats alike (it multiplies ``(1 + 2A)(1 + 2B)``), so that vector is
+    this encoding's own."""
 
     __slots__ = ("rle", "rs", "balanced", "_rv", "_tables", "_profile")
 
@@ -720,55 +737,88 @@ def balanced_run_tuples(n: int) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
-    """The sequence targets at length n over every mask; each evaluated
-    mask's runs, C and run vector are built once for all of them.
+def _negated_off(counters: tuple[list[int], list[int]], keep: int) -> tuple[list[int], list[int]]:
+    """The signed counter pair ``counters`` with its value negated at the
+    masks outside ``keep``: there its two counters trade planes."""
+    positive, negative = [], []
+    for plus, minus in zip_longest(*counters, fillvalue=0):
+        swap = (plus ^ minus) & ~keep
+        positive.append(plus ^ swap)
+        negative.append(minus ^ swap)
+    return positive, negative
 
-    One mask is evaluated per orbit of negation and reversal, its least.
-    The verdict, and every witness field but the instance, stand for
-    each member of the orbit (see the module docstring), so a failing
-    orbit adds one witness per member and the witnesses are listed by
-    ascending mask.
+
+def _lowest_bits(plane: int, count: int) -> list[int]:
+    """The positions of the ``count`` lowest set bits of ``plane``, or of
+    all of them when it has fewer, ascending."""
+    bits = []
+    while plane and len(bits) < count:
+        low = plane & -plane
+        bits.append(low.bit_length() - 1)
+        plane ^= low
+    return bits
+
+
+def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
+    """The sequence targets at length n over the population of all
+    ``2**n`` masks, as bit planes (see the module docstring): each target
+    ORs the masks it fails on into one failure plane, whose popcount is
+    its ``failure_count`` and whose ten lowest set bits, in ascending
+    mask order, are its witnesses, their fields read off the planes at
+    that bit.  A passing sweep decodes no mask.
     """
     theorem1, delta, skew = (t in targets for t in SEQUENCE_TARGETS)
-    failures = {target: [] for target in targets}
-    full, half = (1 << n) - 1, 1 << (n - 1)
-    for x, y in zip(range(half), map(packed_reversal, range(half), repeat(n))):
-        if x > y or x > y ^ full:
-            continue
-        runs = packed_runs(x, n)
-        if theorem1 or delta:
-            c = (n, *packed_autocorrelations(x, n), 0)
-            r = _run_vector_of_sums(accumulate(runs), accumulate(reversed(runs)), n).r
-            from_c = tuple([2 * at - before - after for before, at, after in zip(c, c[1:], c[2:])])
-            from_r = tuple([2 * rk for rk in r])
-            agree = from_c == from_r
-        if theorem1 and not agree:
-            # the residual C_{k+1} - 2*C_k + C_{k-1} + 2*R_k is from_r - from_c
-            k = next(k for k, (rk, ck) in enumerate(zip(from_r, from_c), start=1) if rk != ck)
-            witness = {"k": k, "residual": from_r[k - 1] - from_c[k - 1]}
-            failures["theorem1"] += [(m, witness) for m in {x, x ^ full, y, y ^ full}]
-        if delta:
-            # the oracle is a literal computation on the elements themselves
-            deltas = delta_autocorrelations(unpack(x, n))
-            if not agree or deltas != from_c:
-                i = next(i for i, d in enumerate(deltas) if d != from_c[i] or d != from_r[i])
-                witness = {"k": i + 1, "delta": deltas[i], "r_k": r[i]}
-                failures["delta"] += [(m, witness) for m in {x, x ^ full, y, y ^ full}]
-        if skew:
-            skew_symmetric = packed_skew_symmetric(x, n)
-            balanced = is_balanced(_structure_of(runs))
-            if skew_symmetric != balanced:
-                witness = {"skew_symmetric": skew_symmetric, "balanced": balanced}
-                failures["prop-skew"] += [(m, witness) for m in {x, x ^ full, y, y ^ full}]
-    population = 1 << n
+    planes, population = _element_planes(n), 1 << n
+    failing = {}  # target -> (failure plane, the witness fields at a mask on it)
+
+    def first(mismatches, x):
+        return next(k for k, plane in enumerate(mismatches, start=1) if plane >> x & 1)
+
+    if theorem1 or delta:
+        d = [[], *_plane_distances(planes), []]  # D_0 = D_n = 0
+        r_tilde, ends_differ = _plane_run_vector(planes)
+        r = [_negated_off(pair, ends_differ) for pair in reversed(r_tilde)]
+        # Theorem 1 holds at k exactly when R_k = D_{k+1} + D_{k-1} - 2*D_k
+        second = [(_counter_sum(d[k + 1], d[k - 1]), [0, *d[k]]) for k in range(1, n)]
+        mismatch = list(map(_signed_differ, second, r))
+
+        def theorem1_fields(x):
+            # the residual C_{k+1} - 2*C_k + C_{k-1} + 2*R_k
+            k = first(mismatch, x)
+            residual = 2 * (_signed_at(r[k - 1], x) - _signed_at(second[k - 1], x))
+            return {"k": k, "residual": residual}
+
+        failing["theorem1"] = (reduce(or_, mismatch, 0), theorem1_fields)
+    if delta:
+        deltas = _plane_delta(planes)
+        # delta_k must equal 2*R_k, and so 2*(D_{k+1} + D_{k-1} - 2*D_k) too
+        delta_mismatch = [
+            wrong | _signed_differ(pair, ([0, *plus], [0, *minus]))
+            for wrong, pair, (plus, minus) in zip(mismatch, deltas, r)
+        ]
+
+        def delta_fields(x):
+            k = first(delta_mismatch, x)
+            return {"k": k, "delta": _signed_at(deltas[k - 1], x), "r_k": _signed_at(r[k - 1], x)}
+
+        failing["delta"] = (reduce(or_, delta_mismatch, 0), delta_fields)
+    if skew:
+        full = (1 << population) - 1
+        skew_symmetric = _plane_skew_symmetric(planes, full)
+        balanced = _plane_balanced(planes, full)
+
+        def skew_fields(x):
+            return {"skew_symmetric": bool(skew_symmetric >> x & 1),
+                    "balanced": bool(balanced >> x & 1)}
+
+        failing["prop-skew"] = (skew_symmetric ^ balanced, skew_fields)
     records = []
-    for target, found in failures.items():
-        found.sort(key=lambda entry: entry[0])
-        witnesses = tuple(
-            [{"instance": unpack(m, n).to_text(), **w} for m, w in found[:_MAX_WITNESSES]]
-        )
-        records.append(SweepRecord(target, n, population, population, len(found), witnesses))
+    for target in targets:
+        plane, fields = failing[target]
+        lowest = _lowest_bits(plane, _MAX_WITNESSES)
+        witnesses = tuple([{"instance": unpack(x, n).to_text(), **fields(x)} for x in lowest])
+        count = plane.bit_count()
+        records.append(SweepRecord(target, n, population, population, count, witnesses))
     return records
 
 

@@ -46,8 +46,16 @@ decoded by :func:`_signed_digits`.  For C and the delta oracle the
 factors are the sequence, or its difference sequence, and its reversal
 (:func:`_reflected_product`; :func:`packed_correlation_vectors` folds
 the periodic vector out of the same product); for the run vector they
-come from the boundary prefix sums alone (:func:`_run_vector_of_sums`),
+come from the boundary prefix sums alone (:func:`run_vector_of`),
 never from C.  Each docstring derives its slot widths.
+
+Bit planes: a population of masks is also a tuple of ints, one per
+slot, whose bit x holds slot i of mask x (:func:`_element_planes`), and
+a count per mask is a bit-sliced counter, a list of such planes added
+with ripple carry (:func:`_plane_add`).  The plane kernels read C
+(:func:`_plane_distances`) and the run vector (:func:`_plane_run_vector`,
+from the boundary planes alone) of every mask of a population at once,
+with one big-integer AND, OR or XOR per plane and term.
 
 Integer arguments: each entry point that takes a length, shift, rank,
 count or cap from its caller (README lists them) passes it through one
@@ -64,13 +72,16 @@ check nothing.
 
 Every operation is a pure function of its inputs; no operation mutates
 a value after construction, so values are safe to share across threads.
+The one exception is private: :func:`_plane_add` and :func:`_add_signed`
+add into a counter list that their caller builds and owns.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, repeat
-from collections.abc import Iterable, Iterator
+from itertools import accumulate, repeat, zip_longest
+from collections.abc import Iterator
+from operator import xor
 from struct import unpack_from
 
 
@@ -611,17 +622,13 @@ def periodic_autocorrelations(seq: BinarySequence) -> tuple[int, ...]:
     return packed_correlation_vectors(pack(seq), seq.n)[1]
 
 
-def _structure_of(runs: tuple[int, ...]) -> RunStructure:
-    """The run structure of the run lengths ``runs``."""
+def run_structure(rle: RunLengthEncoding) -> RunStructure:
+    """Boundary prefix sums from both ends and the interior boundary sets."""
+    runs = rle.runs
     s = tuple(accumulate(runs))
     t = tuple(accumulate(reversed(runs)))
     gamma = len(runs)
     return RunStructure(s, t, frozenset(s[: gamma - 1]), frozenset(t[: gamma - 1]), gamma, s[-1])
-
-
-def run_structure(rle: RunLengthEncoding) -> RunStructure:
-    """Boundary prefix sums from both ends and the interior boundary sets."""
-    return _structure_of(rle.runs)
 
 
 def _boundary_sign(prefix: tuple[int, ...], k: int) -> int:
@@ -663,13 +670,7 @@ def u_k(rs: RunStructure, k: int) -> int:
 
 
 def run_vector_of(rs: RunStructure) -> RunVector:
-    """Run vector of the sequence behind a run structure (:func:`_run_vector_of_sums`)."""
-    return _run_vector_of_sums(rs.s, rs.t, rs.n)
-
-
-def _run_vector_of_sums(s: Iterable[int], t: Iterable[int], n: int) -> RunVector:
-    """Run vector of the length-n sequence whose run structure ``rs`` has
-    the prefix sums ``s`` and ``t``, each iterated once.
+    """Run vector of the length-n sequence behind the run structure ``rs``.
 
     Entry k of the untransformed vector is ``f_eval(rs, k)[2] +
     2 * u_k(rs, k)``: with 0-based ranks and ``sigma_j = -(-1)**j``,
@@ -707,6 +708,7 @@ def _run_vector_of_sums(s: Iterable[int], t: Iterable[int], n: int) -> RunVector
     The last sums, ``n``, mark slot n, which no digit read depends on; ``r``
     re-reads ``r_tilde`` backwards, negated when gamma is odd (mark 4).
     """
+    n = rs.n
     if n < 2:
         return RunVector((), ())
     width = 1 if n <= 64 else 2 if n <= 16384 else 4
@@ -714,7 +716,7 @@ def _run_vector_of_sums(s: Iterable[int], t: Iterable[int], n: int) -> RunVector
     forward, reverse = bytearray(twos), bytearray(twos)
     forward[0] = reverse[0] = 3
     mark = 0  # 0 - 2 at an even rank, 4 - 2 at an odd one
-    for p, q in zip(s, t):
+    for p, q in zip(rs.s, rs.t):
         forward[p * width] = reverse[q * width] = mark
         mark ^= 4
     offset = int.from_bytes(twos, "little")
@@ -761,3 +763,156 @@ def all_sequences(n: int) -> Iterator[BinarySequence]:
     """Every length-n sequence, lexicographically with '+' before '-';
     ``n`` is checked by this call, not at the first ``next()``."""
     return map(unpack, range(1 << _int_in("n", n, 1)), repeat(n))
+
+
+def _element_planes(n: int) -> tuple[int, ...]:
+    """The element planes of the population of all ``2**n`` masks: bit x
+    of plane i is set exactly where slot i of mask x holds -1, that is
+    where bit ``n-1-i`` of x is set.
+
+    Over x = 0, 1, ..., bit b of x reads ``w = 2**b`` zeros, then w ones,
+    and so on.  The plane of bit b starts as one such block of ``2w``
+    bits and doubles, ``plane | plane << width``, until it spans the
+    ``2**n`` masks: n doublings or fewer per plane, each O(2**n) bits.
+    """
+    size = 1 << n
+    planes = []
+    for b in range(n - 1, -1, -1):
+        w = 1 << b
+        plane, width = ((1 << w) - 1) << w, 2 * w
+        while width < size:
+            plane |= plane << width
+            width *= 2
+        planes.append(plane)
+    return tuple(planes)
+
+
+def _plane_add(counter: list[int], plane: int, bit: int = 0) -> None:
+    """Add ``plane * 2**bit`` to the bit-sliced ``counter``, in place.
+
+    A counter is a list of planes, least significant first: its value at
+    mask x is the sum of ``2**j`` over the planes j whose bit x is set.
+    Ripple carry from plane ``bit`` up: each step keeps the sum bits
+    ``held ^ plane`` and carries ``held & plane``, and it stops as soon as
+    nothing carries, so a counter grows a plane only when some mask
+    carries out of its top one.
+    """
+    counter.extend(repeat(0, bit - len(counter)))
+    for j in range(bit, len(counter)):
+        if not plane:
+            return
+        held = counter[j]
+        counter[j] = held ^ plane
+        plane &= held
+    if plane:
+        counter.append(plane)
+
+
+def _add_signed(counters: tuple[list[int], list[int]], present: int, minus: int, bit: int) -> None:
+    """Add a term of magnitude ``2**bit`` at the masks of ``present`` to
+    the signed pair ``counters = (positive, negative)``: to the negative
+    counter where ``minus`` is set, to the positive one elsewhere.  The
+    pair's value is positive minus negative."""
+    minus &= present
+    _plane_add(counters[0], present ^ minus, bit)
+    _plane_add(counters[1], minus, bit)
+
+
+def _counter_sum(*counters: list[int]) -> list[int]:
+    """A new counter holding the sum of ``counters``."""
+    total = []
+    for counter in counters:
+        for bit, plane in enumerate(counter):
+            _plane_add(total, plane, bit)
+    return total
+
+
+def _signed_differ(a: tuple[list[int], list[int]], b: tuple[list[int], list[int]]) -> int:
+    """The plane of the masks at which the signed counter pairs ``a`` and
+    ``b`` differ: where ``a+ + b-`` and ``a- + b+`` differ in some plane."""
+    differ = 0
+    for x, y in zip_longest(_counter_sum(a[0], b[1]), _counter_sum(a[1], b[0]), fillvalue=0):
+        differ |= x ^ y
+    return differ
+
+
+def _signed_at(pair: tuple[list[int], list[int]], x: int) -> int:
+    """The value of the signed counter pair ``pair`` at mask ``x``."""
+    plus, minus = ([(plane >> x & 1) << j for j, plane in enumerate(c)] for c in pair)
+    return sum(plus) - sum(minus)
+
+
+def _plane_distances(planes: tuple[int, ...]) -> list[list[int]]:
+    """``D_1, ..., D_{n-1}`` as counters over the population of the
+    element ``planes``: D_k counts the slots i with ``a_i != a_{i+k}``,
+    one plane ``E_i ^ E_{i+k}`` each, so ``C_k = (n-k) - 2*D_k``."""
+    distances = []
+    for k in range(1, len(planes)):
+        counter = []
+        for low, high in zip(planes, planes[k:]):
+            _plane_add(counter, low ^ high)
+        distances.append(counter)
+    return distances
+
+
+def _plane_run_vector(planes: tuple[int, ...]) -> tuple[list[tuple[list[int], list[int]]], int]:
+    """``(r_tilde, ends_differ)`` over the population of the element
+    ``planes``, from the boundary planes alone: slot ``k-1`` of
+    ``r_tilde`` holds the signed counter pair of ``r_tilde_k``,
+    ``1 <= k <= n-1``, and ``ends_differ`` is the plane of the masks with
+    ``a_1 != a_n``, those with an even run count.
+
+    The terms are those of :func:`run_vector_of`.  The boundary
+    plane ``B_p = E_{p-1} ^ E_p`` marks a forward boundary at ``s = p``
+    and a reverse one at ``t = n - p``.  A boundary's 0-based rank is the
+    number of boundaries before it, so its sign ``-(-1)**rank`` is +1
+    where the running XOR of the boundaries before it is set: ``forward``
+    from the first slot, ``reverse`` from the last.  Entry k gains that
+    sign at a forward boundary ``s = k`` and at a reverse one ``t = k``,
+    and twice the product of the signs for each pair ``s + t = k``, which
+    is minus where the two parities differ.  The XOR of every boundary,
+    ``E_0 ^ E_{n-1}``, is ``ends_differ``; ``r_k = r_tilde_{n-k}`` there
+    and ``-r_tilde_{n-k}`` at the other masks, whose run count is odd.
+    """
+    n = len(planes)
+    bounds = [a ^ b for a, b in zip(planes, planes[1:])]  # bounds[p-1] is B_p
+    forward = list(accumulate(bounds, xor, initial=0))  # forward[s-1]: parity at s
+    reverse = list(accumulate(reversed(bounds), xor, initial=0))  # reverse[t-1]: at t
+    r_tilde = []
+    for k in range(1, n):
+        counters = ([], [])
+        for s, t in zip(range(1, k), range(k - 1, 0, -1)):
+            both = bounds[s - 1] & bounds[n - t - 1]
+            _add_signed(counters, both, forward[s - 1] ^ reverse[t - 1], 1)
+        _add_signed(counters, bounds[k - 1], ~forward[k - 1], 0)
+        _add_signed(counters, bounds[n - k - 1], ~reverse[k - 1], 0)
+        r_tilde.append(counters)
+    return r_tilde, forward[-1]
+
+
+def _plane_skew_symmetric(planes: tuple[int, ...], full: int) -> int:
+    """The plane of the skew-symmetric masks among ``full``, the plane of
+    the population of the element ``planes``: at odd n, with the centre
+    slot m, ``a_{m+d} = (-1)**d * a_{m-d}``, so slots ``m + d`` and
+    ``m - d`` differ exactly at odd d.  No mask of even length is."""
+    n = len(planes)
+    if n % 2 == 0:
+        return 0
+    m, skew = n // 2, full
+    for d in range(1, m + 1):
+        differ = planes[m + d] ^ planes[m - d]
+        skew &= differ if d & 1 else ~differ
+    return skew
+
+
+def _plane_balanced(planes: tuple[int, ...], full: int) -> int:
+    """The plane of the balanced masks among ``full``, the plane of the
+    population of the element ``planes``: the interior boundary sets
+    partition ``{1, ..., n-1}`` exactly when each k is a forward boundary
+    (``B_k``) or a reverse one (``B_{n-k}``) but not both, and the pairs
+    ``(k, n-k)`` with ``k <= n/2`` cover every k."""
+    bounds = [a ^ b for a, b in zip(planes, planes[1:])]
+    balanced = full
+    for low, high in zip(bounds[: len(planes) // 2], reversed(bounds)):
+        balanced &= low ^ high
+    return balanced

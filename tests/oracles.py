@@ -49,6 +49,28 @@ def brute_is_skew_symmetric(elems):
     )
 
 
+def plane_bits(plane, size):
+    """Bits 0..size-1 of the non-negative int ``plane``, one per mask,
+    read off its binary text."""
+    return [int(bit) for bit in format(plane, f"0{size}b")[::-1][:size]]
+
+
+def counter_values(counter, size):
+    """The value at each of ``size`` masks of a bit-sliced counter, a list
+    of planes whose plane j counts 2**j."""
+    values = [0] * size
+    for j, plane in enumerate(counter):
+        for x, bit in enumerate(plane_bits(plane, size)):
+            values[x] += bit << j
+    return values
+
+
+def signed_values(counters, size):
+    """The values of a (positive, negative) pair of counters."""
+    plus, minus = (counter_values(counter, size) for counter in counters)
+    return [p - m for p, m in zip(plus, minus)]
+
+
 def brute_canonical(elems):
     """The least of the four negation/reversal variants of ``elems``,
     compared as '+'/'-' texts, where '+' sorts before '-'."""

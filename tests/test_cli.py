@@ -482,9 +482,11 @@ class TestOutputErrors:
 
 
 #: Command lines at the corners of the argv rules: (argv, exit code, want).
-#: The exit codes are those argparse gave on Python 3.10 to 3.13.  A row
-#: that succeeds gives as ``want`` the escaped form of the same request,
-#: which must print the same; a failing row gives a substring of its stderr.
+#: The exit codes and messages are those of ``cli._read_argv``, which reads
+#: argv by the rules of the cli module docstring, the same on every
+#: supported Python version.  A row that succeeds gives as ``want`` the
+#: escaped form of the same request, which must print the same; a failing
+#: row gives a substring of its stderr.
 ARGV_CORNERS = [
     # a unique prefix names its option; an ambiguous one is an error
     (("analyze", "--rl", "+,3,2,1,1", "--js"), 0, ("analyze", "--json", "--rle=+,3,2,1,1")),

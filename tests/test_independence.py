@@ -5,7 +5,9 @@ Theorem 1 would let the run vector be read off C, and every output pin
 would still pass, since the identity holds; the checks of the identity
 would then compare C with itself.  So the C kernels are replaced, in
 every ``runvec`` namespace, by tripwires, and the run-vector side must
-still run.  L7n and p-odd read C by statement and are left out.
+still run.  L7n and p-odd read C by statement and are left out.  The
+sequence sweep runs both routes on bit planes, so the plane C kernel is
+a C kernel and the plane run kernel a run kernel here.
 """
 
 import ast
@@ -15,14 +17,25 @@ from pathlib import Path
 import pytest
 
 from runvec import lemmalab, search, seqcore
-from runvec.seqcore import RunLengthEncoding, RunVector, run_structure, trusted_rle, unpack
+from runvec.seqcore import (
+    RunLengthEncoding,
+    RunVector,
+    _element_planes,
+    run_structure,
+    trusted_rle,
+    unpack,
+)
 
 from oracles import (
+    all_sign_tuples,
     brute_aperiodic,
+    brute_delta_autocorrelation,
     brute_run_vector,
     brute_runs,
     compositions,
     derived_barker_profile,
+    plane_bits,
+    signed_values,
 )
 
 C_KERNELS = (
@@ -30,8 +43,9 @@ C_KERNELS = (
     "packed_correlation_vectors",
     "aperiodic_autocorrelations",
     "periodic_autocorrelations",
+    "_plane_distances",
 )
-RUN_KERNELS = ("run_vector_of", "_run_vector_of_sums", "run_structure", "_structure_of")
+RUN_KERNELS = ("run_vector_of", "run_structure", "_plane_run_vector")
 BALANCED_WITHOUT_C = ("L1", "L2", "L3", "L4", "L5", "L6", "L7")
 
 
@@ -75,6 +89,28 @@ class TestRunVectorWithoutC:
             for runs in compositions(n):
                 rv = seqcore.run_vector_of(run_structure(RunLengthEncoding(1, runs)))
                 assert rv.r_tilde == brute_run_vector(runs), runs
+
+    def test_plane_run_vector_of_every_mask_to_12(self, without_c):
+        # r~ from the boundary planes, and the reflected vector the sweep
+        # reads, r_k = (-1)**gamma * r~_{n-k}
+        for n in range(1, 13):
+            size = 1 << n
+            r_tilde, ends_differ = seqcore._plane_run_vector(_element_planes(n))
+            columns = [signed_values(pair, size) for pair in r_tilde]
+            reflected = [
+                signed_values(lemmalab._negated_off(pair, ends_differ), size) for pair in r_tilde[::-1]
+            ]
+            differ_bits = plane_bits(ends_differ, size)
+            expected = {}
+            for x, elems in enumerate(all_sign_tuples(n)):
+                runs = brute_runs(elems)
+                if runs not in expected:
+                    expected[runs] = brute_run_vector(runs)
+                want = expected[runs]
+                assert tuple([column[x] for column in columns]) == want, (n, x)
+                sign = (-1) ** len(runs)
+                assert [column[x] for column in reflected] == [sign * v for v in want[::-1]]
+                assert differ_bits[x] == (elems[0] != elems[-1]), (n, x)
 
     def test_balanced_run_tuples_to_29(self, without_c):
         lemmalab.balanced_run_tuples.cache_clear()
@@ -169,13 +205,31 @@ class TestDeltaWithoutRunStructure:
             assert lemmalab.delta_autocorrelations(seq) == second
         assert calls == []
 
+    def test_plane_delta_on_every_mask_to_12(self, monkeypatch):
+        # the sweep's delta planes, from the elements alone
+        calls = _trip(monkeypatch, RUN_KERNELS + C_KERNELS)
+        for n in range(1, 13):
+            deltas = lemmalab._plane_delta(_element_planes(n))
+            columns = [signed_values(pair, 1 << n) for pair in deltas]
+            for x, elems in enumerate(all_sign_tuples(n)):
+                want = tuple([brute_delta_autocorrelation(elems, k) for k in range(1, n)])
+                assert tuple([column[x] for column in columns]) == want, (n, x)
+        assert calls == []
+
     def test_the_wires_trip_the_theorem1_sweep(self, monkeypatch):
         # the sweep's run vector goes through the wired kernel, so the
-        # delta oracle's run above shows that it does not
+        # delta oracle's runs above show that they do not
         calls = _trip(monkeypatch, RUN_KERNELS)
         with pytest.raises(Tripped):
             lemmalab.sweep(5, ("theorem1",), workers=1)
-        assert calls == ["_run_vector_of_sums"]
+        assert calls == ["_plane_run_vector"]
+
+    def test_the_c_wires_trip_the_theorem1_sweep(self, monkeypatch):
+        # and its C goes through the wired plane C kernel: both routes run
+        calls = _trip(monkeypatch, C_KERNELS)
+        with pytest.raises(Tripped):
+            lemmalab.sweep(5, ("theorem1",), workers=1)
+        assert calls == ["_plane_distances"]
 
 
 class TestOracleImports:

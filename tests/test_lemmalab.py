@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from runvec import lemmalab
+from runvec import lemmalab, seqcore
 from runvec.lemmalab import (
     LEMMA_IDS,
     SEQUENCE_TARGETS,
@@ -26,6 +26,7 @@ from runvec.seqcore import (
     RunLengthEncoding,
     RunStructure,
     RunVector,
+    _plane_add,
     aperiodic_autocorrelations,
     boundary_rank_interval,
     decode_rle,
@@ -53,6 +54,7 @@ from oracles import (
     brute_u,
     compositions,
     derived_barker_profile,
+    plane_bits,
 )
 
 FIVE_BARKER_RLES = [
@@ -578,20 +580,34 @@ class TestSweeps:
             sweep(5, ("l1",), workers=2)
         assert str(exc.value) == message
 
+    @staticmethod
+    def _plane_of(n, keep):
+        """The plane of the masks of length n whose elements ``keep`` takes."""
+        return sum(1 << x for x, elems in enumerate(all_sign_tuples(n)) if keep(elems))
+
+    @classmethod
+    def _raise_last_reflected_entry(cls, monkeypatch, gamma):
+        """Wrap the plane run kernel so that r_{n-1} is one too high on
+        every mask with ``gamma`` runs: r_{n-1} = r~_1 at even gamma, where
+        a_1 != a_n, so r~_1 gains 1, and r_{n-1} = -r~_1 at odd gamma, so
+        r~_1 loses 1."""
+        real = lemmalab._plane_run_vector
+
+        def corrupted(planes):
+            r_tilde, ends_differ = real(planes)
+            n = len(planes)
+            if n > 1:
+                wrong = cls._plane_of(n, lambda elems: len(brute_runs(elems)) == gamma)
+                _plane_add(r_tilde[0][gamma % 2], wrong)
+            return r_tilde, ends_differ
+
+        monkeypatch.setattr(lemmalab, "_plane_run_vector", corrupted)
+
     def test_failure_witnesses_decode_the_failing_masks(self, monkeypatch):
         # No sweep fails on correct code, so corrupt the last reflected
         # run-vector entry of every three-run instance and compare the
         # sweep's witnesses with a loop over plain tuples.
-        real = lemmalab._run_vector_of_sums
-
-        def corrupted(s, t, n):
-            s, t = tuple(s), tuple(t)
-            rv = real(s, t, n)
-            if len(s) != 3:
-                return rv
-            return RunVector(rv.r_tilde, rv.r[:-1] + (rv.r[-1] + 1,))
-
-        monkeypatch.setattr(lemmalab, "_run_vector_of_sums", corrupted)
+        self._raise_last_reflected_entry(monkeypatch, 3)
         report = sweep(6, ("theorem1", "delta"))
         assert not report.ok
         by_key = {(rec.target, rec.n): rec for rec in report.records}
@@ -621,25 +637,23 @@ class TestSweeps:
         assert by_key[("theorem1", 6)].failure_count == 20  # 2 * C(5, 2) > 10
 
     def test_one_corrupted_delta_slot_is_its_witness(self, monkeypatch):
-        # Add one to the product's coefficient n - k, which holds delta_k,
-        # for one sequence only, the least of its orbit: the delta sweep
-        # must report shift k with that value for each orbit member, and
-        # nothing else.
+        # Add one to delta_k at the bits of one sequence and of the other
+        # members of its negation-reversal orbit: the delta sweep must
+        # report shift k with that value for each of them, and nothing else.
         n, k = 9, 3
         rep = brute_canonical((1, -1, -1, 1, 1, 1, -1, 1, -1))
         negated = tuple(-x for x in rep)
         orbit = sorted({rep, negated, rep[::-1], negated[::-1]}, key=lambda e: [-x for x in e])
         assert len(orbit) == 4 and orbit[0] == rep
-        target = bytes([2 + b - a for a, b in zip((0, *rep), (*rep, 0))])  # d_i + 2
-        real = lemmalab._reflected_product
+        real = lemmalab._plane_delta
 
-        def corrupted(lifted, lift, width):
-            product = real(lifted, lift, width)
-            if lifted == target:
-                product += 1 << 8 * width * (n - k)
-            return product
+        def corrupted(planes):
+            deltas = real(planes)
+            if len(planes) == n:
+                _plane_add(deltas[k - 1][0], self._plane_of(n, lambda elems: elems in orbit))
+            return deltas
 
-        monkeypatch.setattr(lemmalab, "_reflected_product", corrupted)
+        monkeypatch.setattr(lemmalab, "_plane_delta", corrupted)
         report = sweep(n, ("delta",))
         assert [rec.failure_count for rec in report.records] == [0] * (n - 1) + [4]
         c = brute_aperiodic(rep)
@@ -653,21 +667,18 @@ class TestSweeps:
 
     def test_orbit_witnesses_are_listed_by_ascending_mask(self, monkeypatch):
         # Corrupt the last reflected run-vector entry of every four-run
-        # instance and flip balancedness of every three-run one: both are
-        # the same on each member of a negation-reversal orbit.  Compare
-        # the sweep's counts and clipped witnesses with an ascending loop
-        # over plain tuples.
-        real_rv, real_balanced = lemmalab._run_vector_of_sums, lemmalab.is_balanced
+        # instance and flip balancedness of every three-run one, each the
+        # same on every member of a negation-reversal orbit.  Compare the
+        # sweep's counts and clipped witnesses with an ascending loop over
+        # plain tuples.
+        self._raise_last_reflected_entry(monkeypatch, 4)
+        real_balanced = lemmalab._plane_balanced
 
-        def corrupted_rv(s, t, n):
-            s, t = tuple(s), tuple(t)
-            rv = real_rv(s, t, n)
-            if len(s) != 4:
-                return rv
-            return RunVector(rv.r_tilde, rv.r[:-1] + (rv.r[-1] + 1,))
+        def flipped(planes, full):
+            three_runs = self._plane_of(len(planes), lambda elems: len(brute_runs(elems)) == 3)
+            return real_balanced(planes, full) ^ three_runs
 
-        monkeypatch.setattr(lemmalab, "_run_vector_of_sums", corrupted_rv)
-        monkeypatch.setattr(lemmalab, "is_balanced", lambda rs: real_balanced(rs) != (rs.gamma == 3))
+        monkeypatch.setattr(lemmalab, "_plane_balanced", flipped)
         report = sweep(9, SEQUENCE_TARGETS)
         by_key = {(rec.target, rec.n): rec for rec in report.records}
         orbit_sizes = {"theorem1": set(), "delta": set(), "prop-skew": set()}
@@ -709,34 +720,65 @@ class TestSweeps:
         assert by_key[("theorem1", 9)].failure_count == 112  # 2 * C(8, 3) > 10
         assert by_key[("prop-skew", 9)].failure_count == 56  # 2 * C(8, 2) > 10
 
-    def test_sweep_evaluates_each_orbit_exactly_once(self, monkeypatch):
-        # no output can show a skipped orbit, since correct code never
-        # fails, so record the masks the sweep evaluates instead: it reads
-        # the runs of each evaluated mask once
-        real = lemmalab.packed_runs
-        evaluated = {}
+    def test_sweep_runs_each_plane_kernel_once_per_length(self, monkeypatch):
+        # no output can show a skipped mask, since correct code never
+        # fails, so record what the kernels are given instead: each runs
+        # once per length, on the element planes of all 2**n masks
+        given, kernels = {}, ("_plane_distances", "_plane_run_vector", "_plane_delta",
+                              "_plane_skew_symmetric", "_plane_balanced")
+        for name in kernels:
+            def recording(planes, *rest, real=getattr(lemmalab, name), name=name):
+                given.setdefault(name, []).append(planes)
+                return real(planes, *rest)
 
-        def recording(x, n):
-            evaluated.setdefault(n, []).append(x)
-            return real(x, n)
-
-        monkeypatch.setattr(lemmalab, "packed_runs", recording)
+            monkeypatch.setattr(lemmalab, name, recording)
         sweep(14, SEQUENCE_TARGETS)
-        assert sorted(evaluated) == list(range(1, 15))
-        assert sum(len(evaluated[n]) for n in range(1, 13)) == 2142
-        for n, masks in evaluated.items():
-            # Burnside: the identity fixes 2**n masks, negation none, reversal
-            # 2**ceil(n/2) and negated reversal 2**(n/2) at even n only
-            fixed = (1 << n) + (1 << (n + 1) // 2) + (0 if n % 2 else 1 << n // 2)
-            assert len(masks) == fixed // 4, n
-            full = (1 << n) - 1
-            covered = set()
-            for x in masks:
-                y = int(format(x, f"0{n}b")[::-1], 2)
-                orbit = {x, x ^ full, y, y ^ full}
-                assert covered.isdisjoint(orbit), (n, x)
-                covered |= orbit
-            assert covered == set(range(1 << n)), n
+        assert sorted(given) == sorted(kernels)
+        by_length = {len(planes): planes for planes in given["_plane_distances"]}
+        for name, populations in given.items():
+            step = 2 if name in ("_plane_skew_symmetric", "_plane_balanced") else 1
+            assert sorted(map(len, populations)) == list(range(1, 15, step)), name
+            assert all(planes is by_length[len(planes)] for planes in populations), name
+        for n, planes in by_length.items():
+            assert all(plane < 1 << (1 << n) for plane in planes)
+            if n <= 12:
+                columns = [plane_bits(plane, 1 << n) for plane in planes]
+                for x, elems in enumerate(all_sign_tuples(n)):
+                    assert tuple([1 - 2 * column[x] for column in columns]) == elems
+
+    def test_a_counter_that_drops_its_carries_fails_the_sweep(self, monkeypatch):
+        # negative control: every counter adds its planes without carrying
+        def carry_dropped(counter, plane, bit=0):
+            counter.extend([0] * (bit + 1 - len(counter)))
+            counter[bit] ^= plane
+
+        monkeypatch.setattr(seqcore, "_plane_add", carry_dropped)
+        report = sweep(8, SEQUENCE_TARGETS)
+        failed = {rec.target for rec in report.records if rec.failure_count}
+        assert failed == {"theorem1", "delta"}
+
+    def test_one_pair_term_with_its_sign_flipped_fails_the_sweep(self, monkeypatch):
+        # negative control: the plane run kernel's first pair term, s = t = 1
+        # at k = 2, counts with the wrong sign; it is present exactly where
+        # a_1 != a_2 and a_{n-1} != a_n, and r~_2 moves by 4 there
+        real = seqcore._add_signed
+        pair_terms = []
+
+        def flipped(counters, present, minus, bit):
+            if bit == 1:
+                pair_terms.append(present)
+                if len(pair_terms) == 1:
+                    minus = ~minus
+            real(counters, present, minus, bit)
+
+        monkeypatch.setattr(seqcore, "_add_signed", flipped)
+        n = 7
+        records = lemmalab._sweep_sequences(n, ("theorem1", "delta"))
+        wrong = self._plane_of(n, lambda e: e[0] != e[1] and e[-2] != e[-1])
+        assert pair_terms[0] == wrong
+        for rec in records:
+            assert rec.failure_count == wrong.bit_count() == 32, rec.target
+            assert [w["k"] for w in rec.failures] == [n - 2] * 10
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_joint_sweep_equals_single_target_sweeps(self, monkeypatch, workers):

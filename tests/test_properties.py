@@ -275,9 +275,9 @@ def test_delta_vector_matches_brute(seq):
 
 
 def _complement_invariants(x, n):
-    """What the sequence sweep reads of mask ``x``, runs first; it
-    evaluates one mask per orbit of negation and reversal and takes each
-    verdict to hold for the whole orbit."""
+    """What the sequence targets read of mask ``x``, runs first: C, the
+    skew-symmetry, the delta vector, the run vector and the balancedness,
+    each a property of the negation-reversal orbit of ``x``."""
     rs = run_structure(packed_rle(x, n))
     rv = run_vector_of(rs)
     return (

@@ -4,7 +4,6 @@ import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate
 
 import pytest
 
@@ -14,8 +13,15 @@ from runvec.seqcore import (
     BinarySequence,
     ParseError,
     RunLengthEncoding,
-    _run_vector_of_sums,
-    _structure_of,
+    _add_signed,
+    _counter_sum,
+    _element_planes,
+    _plane_add,
+    _plane_balanced,
+    _plane_distances,
+    _plane_skew_symmetric,
+    _signed_at,
+    _signed_differ,
     all_sequences,
     aperiodic_autocorrelations,
     decode_rle,
@@ -58,6 +64,9 @@ from oracles import (
     brute_signs,
     brute_u,
     compositions,
+    counter_values,
+    plane_bits,
+    signed_values,
 )
 
 BARKER_13 = "+++++--++-+-+"
@@ -418,16 +427,13 @@ class TestRunVector:
         assert run_vector(seq("+")).r_tilde == ()
 
     def test_matches_oracle_every_composition_to_12(self):
-        # the big-integer product against f_s + f_t + 2u read off the oracle;
-        # the sequence sweep hands the kernel its prefix sums lazily
+        # the big-integer product against f_s + f_t + 2u read off the oracle
         for n in range(1, 13):
             for runs in compositions(n):
                 expected = brute_run_vector(runs)
                 for sign in (1, -1):
                     rv = run_vector_of(run_structure(rle(sign, runs)))
                     assert rv.r_tilde == expected
-                    lazy = _run_vector_of_sums(accumulate(runs), accumulate(reversed(runs)), n)
-                    assert lazy == rv
 
     def test_matches_componentwise_definition(self):
         # the big-integer product must agree with f + 2u entry by entry
@@ -466,7 +472,6 @@ class TestRunVectorSlotWidths:
         for n in (*range(2, 70), *range(8190, 8195), MAX_LENGTH, *range(16382, 16387)):
             rv = run_vector_of(run_structure(rle(1, (1,) * n)))
             assert rv.r_tilde == tuple([(-1) ** k * 2 * k for k in range(1, n)]), n
-            assert _run_vector_of_sums(iter(range(1, n + 1)), iter(range(1, n + 1)), n) == rv
             sign_gamma = -1 if n % 2 else 1
             assert rv.r == tuple([sign_gamma * v for v in reversed(rv.r_tilde)]), n
 
@@ -577,12 +582,11 @@ class TestPackedForm:
         if n % 2 and n > 1:
             assert packed_skew_symmetric(skew, n) and not packed_skew_symmetric(skew ^ top, n)
 
-    def test_structure_of_packed_runs_matches_both_routes_to_12(self):
-        # the sequence sweep's prop-skew route to a run structure
+    def test_run_structure_of_every_mask_matches_the_oracle_to_12(self):
+        # the run structure of the runs read off a mask
         for n in range(1, 13):
             for x, elems in enumerate(all_sign_tuples(n)):
-                rs = _structure_of(packed_runs(x, n))
-                assert rs == run_structure(packed_rle(x, n)), (n, x)
+                rs = run_structure(packed_rle(x, n))
                 s, t, s_set, t_set = brute_prefix_structure(brute_runs(elems))
                 assert (rs.s, rs.t, rs.s_set, rs.t_set) == (s, t, s_set, t_set), (n, x)
                 assert (rs.gamma, rs.n) == (len(s), n), (n, x)
@@ -670,3 +674,73 @@ class TestEnumerationAndJson:
         assert rv.r == (-3, -1, 1, -1, 1, -1)
         assert aperiodic_autocorrelations(s) == (7, 0, -1, 0, -1, 0, -1, 0)
         assert periodic_autocorrelations(s) == (7, -1, -1, -1, -1, -1, -1)
+
+
+class TestPlanes:
+    """The bit-plane primitives and the seqcore plane kernels against the
+    oracles on every mask of the population of a length."""
+
+    def test_element_planes_decode_every_mask_to_12(self):
+        for n in range(1, 13):
+            columns = [plane_bits(plane, 1 << n) for plane in _element_planes(n)]
+            assert len(columns) == n
+            for x, elems in enumerate(all_sign_tuples(n)):
+                assert tuple([1 - 2 * column[x] for column in columns]) == elems, (n, x)
+
+    def test_counters_add_compare_and_read_on_seeded_random_planes(self):
+        rng = random.Random(32)
+        size = 64
+        for _ in range(200):
+            counter, want = [], [0] * size
+            for _ in range(rng.randint(0, 12)):
+                plane, bit = rng.getrandbits(size), rng.randint(0, 4)
+                _plane_add(counter, plane, bit)
+                for x, b in enumerate(plane_bits(plane, size)):
+                    want[x] += b << bit
+            assert counter_values(counter, size) == want
+            other = [rng.getrandbits(size) for _ in range(rng.randint(0, 3))]
+            others = counter_values(other, size)
+            total = _counter_sum(counter, other)
+            assert counter_values(total, size) == [a + b for a, b in zip(want, others)]
+            # signed pairs: counter - other against 0 - 0 and other - counter
+            pair = (counter, other)
+            values = [_signed_at(pair, x) for x in range(size)]
+            assert values == [a - b for a, b in zip(want, others)]
+            nonzero = [int(v != 0) for v in values]
+            assert plane_bits(_signed_differ(pair, ([], [])), size) == nonzero
+            assert _signed_differ(pair, (other, counter)) == _signed_differ(pair, ([], []))
+            assert _signed_differ(pair, (_counter_sum(counter), list(other))) == 0
+        # a signed term adds to the negative counter where minus is set
+        pair = ([], [])
+        _add_signed(pair, 0b1110, ~0b0100, 1)
+        _add_signed(pair, 0b0011, 0b0010, 0)
+        assert signed_values(pair, 4) == [1, -1 - 2, 2, -2]
+
+    def test_distances_give_c_on_every_mask_to_12(self):
+        for n in range(1, 13):
+            size = 1 << n
+            distances = [counter_values(d, size) for d in _plane_distances(_element_planes(n))]
+            assert len(distances) == n - 1
+            for x, elems in enumerate(all_sign_tuples(n)):
+                c = tuple([n - k - 2 * distances[k - 1][x] for k in range(1, n)])
+                assert c == brute_aperiodic(elems)[1:n], (n, x)
+
+    def test_skew_and_balanced_planes_match_the_oracles_to_12(self):
+        for n in range(1, 13):
+            planes, full = _element_planes(n), (1 << (1 << n)) - 1
+            skew = plane_bits(_plane_skew_symmetric(planes, full), 1 << n)
+            balanced = plane_bits(_plane_balanced(planes, full), 1 << n)
+            for x, elems in enumerate(all_sign_tuples(n)):
+                assert skew[x] == brute_is_skew_symmetric(elems), (n, x)
+                assert balanced[x] == brute_is_balanced(brute_runs(elems)), (n, x)
+
+    def test_skew_and_balanced_planes_match_the_per_mask_kernels_to_15(self):
+        for n in range(1, 16):
+            planes, full = _element_planes(n), (1 << (1 << n)) - 1
+            skew = _plane_skew_symmetric(planes, full)
+            balanced = _plane_balanced(planes, full)
+            assert skew | balanced <= full
+            skew_bits, balanced_bits = plane_bits(skew, 1 << n), plane_bits(balanced, 1 << n)
+            for x in range(1 << n):
+                assert skew_bits[x] == packed_skew_symmetric(x, n), (n, x)
+                assert balanced_bits[x] == is_balanced(run_structure(packed_rle(x, n))), (n, x)
