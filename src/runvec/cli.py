@@ -6,9 +6,10 @@ byte-identical reports.  Reports go to stdout, diagnostics to stderr.
 
 Exit codes: 0 on success with zero verifier failures, 1 on parse errors,
 verifier failures, output that cannot be written or a ``RuntimeError``
-(such as a sweep process that ended without a result), 2 when a requested
-range or input length exceeds a resource limit, ``--workers`` is below
-1, an option value is invalid or the command line is malformed.
+(such as a sweep process that could not be started, or one that ended
+without a result), 2 when a requested range or input length exceeds a
+resource limit, ``--workers`` is below 1, an option value is invalid or
+the command line is malformed.
 
 The command line is read against one table, :data:`_COMMANDS`, by
 argparse's rules: an option may be shortened to a unique prefix and

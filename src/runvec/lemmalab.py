@@ -885,8 +885,9 @@ def _run_shares(shares) -> list[SweepRecord]:
     A child leaves only through ``os._exit``, so it never returns into the
     caller's stack or flushes the caller's stdio buffers; it exits 0 once
     its result is written and 1 otherwise.  Every child is reaped before
-    this returns or raises.  A child's exception is raised here, and a
-    child that ended without a result raises RuntimeError.  The package
+    this returns or raises.  A child's exception is raised here; a child
+    that ended without a result, or a pipe or fork that could not be
+    made, raises RuntimeError.  The package
     starts no threads, which a fork would not carry into the child (Python
     3.12 and later warn when a process with threads forks).
     """
@@ -896,26 +897,29 @@ def _run_shares(shares) -> list[SweepRecord]:
     pids, pipes = [], []
     try:
         for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb"))
-            with open(write_fd, "wb") as writer:
-                pid = os.fork()
-                if pid == 0:
-                    code = 1
-                    try:
-                        # a read end still open in a child would block that
-                        # pipe's writer once the caller has closed its copy
-                        for pipe in pipes:
-                            pipe.close()
+            try:
+                read_fd, write_fd = os.pipe()
+                pipes.append(open(read_fd, "rb"))
+                with open(write_fd, "wb") as writer:
+                    pid = os.fork()
+                    if pid == 0:
+                        code = 1
                         try:
-                            payload = (True, _run_share(share))
-                        except Exception as exc:
-                            payload = (False, exc)
-                        pickle.dump(payload, writer)
-                        writer.flush()
-                        code = 0
-                    finally:
-                        os._exit(code)
+                            # a read end still open in a child would block that
+                            # pipe's writer once the caller has closed its copy
+                            for pipe in pipes:
+                                pipe.close()
+                            try:
+                                payload = (True, _run_share(share))
+                            except Exception as exc:
+                                payload = (False, exc)
+                            pickle.dump(payload, writer)
+                            writer.flush()
+                            code = 0
+                        finally:
+                            os._exit(code)
+            except OSError as exc:  # EAGAIN under a process limit, EMFILE
+                raise RuntimeError(f"could not start a sweep process: {exc}") from exc
             pids.append(pid)
         records = _run_share(shares[0])
         sent = [pipe.read() for pipe in pipes]

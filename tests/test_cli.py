@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import errno
 import gc
 import hashlib
 import io
@@ -459,6 +460,34 @@ class TestOutputErrors:
         )
         assert code == 1 and out == ""
         assert err == "error: a sweep process ended without a result (exit status 9)\n"
+
+    @pytest.mark.parametrize("real_forks", [0, 1])
+    def test_sweep_fork_refused_exit_1(self, capsys, monkeypatch, real_forks):
+        # a fork refused under a process limit, on the first call or after
+        # one real child: one error line, and every child already started
+        # is reaped
+        forks = []
+        real_fork = os.fork
+
+        def limited_fork():
+            if len(forks) == real_forks:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            forks.append(real_fork())
+            return forks[-1]
+
+        monkeypatch.setattr(lemmalab.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(lemmalab.os, "fork", limited_fork)
+        code, out, err = run_cli(
+            capsys, "verify", "--targets", "theorem1", "--max-n", "8", "--workers", "3"
+        )
+        assert code == 1 and out == "" and len(forks) == real_forks
+        assert err == (
+            "error: could not start a sweep process: "
+            f"[Errno {errno.EAGAIN}] Resource temporarily unavailable\n"
+        )
+        # waitpid(-1) raises ChildProcessError only when no child is left
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_broken_pipe_exit_1(self, capsys, monkeypatch, tmp_path):
         # a reader that went away: every write fails, and the descriptor

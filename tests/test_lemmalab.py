@@ -746,6 +746,14 @@ class TestSweeps:
                 for x, elems in enumerate(all_sign_tuples(n)):
                     assert tuple([1 - 2 * column[x] for column in columns]) == elems
 
+    def test_a_passing_sequence_sweep_decodes_no_mask(self, monkeypatch):
+        # only a witness is unpacked, so no mask of a passing sweep is
+        def refused(x, n):
+            raise AssertionError(f"unpack({x}, {n}) in a passing sweep")
+
+        monkeypatch.setattr(lemmalab, "unpack", refused)
+        assert sweep(14, SEQUENCE_TARGETS).ok
+
     def test_a_counter_that_drops_its_carries_fails_the_sweep(self, monkeypatch):
         # negative control: every counter adds its planes without carrying
         def carry_dropped(counter, plane, bit=0):

@@ -555,9 +555,9 @@ class TestPackedForm:
 
     @pytest.mark.parametrize("n", [*range(1, 81), 255, 256, 257, 10_000])
     def test_reversal_canonical_and_skew_on_seeded_random_masks(self, n):
-        # the byte-table kernel at every byte width up to 10 and past the
-        # 8-bit boundaries, against text reversal and the element oracles;
-        # the exhaustive tests stop at two bytes
+        # the reversal kernel at every length up to 80 and at 255..257 and
+        # 10 000, against the reversed elements and the element oracles;
+        # the exhaustive tests stop at n = 10
         rng = random.Random(n)
         top, full = 1 << (n - 1), (1 << n) - 1
         masks = [0, 1, top, full, top | 1]
@@ -575,7 +575,7 @@ class TestPackedForm:
         for x in masks:
             text = format(x, f"0{n}b")
             elems = tuple([-1 if b == "1" else 1 for b in text])
-            assert packed_reversal(x, n) == int(text[::-1], 2), (n, x)
+            assert packed_reversal(x, n) == pack(BinarySequence(elems[::-1])), (n, x)
             canonical = "".join(["1" if v < 0 else "0" for v in brute_canonical(elems)])
             assert packed_canonical(x, n) == int(canonical, 2), (n, x)
             assert packed_skew_symmetric(x, n) == brute_is_skew_symmetric(elems), (n, x)
@@ -596,8 +596,8 @@ class TestPackedForm:
             for x, elems in enumerate(all_sign_tuples(n)):
                 s = BinarySequence(elems)
                 assert pack(s) == x  # numeric order is '+'-first lexicographic
-                # unpack skips the per-element check; what it builds must be
-                # indistinguishable from the checked construction
+                # what unpack builds must be indistinguishable from the
+                # construction from the elements
                 got = unpack(x, n)
                 assert got == s and hash(got) == hash(s) and repr(got) == repr(s), (n, x)
                 assert pickle.dumps(got) == pickle.dumps(s), (n, x)
