@@ -181,7 +181,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_classify(args) -> int:
     report = classify_odd_barker(args.max_n)
-    if args.csv:
+    if args.csv is not None:
         try:
             with open(args.csv, "w") as out:
                 out.write(counts_csv(report))

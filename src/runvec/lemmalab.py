@@ -109,6 +109,7 @@ from .seqcore import (
     _counter_sum,
     _element_planes,
     _int_in,
+    _lowest_bits,
     _plane_balanced,
     _plane_distances,
     _plane_run_vector,
@@ -746,17 +747,6 @@ def _negated_off(counters: tuple[list[int], list[int]], keep: int) -> tuple[list
         positive.append(plus ^ swap)
         negative.append(minus ^ swap)
     return positive, negative
-
-
-def _lowest_bits(plane: int, count: int) -> list[int]:
-    """The positions of the ``count`` lowest set bits of ``plane``, or of
-    all of them when it has fewer, ascending."""
-    bits = []
-    while plane and len(bits) < count:
-        low = plane & -plane
-        bits.append(low.bit_length() - 1)
-        plane ^= low
-    return bits
 
 
 def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:

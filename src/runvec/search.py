@@ -32,9 +32,9 @@ under negation by XOR and sorts them as integers; pruning is never
 trusted for correctness: every mask is re-verified from scratch before
 it is unpacked.  The search runs in the calling process.
 
-The unpruned reference filter runs the packed autocorrelation kernel of
-:mod:`runvec.seqcore` over every mask of a length; it exists so the
-pruned search can be checked against it exhaustively.
+The unpruned reference filter evaluates every mask of a length at once
+on the bit planes of :mod:`runvec.seqcore`; it exists so the pruned
+search can be checked against it exhaustively.
 """
 
 from __future__ import annotations
@@ -44,7 +44,11 @@ from .seqcore import (
     BinarySequence,
     Record,
     RunLengthEncoding,
+    _counter_equals,
+    _element_planes,
     _int_in,
+    _lowest_bits,
+    _plane_distances,
     pack,
     packed_autocorrelations,
     packed_canonical,
@@ -63,7 +67,7 @@ SEARCH_LIMIT = 45
 LOOSE_THRESHOLD_LIMIT = 18
 
 #: Longest length :func:`brute_force_barker` filters: 2**20 masks in about
-#: 1.4 s, start-up included (2-core VM, Python 3.11.7).
+#: 0.09 s and 28 MB peak resident, start-up included (2-core VM, Python 3.11.7).
 BRUTE_FORCE_LIMIT = 20
 
 
@@ -275,19 +279,20 @@ def canonical_representatives(seqs) -> list[BinarySequence]:
 
 
 def brute_force_barker(n: int) -> list[BinarySequence]:
-    """Unpruned filter over all 2**n sequences, word-parallel.
+    """Unpruned filter over all 2**n sequences, in ascending mask order.
 
-    Each mask goes through the packed kernel, one XOR, one mask and one
-    popcount per shift, stopping at the first shift whose sum exceeds 1
-    in magnitude.  Reference oracle for prune soundness; n above
-    :data:`BRUTE_FORCE_LIMIT` is refused.
+    The population's distance counters D_k give ``C_k = (n-k) - 2*D_k``,
+    so ``|C_k| <= 1`` exactly where D_k holds ``(n-k)//2`` or
+    ``(n-k+1)//2``; a mask is kept where that holds at every shift.
+    Reference oracle for prune soundness; n above
+    :data:`BRUTE_FORCE_LIMIT` is refused before any plane is built.
     """
     _refuse_past(BRUTE_FORCE_LIMIT, _int_in("n", n, 1), "unpruned filter")
-    return [
-        unpack(x, n)
-        for x in range(1 << n)
-        if all(-1 <= c <= 1 for c in packed_autocorrelations(x, n))
-    ]
+    full = kept = (1 << (1 << n)) - 1
+    for k, distance in enumerate(_plane_distances(_element_planes(n)), start=1):
+        low = (n - k) // 2
+        kept &= _counter_equals(distance, low, full) | _counter_equals(distance, n - k - low, full)
+    return [unpack(x, n) for x in _lowest_bits(kept, kept.bit_count())]
 
 
 def classify_odd_barker(n_max: int) -> ClassificationReport:

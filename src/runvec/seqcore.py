@@ -33,10 +33,10 @@ and the reversal ``y``, is represented by its least mask,
 ``x ^ (x >> k)`` has a set bit below ``n-k``, so
 ``C_k = (n-k) - 2*popcount((x ^ (x >> k)) & mask)``.  The run lengths
 (:func:`packed_runs`), the predicates and C wherever it is still read
-one mask at a time are computed on this form: the unpruned filter on
-each of its masks, p-odd and L7n on each balanced tuple, and the
-search's re-verification of each hit.  :func:`unpack` turns a mask back
-into a sequence through the checking constructor.
+one mask at a time are computed on this form: p-odd and L7n on each
+balanced tuple, and the search's re-verification of each hit.
+:func:`unpack` turns a mask back into a sequence through the checking
+constructor.
 
 Products: both autocorrelation vectors, the run vector and the delta
 oracle of :mod:`runvec.lemmalab` are each read off one big-integer
@@ -56,7 +56,9 @@ a count per mask is a bit-sliced counter, a list of such planes added
 with ripple carry (:func:`_plane_add`).  The plane kernels read C
 (:func:`_plane_distances`) and the run vector (:func:`_plane_run_vector`,
 from the boundary planes alone) of every mask of a population at once,
-with one big-integer AND, OR or XOR per plane and term.
+with one big-integer AND, OR or XOR per plane and term;
+:func:`_counter_equals` tests a counter against a constant, and
+:func:`_lowest_bits` decodes the masks of a plane in ascending order.
 
 Integer arguments: each entry point that takes a length, shift, rank,
 count or cap from its caller (README lists them) passes it through one
@@ -68,9 +70,8 @@ got <v>``, ``<name> must be >= lo, got <v>`` and, for a range with no
 member (``hi < lo``, such as a shift k at n = 1), ``no admissible value
 for <name>, got <v>``.  The resource caps, the odd-length checks and
 the constructors' per-element loops keep their own wording, and the
-packed kernels, which the unpruned filter runs once per mask and the
-balanced sweep once per tuple, state what they require and check
-nothing.
+packed kernels, which the balanced sweep runs once per tuple and the
+search once per hit, state what they require and check nothing.
 
 Every operation is a pure function of its inputs; no operation mutates
 a value after construction, so values are safe to share across threads.
@@ -453,15 +454,15 @@ def packed_autocorrelations(x: int, n: int) -> Iterator[int]:
     requires ``0 <= x < 2**n``.
 
     The lazy loop for early-exit bound tests: a caller that tests a
-    bound stops consuming at the first shift that breaks it: the
-    unpruned filter on each mask, p-odd on each balanced tuple and the
-    search's re-verification of each hit.  It also gives the whole of C
-    to L7n on each balanced tuple, to the search records and to
-    :func:`aperiodic_autocorrelations`, whose callers in the package
-    all stay at n <= 45: up to about n = 21 the loop is as fast as the
-    fixed cost of :func:`packed_correlation_vectors` or faster (4.0 us
-    against 7.7 us at n = 13, 2-core VM, Python 3.11.7), and that
-    product serves ``analyze``.
+    bound stops consuming at the first shift that breaks it: p-odd on
+    each balanced tuple and the search's re-verification of each hit.
+    It also gives the whole of C to L7n on each balanced tuple, to the
+    search records and to :func:`aperiodic_autocorrelations`, whose
+    callers in the package all stay at n <= 45: up to about n = 21 the
+    loop is as fast as the fixed cost of
+    :func:`packed_correlation_vectors` or faster (4.0 us against 7.7 us
+    at n = 13, 2-core VM, Python 3.11.7), and that product serves
+    ``analyze``.
     """
     mask = (1 << n) - 1
     for k in range(1, n):
@@ -787,6 +788,27 @@ def _add_signed(counters: tuple[list[int], list[int]], present: int, minus: int,
     minus &= present
     _plane_add(counters[0], present ^ minus, bit)
     _plane_add(counters[1], minus, bit)
+
+
+def _counter_equals(counter: list[int], value: int, full: int) -> int:
+    """The plane of the masks among ``full`` at which ``counter`` holds
+    ``value >= 0``: each plane j must read bit j of ``value``, and a value
+    with a bit above the counter's top plane is held nowhere."""
+    equal = 0 if value >> len(counter) else full
+    for j, plane in enumerate(counter):
+        equal &= plane if value >> j & 1 else ~plane
+    return equal
+
+
+def _lowest_bits(plane: int, count: int) -> list[int]:
+    """The positions of the ``count`` lowest set bits of ``plane``, or of
+    all of them when it has fewer, ascending."""
+    bits = []
+    while plane and len(bits) < count:
+        low = plane & -plane
+        bits.append(low.bit_length() - 1)
+        plane ^= low
+    return bits
 
 
 def _counter_sum(*counters: list[int]) -> list[int]:

@@ -437,10 +437,12 @@ class TestWorkersFlag:
 class TestOutputErrors:
     def test_csv_under_missing_directory_exit_1(self, capsys, tmp_path):
         target = tmp_path / "missing" / "counts.csv"
-        code, out, err = run_cli(capsys, "classify", "--max-n", "5", "--csv", str(target))
-        assert code == 1 and out == ""
-        assert err.startswith("error: cannot write ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        # the empty path, given as a separate value or after '=', is refused too
+        for csv in (("--csv", str(target)), ("--csv", ""), ("--csv=",)):
+            code, out, err = run_cli(capsys, "classify", "--max-n", "5", *csv)
+            assert code == 1 and out == ""
+            assert err.startswith("error: cannot write ") and err.count("\n") == 1
+            assert "Traceback" not in err
 
     def test_sweep_child_without_result_exit_1(self, capsys, monkeypatch):
         # a forked sweep child that ends before it writes its result, as

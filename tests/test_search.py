@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from runvec import search
+from runvec import search, seqcore
 from runvec.lemmalab import balanced_run_tuples
 from runvec.search import (
     SEARCH_LIMIT,
@@ -112,6 +112,17 @@ class TestExponentialCaps:
             find_barker_sequences(n, mode, threshold)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("n", [21, 10**6])
+    def test_filter_refuses_before_building_planes(self, monkeypatch, n):
+        # a plane at n = 10**6 would hold 2**(10**6) bits
+        def never(*args):
+            raise AssertionError("planes built for a refused request")
+
+        monkeypatch.setattr(search, "_element_planes", never)
+        with pytest.raises(ValueError) as exc:
+            brute_force_barker(n)
+        assert str(exc.value) == f"unpruned filter limited to n <= 20, requested {n}"
+
     def test_loose_threshold_admitted_up_to_its_limit(self):
         assert search.LOOSE_THRESHOLD_LIMIT == 18
         assert len(find_barker_sequences(18, "full", 3)) == 2728
@@ -120,11 +131,22 @@ class TestExponentialCaps:
 
 
 class TestSoundness:
-    def test_pruned_equals_unpruned_to_12(self):
-        for n in range(1, 13):
+    def test_pruned_equals_unpruned_to_the_filter_cap(self):
+        assert search.BRUTE_FORCE_LIMIT == 20
+        for n in range(1, search.BRUTE_FORCE_LIMIT + 1):
             pruned = [s.elems for s in find_barker_sequences(n, "full")]
             brute = [s.elems for s in brute_force_barker(n)]
-            assert pruned == brute
+            assert pruned == brute, n
+
+    def test_filter_with_dropped_carries_differs_from_the_search(self, monkeypatch):
+        # negative control: distance counters that keep only their parity
+        def carry_dropped(counter, plane, bit=0):
+            counter.extend([0] * (bit + 1 - len(counter)))
+            counter[bit] ^= plane
+
+        monkeypatch.setattr(seqcore, "_plane_add", carry_dropped)
+        differ = [n for n in range(1, 14) if brute_force_barker(n) != find_barker_sequences(n)]
+        assert differ == [4, 5, 7, 11, 13]
 
     def test_brute_filter_matches_literal_definition_to_10(self):
         for n in range(1, 11):

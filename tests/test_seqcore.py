@@ -14,6 +14,7 @@ from runvec.seqcore import (
     ParseError,
     RunLengthEncoding,
     _add_signed,
+    _counter_equals,
     _counter_sum,
     _element_planes,
     _plane_add,
@@ -698,6 +699,11 @@ class TestPlanes:
                 for x, b in enumerate(plane_bits(plane, size)):
                     want[x] += b << bit
             assert counter_values(counter, size) == want
+            # the masks at each value, and none at one above the top plane
+            full = (1 << size) - 1
+            for value in {*want[:3], max(want), 1 << len(counter)}:
+                held = [int(v == value) for v in counter_values(counter, size)]
+                assert plane_bits(_counter_equals(counter, value, full), size) == held
             other = [rng.getrandbits(size) for _ in range(rng.randint(0, 3))]
             others = counter_values(other, size)
             total = _counter_sum(counter, other)
