@@ -29,16 +29,19 @@ b planes.  The element plane ``E_i`` marks the masks whose slot i holds
   The rank parities are running XORs of the boundaries from each end;
   r~_k counts the single terms at ``s_j = k`` and ``t_i = k`` and the
   pairs with ``s_j + t_i = k`` in a positive and a negative counter, and
-  ``R_k = r~_{n-k}``, negated where ``a_1 = a_n``;
+  ``R_k = r~_{n-k}``, negated where ``a_1 = a_n``, outside
+  ``E_0 ^ E_{n-1}``;
 * delta: the difference sequence built from the elements, whose
   ``delta_k`` must equal ``2*R_k`` and ``2*(D_{k+1} + D_{k-1} - 2*D_k)``;
 * prop-skew: the skew plane, ``a_{m+d} = (-1)**d * a_{m-d}`` around the
   centre slot m, against the balanced plane, the AND over
   ``q <= n/2`` of ``B_q ^ B_{n-q}``.
 
-Each target ORs the masks it fails on into one failure plane, so its
-failure count is a popcount and its witnesses, in ascending mask order,
-are the lowest set bits, each field read off the planes at that bit.
+The kernels yield one shift's counters at a time, and the sweep keeps
+the per-shift lists its witnesses read.  Each target ORs the masks it
+fails on into one failure plane, so its failure count is a popcount and
+its witnesses, in ascending mask order, are the lowest set bits, each
+field read off the planes at that bit.
 
 Balanced run tuples are grown by outer pairs.  Every odd Barker
 sequence is skew-symmetric (Turyn & Storer, Proc. AMS 12, 1961), the
@@ -96,6 +99,7 @@ forks.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable, Iterator
 from functools import lru_cache, reduce
 from itertools import zip_longest
 from operator import or_
@@ -270,9 +274,10 @@ def delta_autocorrelation(seq: BinarySequence, k: int) -> int:
     return delta_autocorrelations(seq)[_int_in("k", k, 1, seq.n - 1) - 1]
 
 
-def _plane_delta(planes: tuple[int, ...]) -> list[tuple[list[int], list[int]]]:
+def _plane_delta(planes: tuple[int, ...]) -> Iterator[tuple[list[int], list[int]]]:
     """:func:`delta_autocorrelations` over the population of the element
-    ``planes``: slot ``k-1`` holds the signed counter pair of ``delta_k``.
+    ``planes``: the signed counter pairs of ``delta_1, ..., delta_{n-1}``,
+    yielded one shift at a time in ascending k.
 
     The difference sequence is built from the elements: ``d_1 = a_1``,
     ``d_{n+1} = -a_n``, and for ``2 <= i <= n``, ``d_i = 2*a_i`` where
@@ -284,15 +289,13 @@ def _plane_delta(planes: tuple[int, ...]) -> list[tuple[list[int], list[int]]]:
     """
     n = len(planes)
     nonzero = [a ^ b for a, b in zip(planes, planes[1:])]  # nonzero[i-2]: d_i != 0
-    deltas = []
     for k in range(1, n):
         counters = ([], [])
         for i, j in zip(range(2, n + 1 - k), range(2 + k, n + 1)):
             _add_signed(counters, nonzero[i - 2] & nonzero[j - 2], planes[i - 1] ^ planes[j - 1], 2)
         _add_signed(counters, nonzero[k - 1], planes[0] ^ planes[k], 1)
         _add_signed(counters, nonzero[n - k - 1], ~(planes[n - k] ^ planes[n - 1]), 1)
-        deltas.append(counters)
-    return deltas
+        yield counters
 
 
 def balanced_profile(rle: RunLengthEncoding) -> BalancedProfile:
@@ -766,8 +769,9 @@ def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
 
     if theorem1 or delta:
         d = [[], *_plane_distances(planes), []]  # D_0 = D_n = 0
-        r_tilde, ends_differ = _plane_run_vector(planes)
-        r = [_negated_off(pair, ends_differ) for pair in reversed(r_tilde)]
+        # r_k = r~_{n-k} where a_1 != a_n, the masks with an even run count
+        ends_differ = planes[0] ^ planes[-1]
+        r = [_negated_off(pair, ends_differ) for pair in _plane_run_vector(planes)][::-1]
         # Theorem 1 holds at k exactly when R_k = D_{k+1} + D_{k-1} - 2*D_k
         second = [(_counter_sum(d[k + 1], d[k - 1]), [0, *d[k]]) for k in range(1, n)]
         mismatch = list(map(_signed_differ, second, r))
@@ -780,7 +784,7 @@ def _sweep_sequences(n: int, targets: tuple[str, ...]) -> list[SweepRecord]:
 
         failing["theorem1"] = (reduce(or_, mismatch, 0), theorem1_fields)
     if delta:
-        deltas = _plane_delta(planes)
+        deltas = list(_plane_delta(planes))
         # delta_k must equal 2*R_k, and so 2*(D_{k+1} + D_{k-1} - 2*D_k) too
         delta_mismatch = [
             wrong | _signed_differ(pair, ([0, *plus], [0, *minus]))
@@ -933,14 +937,17 @@ def sweep(n_max: int, targets, workers: int = 1) -> SweepReport:
 
     Raises ValueError before any work starts: for ``n_max`` not exactly
     an int, then below 1, for ``workers`` not exactly an int, then below
-    1, then for an empty target list, then for the first name, in the
-    caller's order, that is not in :data:`SWEEP_TARGETS` (names are
+    1, then for ``targets`` that is a str, bytes or not iterable, then
+    for an empty target list, then for the first name, in the caller's
+    order, that is not in :data:`SWEEP_TARGETS` (names are
     case-sensitive), then for the first target whose :data:`SWEEP_LIMITS`
     entry is below ``n_max``.  The record list is sorted by (target, n)
     and does not depend on the worker count.
     """
     _int_in("n_max", n_max, 1)
     _int_in("workers", workers, 1)
+    if isinstance(targets, (str, bytes)) or not isinstance(targets, Iterable):
+        raise ValueError(f"targets must be a list of target names, got {targets!r}")
     wanted = list(targets)
     if not wanted:
         raise ValueError("no sweep targets given")

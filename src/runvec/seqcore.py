@@ -56,7 +56,8 @@ a count per mask is a bit-sliced counter, a list of such planes added
 with ripple carry (:func:`_plane_add`).  The plane kernels read C
 (:func:`_plane_distances`) and the run vector (:func:`_plane_run_vector`,
 from the boundary planes alone) of every mask of a population at once,
-with one big-integer AND, OR or XOR per plane and term;
+with one big-integer AND, OR or XOR per plane and term; each yields
+one shift's counter at a time, so a caller holds only what it keeps;
 :func:`_counter_equals` tests a counter against a constant, and
 :func:`_lowest_bits` decodes the masks of a plane in ascending order.
 
@@ -835,25 +836,22 @@ def _signed_at(pair: tuple[list[int], list[int]], x: int) -> int:
     return sum(plus) - sum(minus)
 
 
-def _plane_distances(planes: tuple[int, ...]) -> list[list[int]]:
+def _plane_distances(planes: tuple[int, ...]) -> Iterator[list[int]]:
     """``D_1, ..., D_{n-1}`` as counters over the population of the
-    element ``planes``: D_k counts the slots i with ``a_i != a_{i+k}``,
-    one plane ``E_i ^ E_{i+k}`` each, so ``C_k = (n-k) - 2*D_k``."""
-    distances = []
+    element ``planes``, yielded one shift at a time in ascending k: D_k
+    counts the slots i with ``a_i != a_{i+k}``, one plane
+    ``E_i ^ E_{i+k}`` each, so ``C_k = (n-k) - 2*D_k``."""
     for k in range(1, len(planes)):
         counter = []
         for low, high in zip(planes, planes[k:]):
             _plane_add(counter, low ^ high)
-        distances.append(counter)
-    return distances
+        yield counter
 
 
-def _plane_run_vector(planes: tuple[int, ...]) -> tuple[list[tuple[list[int], list[int]]], int]:
-    """``(r_tilde, ends_differ)`` over the population of the element
-    ``planes``, from the boundary planes alone: slot ``k-1`` of
-    ``r_tilde`` holds the signed counter pair of ``r_tilde_k``,
-    ``1 <= k <= n-1``, and ``ends_differ`` is the plane of the masks with
-    ``a_1 != a_n``, those with an even run count.
+def _plane_run_vector(planes: tuple[int, ...]) -> Iterator[tuple[list[int], list[int]]]:
+    """The signed counter pairs of ``r_tilde_1, ..., r_tilde_{n-1}`` over
+    the population of the element ``planes``, from the boundary planes
+    alone, yielded one shift at a time in ascending k.
 
     The terms are those of :func:`run_vector_of`.  The boundary
     plane ``B_p = E_{p-1} ^ E_p`` marks a forward boundary at ``s = p``
@@ -864,14 +862,14 @@ def _plane_run_vector(planes: tuple[int, ...]) -> tuple[list[tuple[list[int], li
     sign at a forward boundary ``s = k`` and at a reverse one ``t = k``,
     and twice the product of the signs for each pair ``s + t = k``, which
     is minus where the two parities differ.  The XOR of every boundary,
-    ``E_0 ^ E_{n-1}``, is ``ends_differ``; ``r_k = r_tilde_{n-k}`` there
-    and ``-r_tilde_{n-k}`` at the other masks, whose run count is odd.
+    ``E_0 ^ E_{n-1}``, is the plane of the masks with ``a_1 != a_n``,
+    those with an even run count: ``r_k = r_tilde_{n-k}`` there and
+    ``-r_tilde_{n-k}`` at the other masks, whose run count is odd.
     """
     n = len(planes)
     bounds = [a ^ b for a, b in zip(planes, planes[1:])]  # bounds[p-1] is B_p
     forward = list(accumulate(bounds, xor, initial=0))  # forward[s-1]: parity at s
     reverse = list(accumulate(reversed(bounds), xor, initial=0))  # reverse[t-1]: at t
-    r_tilde = []
     for k in range(1, n):
         counters = ([], [])
         for s, t in zip(range(1, k), range(k - 1, 0, -1)):
@@ -879,8 +877,7 @@ def _plane_run_vector(planes: tuple[int, ...]) -> tuple[list[tuple[list[int], li
             _add_signed(counters, both, forward[s - 1] ^ reverse[t - 1], 1)
         _add_signed(counters, bounds[k - 1], ~forward[k - 1], 0)
         _add_signed(counters, bounds[n - k - 1], ~reverse[k - 1], 0)
-        r_tilde.append(counters)
-    return r_tilde, forward[-1]
+        yield counters
 
 
 def _plane_skew_symmetric(planes: tuple[int, ...], full: int) -> int:

@@ -95,7 +95,9 @@ class TestRunVectorWithoutC:
         # reads, r_k = (-1)**gamma * r~_{n-k}
         for n in range(1, 13):
             size = 1 << n
-            r_tilde, ends_differ = seqcore._plane_run_vector(_element_planes(n))
+            planes = _element_planes(n)
+            r_tilde = list(seqcore._plane_run_vector(planes))
+            ends_differ = planes[0] ^ planes[-1]
             columns = [signed_values(pair, size) for pair in r_tilde]
             reflected = [
                 signed_values(lemmalab._negated_off(pair, ends_differ), size) for pair in r_tilde[::-1]

@@ -580,6 +580,23 @@ class TestSweeps:
             sweep(5, ("l1",), workers=2)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("targets", ["L1", b"L1", None])
+    def test_a_str_or_non_iterable_target_list_is_refused_before_any_work(
+        self, monkeypatch, targets
+    ):
+        # a str or bytes would be read item by item: "L1" as the targets 'L' and '1'
+        def never(*args):
+            raise AssertionError("the sweep ran before checking its targets")
+
+        monkeypatch.setattr(lemmalab, "_run_share", never)
+        monkeypatch.setattr(os, "fork", never)
+        with pytest.raises(ValueError) as exc:
+            sweep(5, targets, workers=2)
+        assert str(exc.value) == f"targets must be a list of target names, got {targets!r}"
+        # the workers are checked first
+        with pytest.raises(ValueError, match=r"^workers must be >= 1, got 0$"):
+            sweep(5, targets, workers=0)
+
     @staticmethod
     def _plane_of(n, keep):
         """The plane of the masks of length n whose elements ``keep`` takes."""
@@ -594,12 +611,12 @@ class TestSweeps:
         real = lemmalab._plane_run_vector
 
         def corrupted(planes):
-            r_tilde, ends_differ = real(planes)
+            r_tilde = list(real(planes))
             n = len(planes)
             if n > 1:
                 wrong = cls._plane_of(n, lambda elems: len(brute_runs(elems)) == gamma)
                 _plane_add(r_tilde[0][gamma % 2], wrong)
-            return r_tilde, ends_differ
+            return r_tilde
 
         monkeypatch.setattr(lemmalab, "_plane_run_vector", corrupted)
 
@@ -648,7 +665,7 @@ class TestSweeps:
         real = lemmalab._plane_delta
 
         def corrupted(planes):
-            deltas = real(planes)
+            deltas = list(real(planes))
             if len(planes) == n:
                 _plane_add(deltas[k - 1][0], self._plane_of(n, lambda elems: elems in orbit))
             return deltas

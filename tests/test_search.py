@@ -148,6 +148,24 @@ class TestSoundness:
         differ = [n for n in range(1, 14) if brute_force_barker(n) != find_barker_sequences(n)]
         assert differ == [4, 5, 7, 11, 13]
 
+    def test_filter_stops_at_the_first_shift_that_keeps_no_mask(self, monkeypatch):
+        # work budget: the counters the filter consumes per length; it
+        # reads all n - 1 exactly where some mask is kept
+        real, consumed = search._plane_distances, []
+
+        def counted(planes):
+            for counter in real(planes):
+                consumed[-1] += 1
+                yield counter
+
+        monkeypatch.setattr(search, "_plane_distances", counted)
+        kept = []
+        for n in range(1, search.BRUTE_FORCE_LIMIT + 1):
+            consumed.append(0)
+            kept.append(bool(brute_force_barker(n)))
+        assert consumed == [0, 1, 2, 3, 4, 4, 6, 5, 5, 6, 10, 8, 12, 8, 8, 11, 8, 10, 12, 10]
+        assert [c == n - 1 for n, c in enumerate(consumed, start=1)] == kept
+
     def test_brute_filter_matches_literal_definition_to_10(self):
         for n in range(1, 11):
             brute = {s.elems for s in brute_force_barker(n)}

@@ -731,6 +731,20 @@ class TestPlanes:
                 c = tuple([n - k - 2 * distances[k - 1][x] for k in range(1, n)])
                 assert c == brute_aperiodic(elems)[1:n], (n, x)
 
+    def test_distances_are_built_one_shift_at_a_time(self, monkeypatch):
+        # the first counter, D_1, adds its n - 1 planes and nothing more
+        added = []
+
+        def counting(counter, plane, bit=0):
+            added.append(bit)
+            _plane_add(counter, plane, bit)
+
+        monkeypatch.setattr("runvec.seqcore._plane_add", counting)
+        distances = _plane_distances(_element_planes(10))
+        assert added == []
+        next(distances)
+        assert len(added) == 9
+
     def test_skew_and_balanced_planes_match_the_oracles_to_12(self):
         for n in range(1, 13):
             planes, full = _element_planes(n), (1 << (1 << n)) - 1
